@@ -430,7 +430,38 @@ def to_dict(aut: Automaton) -> dict:
     }
 
 
+def _check_shape(data) -> None:
+    """Raise a ValueError naming the field at fault unless `data` has the JSON shape."""
+    if not isinstance(data, dict):
+        raise ValueError(f"automaton must be a JSON object, not {type(data).__name__}")
+    for name in ("states", "alphabet", "initial", "finals", "transitions"):
+        if name not in data:
+            raise ValueError(f"automaton field {name!r} is missing")
+        if name != "initial" and not isinstance(data[name], list):
+            raise ValueError(f"automaton field {name!r} must be a list")
+    for name in ("states", "initial", "finals"):
+        for s in data[name] if name != "initial" else [data[name]]:
+            if not isinstance(s, (int, str)):
+                raise ValueError(f"automaton field {name!r}: state {s!r} is not an int or a string")
+    for a in data["alphabet"]:
+        if not isinstance(a, str):
+            raise ValueError(f"automaton field 'alphabet': symbol {a!r} is not a string")
+    for t in data["transitions"]:
+        if not (
+            isinstance(t, list)
+            and len(t) == 3
+            and isinstance(t[0], (int, str))
+            and isinstance(t[1], str)
+            and isinstance(t[2], (int, str))
+        ):
+            raise ValueError(
+                f"automaton field 'transitions': {t!r} is not a [state, label, state] triple"
+            )
+
+
 def from_dict(data: dict) -> Automaton:
+    """Inverse of :func:`to_dict`; malformed documents raise a ValueError."""
+    _check_shape(data)
     return Automaton.make(
         data["states"],
         data["alphabet"],

@@ -122,8 +122,12 @@ def _cmd_equiv(args) -> int:
     if witness is None:
         print("equivalent")
     else:
-        # witnesses are reported only after both automata confirm them
-        assert automata.accepts(left, witness) != automata.accepts(right, witness)
+        # witnesses are reported only after both automata confirm them, over
+        # the union alphabet the witness was found in
+        sigma = left.alphabet | right.alphabet
+        assert automata.accepts(automata._widen(left, sigma), witness) != automata.accepts(
+            automata._widen(right, sigma), witness
+        )
         print(f"inequivalent: {''.join(witness) or '&'}")
     return 0
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Hashable, Iterable
 
-from .automata import Automaton, is_bideterministic, minimize
+from .automata import Automaton, _state_key, is_bideterministic, minimize
 
 __all__ = [
     "Digraph",
@@ -69,76 +69,80 @@ def _adjacency(dg: Digraph) -> dict:
     return adj
 
 
-def _vkey(v):
-    """Total order over mixed vertex ids; ints first, then everything else."""
-    if isinstance(v, int):
-        return (0, v, "")
-    return (1, 0, str(v))
+# -- bitmask kernel ------------------------------------------------------------
+# Vertex i (in _state_key order) is bit 1 << i; a vertex set is an int mask.
 
 
-def _scc_partition(adj: dict, verts: frozenset) -> list[frozenset]:
-    """Tarjan, iteratively; components come out in reverse topological order."""
-    index: dict = {}
-    low: dict = {}
-    on_stack: set = set()
-    stack: list = []
-    out: list[frozenset] = []
-    counter = [0]
+def _index(dg: Digraph) -> tuple[list, list[int], list[int]]:
+    """Vertices in _state_key order, with successor and predecessor masks."""
+    order = sorted(dg.vertices, key=_state_key)
+    pos = {v: i for i, v in enumerate(order)}
+    succ = [0] * len(order)
+    pred = [0] * len(order)
+    for u, v in dg.arcs:
+        succ[pos[u]] |= 1 << pos[v]
+        pred[pos[v]] |= 1 << pos[u]
+    return order, succ, pred
 
-    for root in sorted(verts, key=_vkey):
-        if root in index:
-            continue
-        work = [(root, iter(sorted((w for w in adj[root] if w in verts), key=_vkey)))]
-        index[root] = low[root] = counter[0]
-        counter[0] += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            v, it = work[-1]
-            advanced = False
-            for w in it:
-                if w not in index:
-                    index[w] = low[w] = counter[0]
-                    counter[0] += 1
-                    stack.append(w)
-                    on_stack.add(w)
-                    work.append((w, iter(sorted((x for x in adj[w] if x in verts), key=_vkey))))
-                    advanced = True
-                    break
-                if w in on_stack:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-            if low[v] == index[v]:
-                comp = set()
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.add(w)
-                    if w == v:
-                        break
-                out.append(frozenset(comp))
-    return out
+
+def _reach(start: int, adj: list[int], within: int) -> int:
+    """Vertices of `within` reachable from the `start` vertices along `adj`."""
+    seen = frontier = start
+    while frontier:
+        step = 0
+        while frontier:
+            low = frontier & -frontier
+            step |= adj[low.bit_length() - 1]
+            frontier ^= low
+        frontier = step & within & ~seen
+        seen |= frontier
+    return seen
+
+
+def _components(mask: int, succ: list[int], pred: list[int]):
+    """Strongly connected components of `mask`, in reverse topological order.
+
+    A component is forward reach intersected with backward reach.  Starting
+    at the lowest remaining vertex, the search moves downstream until the
+    forward reach is the component itself, so every component emitted is a
+    sink among the vertices left.
+    """
+    while mask:
+        v = mask & -mask
+        while True:
+            forward = _reach(v, succ, mask)
+            comp = _reach(v, pred, forward)
+            if comp == forward:
+                break
+            rest = forward & ~comp
+            v = rest & -rest
+        yield comp
+        mask &= ~comp
+
+
+def _cyclic(comp: int, succ: list[int]) -> bool:
+    """A component holds a cycle: two or more vertices, or a self-loop."""
+    return bool(comp & (comp - 1)) or bool(succ[comp.bit_length() - 1] & comp)
+
+
+def _bits(mask: int):
+    while mask:
+        low = mask & -mask
+        yield low
+        mask ^= low
 
 
 def sccs(dg: Digraph) -> list[frozenset]:
     """Strongly connected components, in reverse topological order."""
-    return _scc_partition(_adjacency(dg), dg.vertices)
-
-
-def _nontrivial(comp: frozenset, adj: dict) -> bool:
-    if len(comp) > 1:
-        return True
-    v = next(iter(comp))
-    return v in adj[v]
+    order, succ, pred = _index(dg)
+    return [
+        frozenset(order[b.bit_length() - 1] for b in _bits(comp))
+        for comp in _components((1 << len(order)) - 1, succ, pred)
+    ]
 
 
 def cycle_rank(dg: Digraph, budget: int = 18) -> int:
-    """Exact cycle rank via the memoized deletion recursion.
+    """Exact cycle rank via the memoized deletion recursion, with branch-and-bound.
 
     Refuses digraphs above `budget` vertices: the recursion is exponential
     in the worst case, so callers beyond that should fall back to
@@ -148,51 +152,61 @@ def cycle_rank(dg: Digraph, budget: int = 18) -> int:
         raise CycleRankBudgetError(
             f"{len(dg.vertices)} vertices exceed the exact-rank budget of {budget}"
         )
-    adj = _adjacency(dg)
-    memo: dict[frozenset, int] = {}
+    order, succ, pred = _index(dg)
+    exact: dict[int, int] = {}  # vertex mask -> its cycle rank
+    lower: dict[int, int] = {}  # vertex mask -> a proven lower bound on it
 
-    def rank(verts: frozenset) -> int:
-        cached = memo.get(verts)
-        if cached is not None:
-            return cached
-        best = 0
-        for comp in _scc_partition(adj, verts):
-            if not _nontrivial(comp, adj):
-                continue
-            sub_best = None
-            for v in sorted(comp, key=_vkey):
-                r = rank(comp - {v})
-                if sub_best is None or r < sub_best:
-                    sub_best = r
-                if sub_best == 0:
+    def rank(mask: int, limit: int) -> int:
+        """Exact when below `limit`; otherwise a lower bound of at least `limit`."""
+        known = exact.get(mask)
+        if known is not None:
+            return known
+        floor = lower.get(mask, 0)
+        if floor >= limit:
+            return floor
+        comps = [c for c in _components(mask, succ, pred) if _cyclic(c, succ)]
+        if comps == [mask]:
+            # delete one vertex; later children only need to beat the best so far
+            floor = max(floor, 1)
+            sub = limit
+            for v in _bits(mask):
+                sub = min(sub, rank(mask ^ v, min(sub, limit - 1)))
+                if sub + 1 <= floor:
                     break
-            best = max(best, 1 + sub_best)  # type: ignore[operator]
-        memo[verts] = best
-        return best
+            result = sub + 1
+        else:
+            result = 0
+            for comp in comps:
+                result = max(result, rank(comp, limit))
+                if result >= limit:
+                    break
+        if result < limit:
+            exact[mask] = result
+        else:
+            lower[mask] = result
+        return result
 
-    return rank(dg.vertices)
+    return rank((1 << len(order)) - 1, len(order) + 1)
 
 
 def cycle_rank_upper(dg: Digraph) -> int:
     """Greedy upper bound: always delete the highest-degree vertex of an SCC."""
-    adj = _adjacency(dg)
-    radj: dict = {v: set() for v in dg.vertices}
-    for u, v in dg.arcs:
-        radj[v].add(u)
+    order, succ, pred = _index(dg)
+    names = [repr(v) for v in order]
 
-    def bound(verts: frozenset) -> int:
+    def degree_key(b: int, comp: int):
+        i = b.bit_length() - 1
+        return (-((succ[i] & comp).bit_count() + (pred[i] & comp).bit_count()), names[i])
+
+    def bound(mask: int) -> int:
         best = 0
-        for comp in _scc_partition(adj, verts):
-            if not _nontrivial(comp, adj):
-                continue
-            victim = min(
-                sorted(comp, key=_vkey),
-                key=lambda v: (-(len(adj[v] & comp) + len(radj[v] & comp)), repr(v)),
-            )
-            best = max(best, 1 + bound(comp - {victim}))
+        for comp in _components(mask, succ, pred):
+            if _cyclic(comp, succ):
+                victim = min(_bits(comp), key=lambda b: degree_key(b, comp))
+                best = max(best, 1 + bound(comp ^ victim))
         return best
 
-    return bound(dg.vertices)
+    return bound((1 << len(order)) - 1)
 
 
 def symmetrize(dg: Digraph) -> Digraph:
@@ -237,12 +251,12 @@ def independent_set(dg: Digraph, exact: bool = False) -> frozenset:
             search(chosen | {v}, [w for w in rest[1:] if w not in neigh[v]])
             search(chosen, rest[1:])
 
-        search(set(), sorted(candidates, key=_vkey))
+        search(set(), sorted(candidates, key=_state_key))
         return frozenset(best)
 
     chosen = set()
     while candidates:
-        v = min(candidates, key=lambda x: (len(neigh[x] & candidates), _vkey(x)))
+        v = min(candidates, key=lambda x: (len(neigh[x] & candidates), _state_key(x)))
         chosen.add(v)
         candidates -= neigh[v] | {v}
     return frozenset(chosen)
@@ -266,7 +280,7 @@ def cycles_through(dg: Digraph, v: Vertex, cap: int = 10**6) -> CycleCount:
         nonlocal count, saturated
         if saturated:
             return
-        for w in sorted(adj[u], key=_vkey):
+        for w in sorted(adj[u], key=_state_key):
             if w == v:
                 count += 1
                 if count >= cap:

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from refa.bench import (
     bench_constructions,
     bench_orderings,
@@ -132,3 +134,35 @@ class TestCli:
     def test_syntax_error_exit_code(self, capsys):
         assert main(["measure", "(a"]) == 1
         assert "offset 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "document,argv,field",
+        [
+            ("[1,2]", ["equiv", "{bad}", "{good}"], "JSON object"),
+            ('{"states": [[0]], "alphabet": ["a"], "initial": 0, "finals": [], "transitions": []}',
+             ["rank", "{bad}"], "'states'"),
+            ('{"states": [[0]], "alphabet": ["a"], "initial": 0, "finals": [], "transitions": []}',
+             ["toregex", "{bad}"], "'states'"),
+            ('{"states": [0], "alphabet": ["a"], "initial": 0, "finals": [], "transitions": [[0, "a"]]}',
+             ["rank", "{bad}"], "'transitions'"),
+        ],
+        ids=["equiv-list", "rank-states", "toregex-states", "rank-pair"],
+    )
+    def test_malformed_automaton_one_line_error(self, tmp_path, capsys, document, argv, field):
+        bad = tmp_path / "bad.json"
+        bad.write_text(document)
+        good = tmp_path / "b2.json"
+        main(["gen", "buffer", "2", "-o", str(good)])
+        capsys.readouterr()
+        argv = [a.format(bad=bad, good=good) for a in argv]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1 and field in captured.err
+
+    def test_equiv_over_different_alphabets(self, tmp_path, capsys):
+        left, right = tmp_path / "left.json", tmp_path / "right.json"
+        assert main(["convert", "--to", "of", "a*", "-o", str(left)]) == 0
+        assert main(["convert", "--to", "pos", "(a+b)*", "-o", str(right)]) == 0
+        assert main(["equiv", str(left), str(right)]) == 0
+        assert capsys.readouterr().out.strip() == "inequivalent: b"

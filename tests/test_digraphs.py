@@ -22,7 +22,7 @@ from refa.digraphs import (
 from refa.expressions import measures, parse
 from refa.families import buffer_dfa, hypercube_dfa, torus_dfa
 
-from conftest import corpus, naive_cycle_rank
+from conftest import _kosaraju, corpus, naive_cycle_rank
 
 
 def cycle(n):
@@ -87,6 +87,14 @@ class TestSccs:
         dg = underlying_digraph(torus_dfa(2, 4))
         assert sccs(dg) == [frozenset(range(8))]
 
+    def test_random_partition_reverse_topological(self):
+        for i in range(20):
+            dg = random_digraph(9, 0.2, seed=800 + i)
+            comps = sccs(dg)
+            assert sorted(map(sorted, comps)) == sorted(map(sorted, _kosaraju(dg.vertices, dg.arcs)))
+            where = {v: k for k, comp in enumerate(comps) for v in comp}
+            assert all(where[u] >= where[v] for u, v in dg.arcs)
+
 
 class TestCycleRank:
     def test_dag_zero(self):
@@ -136,9 +144,21 @@ class TestCycleRank:
     def test_naive_agreement_small(self):
         cases = [cycle(5), bidirectional_path(7), underlying_digraph(torus_dfa(2, 4))]
         cases += [random_digraph(n, d, seed) for n in (4, 6, 8) for d in (0.2, 0.4) for seed in (1, 2)]
+        cases += [random_digraph(n, d, seed) for n in (9, 10, 11) for d in (0.2, 0.25) for seed in (1, 2)]
         for dg in cases:
-            assert len(dg.vertices) <= 10
-            assert cycle_rank(dg) == naive_cycle_rank(dg.vertices, dg.arcs)
+            assert len(dg.vertices) <= 11
+            expected = naive_cycle_rank(dg.vertices, dg.arcs)
+            assert cycle_rank(dg) == expected
+            # mixed int and string ids index the same way
+            name = {v: v if v % 2 else f"q{v}" for v in dg.vertices}
+            relabelled = Digraph.make(name.values(), [(name[u], name[v]) for u, v in dg.arcs])
+            assert cycle_rank(relabelled) == expected
+
+    @pytest.mark.parametrize(
+        "aut,expected", [(hypercube_dfa(4), 7), (torus_dfa(4, 4), 4)], ids=["hypercube4", "torus4x4"]
+    )
+    def test_sixteen_vertex_families(self, aut, expected):
+        assert cycle_rank(underlying_digraph(aut)) == expected
 
 
 class TestCycleRankUpper:
@@ -158,6 +178,24 @@ class TestCycleRankUpper:
     def test_torus_2x4_band(self):
         upper = cycle_rank_upper(underlying_digraph(torus_dfa(2, 4)))
         assert 3 <= upper <= 4
+
+    # over-budget digraphs on which another tie-break among equal-degree
+    # vertices (index order, reversed repr, last vertex) gives another bound
+    @pytest.mark.parametrize(
+        "text,expected",
+        [
+            ("(((a?*d?*)?+c*?)*((b?+d*?+aa*(a**+c**)*)b*?)**)?*", 4),
+            ("(c+(((c**+d*)*+(c**d*?a**)?)c**b*?)*)?+d*?c?*", 3),
+            ("((b**+((d*b)?a*?)*)c*?ac?*)*(b**+(c?*a)?)*", 4),
+            ("(((a??+d)*a*?bc*?(d??a**)**)*(b?+b*)**)*+a?", 5),
+            ("(((a**a*)*?a*a?(b**b?)*)*?+b?*)?(bb)*?", 4),
+        ],
+    )
+    def test_pinned_greedy_victims(self, text, expected):
+        dg = underlying_digraph(construct_of(parse(text)))
+        with pytest.raises(CycleRankBudgetError):
+            cycle_rank(dg)
+        assert cycle_rank_upper(dg) == expected
 
 
 class TestUndirectedCycleRank:
