@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 __all__ = [
     "Automaton",
@@ -114,29 +114,38 @@ def _delta(aut: Automaton) -> dict[tuple[State, Label], set[State]]:
     return d
 
 
-def _closure(delta: Mapping, states: Iterable[State]) -> frozenset[State]:
-    out = set(states)
-    stack = list(out)
+def _reach(successors: Mapping, starts: Iterable[State]) -> set[State]:
+    """The states reachable from `starts` (included) along `successors`."""
+    seen = set(starts)
+    stack = list(seen)
     while stack:
-        p = stack.pop()
-        for q in delta.get((p, None), ()):
-            if q not in out:
-                out.add(q)
+        for q in successors.get(stack.pop(), ()):
+            if q not in seen:
+                seen.add(q)
                 stack.append(q)
-    return frozenset(out)
+    return seen
+
+
+def _adjacency(arcs: Iterable[tuple[State, State]]) -> dict[State, list[State]]:
+    """Successor lists of the (source, target) pairs."""
+    succ: dict[State, list[State]] = {}
+    for p, q in arcs:
+        succ.setdefault(p, []).append(q)
+    return succ
 
 
 def accepts(aut: Automaton, word: Sequence[str]) -> bool:
     """Membership test; spontaneous moves are handled by λ-closure."""
     delta = _delta(aut)
-    current = _closure(delta, [aut.initial])
+    lam = _adjacency((p, q) for p, a, q in aut.transitions if a is None)
+    current = _reach(lam, [aut.initial])
     for a in word:
         if a not in aut.alphabet:
             raise UnknownSymbolError(f"symbol {a!r} not in the alphabet")
         step = set()
         for p in current:
             step |= delta.get((p, a), set())
-        current = _closure(delta, step)
+        current = _reach(lam, step)
     return bool(current & aut.finals)
 
 
@@ -148,8 +157,8 @@ def remove_lambda(aut: Automaton) -> Automaton:
     """
     if aut.is_lambda_free():
         return aut
-    delta = _delta(aut)
-    closures = {p: _closure(delta, [p]) for p in aut.states}
+    lam = _adjacency((p, q) for p, a, q in aut.transitions if a is None)
+    closures = {p: _reach(lam, [p]) for p in aut.states}
     sym_arcs: dict[State, list[tuple[str, State]]] = {p: [] for p in aut.states}
     for p, a, q in aut.transitions:
         if a is not None:
@@ -221,17 +230,7 @@ def _complete(aut: Automaton) -> Automaton:
 
 
 def _reachable(aut: Automaton) -> frozenset[State]:
-    adj: dict[State, list[State]] = {p: [] for p in aut.states}
-    for p, _, q in aut.transitions:
-        adj[p].append(q)
-    seen = {aut.initial}
-    stack = [aut.initial]
-    while stack:
-        for q in adj[stack.pop()]:
-            if q not in seen:
-                seen.add(q)
-                stack.append(q)
-    return frozenset(seen)
+    return frozenset(_reach(_adjacency((p, q) for p, _, q in aut.transitions), [aut.initial]))
 
 
 def _restrict(aut: Automaton, keep: frozenset[State]) -> Automaton:
@@ -296,14 +295,7 @@ def minimize(aut: Automaton, mode: str = "complete") -> Automaton:
 
     # partial: delete the dead state and its transitions (the initial state
     # itself survives even when dead, to keep the automaton well-formed)
-    co = set(result.finals)
-    changed = True
-    while changed:
-        changed = False
-        for p, _, q in result.transitions:
-            if q in co and p not in co:
-                co.add(p)
-                changed = True
+    co = _reach(_adjacency((q, p) for p, _, q in result.transitions), result.finals)
     return Automaton(
         frozenset(co) | {result.initial},
         result.alphabet,
@@ -388,25 +380,15 @@ def is_bideterministic(aut: Automaton) -> bool:
     return rev.is_partial_dfa()
 
 
-class FaMeasures(tuple):
+class FaMeasures(NamedTuple):
     """(states, transitions); the size convention is their sum."""
 
-    __slots__ = ()
-
-    def __new__(cls, states: int, transitions: int):
-        return super().__new__(cls, (states, transitions))
-
-    @property
-    def states(self) -> int:
-        return self[0]
-
-    @property
-    def transitions(self) -> int:
-        return self[1]
+    states: int
+    transitions: int
 
     @property
     def size(self) -> int:
-        return self[0] + self[1]
+        return self.states + self.transitions
 
 
 def fa_measures(aut: Automaton) -> FaMeasures:

@@ -16,7 +16,7 @@ from .automata import Automaton, equivalent, fa_measures
 from .constructions import construct, construct_follow, construct_pd, construct_position
 from .elimination import STRATEGIES, state_elimination
 from .expressions import measures
-from .families import buffer_regex, options_regex, random_dfa, row1_regex, row2_regex, row3_regex
+from .families import gen_family, options_regex, random_dfa, row3_regex
 
 __all__ = [
     "BenchRecord",
@@ -29,15 +29,6 @@ __all__ = [
 ]
 
 CSV_HEADER = ["family", "n", "method", "states", "transitions", "size", "awidth", "height", "micros"]
-
-_REGEX_FAMILIES = {
-    "buffer": buffer_regex,
-    "options": options_regex,
-    "row1": row1_regex,
-    "row2": row2_regex,
-    "row3": row3_regex,
-}
-
 
 @dataclass(frozen=True)
 class BenchRecord:
@@ -83,9 +74,10 @@ def bench_constructions(
     """
     records = []
     for family in sorted(families):
-        build = _REGEX_FAMILIES[family]
         for n in families[family]:
-            expr = build(n)
+            expr = gen_family(family, n).regex
+            if expr is None:
+                raise ValueError(f"family {family} has no expression form")
             report = measures(expr)
             for name in constructions:
                 start = time.perf_counter()

@@ -14,9 +14,6 @@ import sys
 from . import automata, bench, digraphs, elimination, expressions, families
 from .constructions import CONSTRUCTION_NAMES, construct
 
-_DEF_SEED = int(os.environ.get("REFA_SEED", "1"))
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="refa", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -45,7 +42,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("family", choices=families.FAMILIES + ("random",))
     p.add_argument("params", type=int, nargs="+")
     p.add_argument("--regex", action="store_true", help="emit the expression, not the automaton")
-    p.add_argument("--seed", type=int, default=_DEF_SEED)
+    p.add_argument("--seed", type=int, help="default: $REFA_SEED, else 1")
     p.add_argument("-o", "--output")
 
     p = sub.add_parser("bench", help="benchmark constructions or elimination orderings")
@@ -54,7 +51,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=6)
     p.add_argument("--alphabet", type=int, default=2)
     p.add_argument("--samples", type=int, default=10)
-    p.add_argument("--seed", type=int, default=_DEF_SEED)
+    p.add_argument("--seed", type=int, help="default: $REFA_SEED, else 1")
     p.add_argument("-o", "--output")
 
     p = sub.add_parser("rank", help="cycle rank and, when defined, star height")
@@ -205,6 +202,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
+        seed = os.environ.get("REFA_SEED", "1")
+        if not seed.lstrip("-").isdigit():
+            raise ValueError(f"REFA_SEED must be an integer, not {seed!r}")
+        if getattr(args, "seed", 0) is None:  # a --seed option left unset
+            args.seed = int(seed)
         return _COMMANDS[args.command](args)
     except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -19,7 +19,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .automata import Automaton
+from .automata import Automaton, _adjacency, _reach, _reachable, _restrict, remove_lambda
 from .expressions import (
     EMPTY,
     EPSILON,
@@ -157,6 +157,10 @@ class _InductiveNfaBuilder:
                     continue
                 if q == frag.fin and not out_unique:
                     continue
+                # an entry-to-exit arc stays: merging would make the entry the
+                # exit, and an enclosing union would then loop its other branch
+                if p == frag.init and q == frag.fin:
+                    continue
                 absorbed = p + q - m
                 frag.trans.discard(arc)
                 frag.trans = _replace(frag.trans, absorbed, m)
@@ -170,9 +174,7 @@ class _InductiveNfaBuilder:
     @staticmethod
     def _collapse_lambda_cycle(trans: set, m: int) -> tuple[set, int]:
         lam = {(p, q) for p, a, q in trans if a is None}
-        fwd = _lambda_reach(lam, m)
-        bwd = _lambda_reach({(q, p) for p, q in lam}, m)
-        cycle = fwd & bwd
+        cycle = _reach(_adjacency(lam), [m]) & _reach(_adjacency((q, p) for p, q in lam), [m])
         if len(cycle) == 1 and (m, m) not in lam:
             return trans, m
         trans = {
@@ -185,49 +187,40 @@ class _InductiveNfaBuilder:
         return trans, m
 
 
-def _lambda_reach(lam: set, start: int) -> set:
-    seen = {start}
-    stack = [start]
-    while stack:
-        p = stack.pop()
-        for u, v in lam:
-            if u == p and v not in seen:
-                seen.add(v)
-                stack.append(v)
-    return seen
+def _frag_automaton(frag: _Frag, alphabet) -> Automaton:
+    states = {frag.init, frag.fin} | {p for p, _, _ in frag.trans} | {q for _, _, q in frag.trans}
+    return Automaton.make(states, alphabet, frag.init, {frag.fin}, frag.trans)
 
 
-def _relabel_bfs(
-    states: set, trans: set, init: int, finals: set, alphabet, keep_unreachable: bool = True
-) -> Automaton:
-    order = {init: 0}
-    queue = deque([init])
+def _relabel_bfs(aut: Automaton) -> Automaton:
+    """Renumber 0,1,... in BFS order over arcs sorted by (label, target), λ
+    first; unreachable states follow in increasing order."""
+    arcs: dict[int, list[tuple[str, int]]] = {}
+    for p, a, q in aut.transitions:
+        arcs.setdefault(p, []).append(("" if a is None else a, q))
+    order = {aut.initial: 0}
+    queue = deque([aut.initial])
     while queue:
-        p = queue.popleft()
-        arcs = sorted(
-            (("" if a is None else a, q) for src, a, q in trans if src == p),
-            key=lambda t: (t[0], t[1]),
-        )
-        for _, q in arcs:
+        for _, q in sorted(arcs.get(queue.popleft(), ())):
             if q not in order:
                 order[q] = len(order)
                 queue.append(q)
-    if keep_unreachable:
-        for p in sorted(states):
-            if p not in order:
-                order[p] = len(order)
-    states2 = set(order.values())
-    trans2 = {(order[p], a, order[q]) for p, a, q in trans if p in order and q in order}
-    finals2 = {order[f] for f in finals if f in order}
-    return Automaton.make(states2, alphabet, 0, finals2, trans2)
+    for p in sorted(aut.states):
+        if p not in order:
+            order[p] = len(order)
+    return Automaton.make(
+        order.values(),
+        aut.alphabet,
+        0,
+        (order[f] for f in aut.finals),
+        ((order[p], a, order[q]) for p, a, q in aut.transitions),
+    )
 
 
 def construct_of(r: RegEx) -> Automaton:
     """Inductive λ-NFA; linear in the size of the expression."""
-    builder = _InductiveNfaBuilder(improve=False)
-    frag = builder.build(r)
-    states = {frag.init, frag.fin} | {p for p, _, _ in frag.trans} | {q for _, _, q in frag.trans}
-    return _relabel_bfs(states, frag.trans, frag.init, {frag.fin}, symbols_of(r))
+    frag = _InductiveNfaBuilder(improve=False).build(r)
+    return _relabel_bfs(_frag_automaton(frag, symbols_of(r)))
 
 
 def construct_follow(r: RegEx) -> Automaton:
@@ -255,31 +248,8 @@ def construct_follow(r: RegEx) -> Automaton:
             changed = True
             break
 
-    # λ-elimination: pull symbol arcs back over λ chains, fix up finality,
-    # then drop the λ arcs and anything no longer reachable
-    states = {frag.init, frag.fin} | {p for p, _, _ in frag.trans} | {q for _, _, q in frag.trans}
-    lam = {(p, q) for p, a, q in frag.trans if a is None}
-    closures = {p: _lambda_reach(lam, p) for p in states}
-    sym_trans = set()
-    for p in states:
-        for q in closures[p]:
-            for src, a, t in frag.trans:
-                if src == q and a is not None:
-                    sym_trans.add((p, a, t))
-    finals = {p for p in states if frag.fin in closures[p]}
-
-    reach = {frag.init}
-    stack = [frag.init]
-    while stack:
-        p = stack.pop()
-        for src, _, t in sym_trans:
-            if src == p and t not in reach:
-                reach.add(t)
-                stack.append(t)
-    sym_trans = {(p, a, q) for p, a, q in sym_trans if p in reach and q in reach}
-    return _relabel_bfs(
-        reach, sym_trans, frag.init, finals & reach, symbols_of(r), keep_unreachable=False
-    )
+    aut = remove_lambda(_frag_automaton(frag, symbols_of(r)))
+    return _relabel_bfs(_restrict(aut, _reachable(aut)))
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .automata import Automaton, State, _state_key
+from .automata import Automaton, State, _adjacency, _reach, _state_key
 from .digraphs import cycles_through, independent_set, underlying_digraph
 from .expressions import (
     EMPTY,
@@ -304,39 +304,12 @@ def _dm_score(labels: dict, q) -> int:
 
 def bridge_states(aut: Automaton) -> frozenset[State]:
     """States that every accepting path must cross and that lie on no cycle."""
-    ext = augment(aut)
-    arcs = {pq for pq, _ in ext.labels}
-    verts = ext.states
-
-    def reaches_sink(removed) -> bool:
-        seen = {SOURCE}
-        stack = [SOURCE]
-        while stack:
-            p = stack.pop()
-            if p is SINK:
-                return True
-            for u, v in arcs:
-                if u == p and v != removed and v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        return False
-
-    on_cycle = set()
-    for q in aut.states:
-        seen: set = set()
-        stack = [v for u, v in arcs if u == q]
-        while stack:
-            p = stack.pop()
-            if p == q:
-                on_cycle.add(q)
-                break
-            if p in seen:
-                continue
-            seen.add(p)
-            stack.extend(v for u, v in arcs if u == p)
-
+    succ = _adjacency(pq for pq, _ in augment(aut).labels)
     return frozenset(
-        q for q in aut.states if q not in on_cycle and not reaches_sink(q)
+        q
+        for q in aut.states
+        if q not in _reach(succ, succ.get(q, ()))
+        and SINK not in _reach({**succ, q: ()}, [SOURCE])
     )
 
 

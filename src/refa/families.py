@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 from .automata import Automaton
 from .expressions import EPSILON, Concat, RegEx, Star, Sym, Union
@@ -100,8 +101,9 @@ def _sym_sum(prefix: str, n: int) -> RegEx:
     return out
 
 
-def row2_regex(n: int, m: int) -> RegEx:
-    """(a1+..+an)(a1+..+an+b1+..+bm)*."""
+def row2_regex(n: int, m: int | None = None) -> RegEx:
+    """(a1+..+an)(a1+..+an+b1+..+bm)*; m defaults to n."""
+    m = n if m is None else m
     _check(n >= 1 and m >= 1, "parameters must be >= 1")
     return Concat(_sym_sum("a", n), Star(Union(_sym_sum("a", n), _sym_sum("b", m))))
 
@@ -117,15 +119,10 @@ def row3_regex(n: int) -> RegEx:
 
 
 def table1_row(k: int, n: int, m: int | None = None) -> RegEx:
-    if k == 1:
-        return row1_regex(n)
-    if k == 2:
-        return row2_regex(n, m if m is not None else n)
-    if k == 3:
-        return row3_regex(n)
-    if k == 4:
-        return options_regex(n)
-    raise ValueError("table row must be 1..4")
+    """Expression of Table 1, row k: row1, row2, row3, then options."""
+    _check(1 <= k <= 4, "table row must be 1..4")
+    params = (n,) if m is None else (n, m)
+    return gen_family(("row1", "row2", "row3", "options")[k - 1], *params).regex
 
 
 def hypercube_dfa(d: int) -> Automaton:
@@ -201,24 +198,34 @@ def random_dfa(n: int, alphabet_size: int, seed: int) -> Automaton:
     )
 
 
-FAMILIES = ("buffer", "options", "row1", "row2", "row3", "hypercube", "torus")
+class _Family(NamedTuple):
+    regex: Callable[..., RegEx] | None
+    automaton: Callable[..., Automaton] | None
+    arity: tuple[int, ...]  # the accepted parameter counts
+
+
+_FAMILY_TABLE = {
+    "buffer": _Family(buffer_regex, buffer_dfa, (1,)),
+    "options": _Family(options_regex, None, (1,)),
+    "row1": _Family(row1_regex, None, (1,)),
+    "row2": _Family(row2_regex, None, (1, 2)),
+    "row3": _Family(row3_regex, None, (1,)),
+    "hypercube": _Family(None, hypercube_dfa, (1,)),
+    "torus": _Family(None, torus_dfa, (2,)),
+}
+FAMILIES = tuple(_FAMILY_TABLE)
 
 
 def gen_family(kind: str, *params: int) -> FamilyArtifact:
     """Family dispatcher; returns the expression and/or automaton available."""
-    if kind == "buffer":
-        (n,) = params
-        return FamilyArtifact(kind, params, buffer_regex(n), buffer_dfa(n))
-    if kind == "options":
-        (n,) = params
-        return FamilyArtifact(kind, params, options_regex(n), None)
-    if kind in ("row1", "row2", "row3"):
-        row = int(kind[3])
-        return FamilyArtifact(kind, params, table1_row(row, *params), None)
-    if kind == "hypercube":
-        (d,) = params
-        return FamilyArtifact(kind, params, None, hypercube_dfa(d))
-    if kind == "torus":
-        m, n = params
-        return FamilyArtifact(kind, params, None, torus_dfa(m, n))
-    raise ValueError(f"unknown family {kind!r}")
+    if kind not in _FAMILY_TABLE:
+        raise ValueError(f"unknown family {kind!r}")
+    family = _FAMILY_TABLE[kind]
+    counts = " or ".join(map(str, family.arity))
+    _check(len(params) in family.arity, f"family {kind} takes {counts} parameter(s)")
+    return FamilyArtifact(
+        kind,
+        params,
+        family.regex(*params) if family.regex else None,
+        family.automaton(*params) if family.automaton else None,
+    )

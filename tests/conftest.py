@@ -4,7 +4,7 @@
 `naive_cycle_rank` recomputes the deletion recursion without memoization on
 a Kosaraju SCC split; `follow_quotient` rebuilds the follow automaton as
 the position-automaton quotient that merges states with equal follow sets
-and equal finality.
+and equal finality; `path_pairs` is Warshall's transitive closure.
 """
 
 from itertools import product
@@ -53,6 +53,16 @@ def lang(r: RegEx, maxlen: int) -> frozenset:
         if new == out:
             return frozenset(out)
         out = new
+
+
+def path_pairs(vertices, arcs) -> set:
+    """(u, v) pairs joined by a path of one or more arcs, by Warshall's method."""
+    reach = set(arcs)
+    for k in vertices:
+        for i in vertices:
+            if (i, k) in reach:
+                reach |= {(i, j) for j in vertices if (k, j) in reach}
+    return reach
 
 
 def words_upto(alphabet, maxlen):

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -23,7 +24,7 @@ from refa.constructions import construct_follow, construct_of, construct_positio
 from refa.expressions import parse
 from refa.families import buffer_dfa, buffer_regex, torus_dfa
 
-from conftest import corpus, lang, words_upto
+from conftest import corpus, lang, path_pairs, words_upto
 
 
 class TestAccepts:
@@ -138,6 +139,28 @@ class TestMinimize:
         partial = minimize(aut, "partial")
         assert partial.states == frozenset({0})
         assert not partial.transitions
+
+    def test_partial_keeps_co_reachable_states(self):
+        # partial = complete minus every state that reaches no final state,
+        # except the initial one; checked on random partial DFAs
+        for seed in range(150):
+            rng = random.Random(seed)
+            n = rng.randint(1, 6)
+            arcs = [(p, a, rng.randrange(n)) for p in range(n) for a in "ab" if rng.random() < 0.6]
+            finals = {q for q in range(n) if rng.random() < 0.4}
+            complete = minimize(Automaton.make(range(n), "ab", 0, finals, arcs), "complete")
+            pairs = path_pairs(complete.states, [(p, q) for p, _, q in complete.transitions])
+            co = {p for p in complete.states if p in complete.finals or any(
+                (p, f) in pairs for f in complete.finals
+            )}
+            expected = Automaton.make(
+                co | {0},
+                "ab",
+                0,
+                complete.finals,
+                [(p, a, q) for p, a, q in complete.transitions if p in co and q in co],
+            )
+            assert minimize(complete, "partial") == expected, seed
 
     def test_never_grows(self):
         for r in corpus(30, seed=92, max_awidth=7):

@@ -112,6 +112,24 @@ class TestCli:
         assert main(["gen", "random", "5", "2", "--seed", "9"]) == 0
         assert capsys.readouterr().out == first
 
+    def test_seed_from_environment(self, monkeypatch, capsys):
+        assert main(["gen", "random", "5", "2", "--seed", "9"]) == 0
+        explicit = capsys.readouterr().out
+        monkeypatch.setenv("REFA_SEED", "9")
+        assert main(["gen", "random", "5", "2"]) == 0
+        assert capsys.readouterr().out == explicit
+
+    @pytest.mark.parametrize("argv", [["measure", "a"], ["gen", "random", "5", "2"]])
+    def test_bad_seed_in_environment(self, monkeypatch, capsys, argv):
+        monkeypatch.setenv("REFA_SEED", "x")
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == "error: REFA_SEED must be an integer, not 'x'\n"
+
+    def test_gen_wrong_parameter_count(self, capsys):
+        assert main(["gen", "torus", "3"]) == 1
+        assert capsys.readouterr().err == "error: family torus takes 2 parameter(s)\n"
+
     def test_gen_regex_flag(self, capsys):
         assert main(["gen", "options", "3", "--regex"]) == 0
         assert capsys.readouterr().out.strip() == "(a1+&)(a2+&)(a3+&)"

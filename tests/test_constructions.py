@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from refa.automata import accepts, equivalent, fa_measures, remove_lambda, subset_construction
@@ -13,10 +15,13 @@ from refa.constructions import (
     position_sets,
 )
 from refa.expressions import (
+    EMPTY,
     EPSILON,
     Concat,
+    Option,
     Star,
     Sym,
+    Union,
     mark,
     measures,
     parse,
@@ -25,6 +30,20 @@ from refa.expressions import (
 from refa.families import buffer_regex, options_regex, row3_regex
 
 from conftest import corpus, follow_quotient, lang, words_upto
+
+
+def lambda_heavy_tree(rng: random.Random, depth: int):
+    """Random tree whose leaves are drawn uniformly from a, b, & and #."""
+    if depth == 0 or rng.random() < 0.3:
+        return rng.choice([Sym("a"), Sym("b"), EPSILON, EMPTY])
+    kind = rng.randrange(4)
+    if kind == 0:
+        return Union(lambda_heavy_tree(rng, depth - 1), lambda_heavy_tree(rng, depth - 1))
+    if kind == 1:
+        return Concat(lambda_heavy_tree(rng, depth - 1), lambda_heavy_tree(rng, depth - 1))
+    if kind == 2:
+        return Star(lambda_heavy_tree(rng, depth - 1))
+    return Option(lambda_heavy_tree(rng, depth - 1))
 
 
 class TestOttFeinstein:
@@ -85,6 +104,16 @@ class TestFollow:
     def test_never_larger_than_position(self, small_corpus):
         for r in small_corpus:
             assert len(construct_follow(r).states) <= len(construct_position(r).states)
+
+    def test_agrees_on_lambda_heavy_trees(self):
+        # merging both λ-arcs of && made its entry its exit, and the union
+        # in &&+a then turned a into a self-loop that accepted aa
+        fixed = [parse(t) for t in ("&&+a", "a+&&", "(&&+a)b", "(&&+a)*", "&#+a")]
+        trees = [lambda_heavy_tree(random.Random(seed), 5) for seed in range(600)]
+        for r in fixed + trees:
+            follow = construct_follow(r)
+            assert equivalent(follow, construct_of(r)), render(r)
+            assert equivalent(follow, construct_position(r)), render(r)
 
     def test_against_quotient_oracle(self):
         # the quotient by equal follow sets is the coarsest valid merge; the

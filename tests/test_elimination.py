@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from refa.automata import Automaton, equivalent
@@ -17,7 +19,7 @@ from refa.elimination import (
 from refa.expressions import EPSILON, Sym, measures, parse, render
 from refa.families import buffer_dfa, hypercube_dfa, random_dfa
 
-from conftest import corpus, lang
+from conftest import corpus, lang, path_pairs
 
 
 class TestSimplify:
@@ -120,11 +122,13 @@ class TestStateElimination:
             state_elimination(buffer_dfa(2), [0, 1])
 
     def test_all_strategies_equivalent(self):
+        # raw outputs keep λ and ∅ terms that the follow automaton must handle
         for i in range(6):
             aut = random_dfa(5, 2, seed=880 + i)
             for strategy in ("id", "greedy", "dm", "cycles", "indep", "bridge"):
-                expr = state_elimination(aut, strategy)
-                assert equivalent(construct_follow(expr), aut), (i, strategy)
+                for simplify_steps in (True, False):
+                    expr = state_elimination(aut, strategy, simplify_steps)
+                    assert equivalent(construct_follow(expr), aut), (i, strategy, simplify_steps)
 
     def test_awidth_bound(self):
         for i in range(8):
@@ -179,6 +183,31 @@ class TestOrderings:
         order = make_ordering(aut, "bridge")
         assert order[-1] == 2
 
+    def test_bridge_states_by_brute_force(self):
+        # a bridge lies on no cycle, and deleting it cuts every path from
+        # the initial state to a final one
+        for seed in range(150):
+            rng = random.Random(seed)
+            n = rng.randint(1, 6)
+            arcs = {
+                (rng.randrange(n), rng.choice(["a", "b", None]), rng.randrange(n))
+                for _ in range(rng.randint(0, 2 * n))
+            }
+            finals = {q for q in range(n) if rng.random() < 0.3}
+            aut = Automaton.make(range(n), {"a", "b"}, 0, finals, arcs)
+            pairs = [("S", 0)] + [(p, q) for p, _, q in arcs] + [(f, "T") for f in finals]
+            cyclic = path_pairs(range(n), pairs)
+            expected = {
+                q
+                for q in range(n)
+                if (q, q) not in cyclic
+                and ("S", "T") not in path_pairs(
+                    [v for v in ["S", "T", *range(n)] if v != q],
+                    [(u, v) for u, v in pairs if q not in (u, v)],
+                )
+            }
+            assert bridge_states(aut) == expected, seed
+
     def test_independent_first_beats_worst_fixed_on_hypercube(self):
         import random as rnd
 
@@ -213,7 +242,8 @@ class TestArden:
     def test_equivalent_on_random_dfas(self):
         for i in range(6):
             aut = random_dfa(5, 2, seed=950 + i)
-            assert equivalent(construct_follow(arden_solve(aut)), aut)
+            for simplify_steps in (True, False):
+                assert equivalent(construct_follow(arden_solve(aut, simplify_steps)), aut)
 
 
 class TestMcNaughtonYamada:
@@ -251,5 +281,6 @@ class TestMcNaughtonYamada:
     def test_equivalent_on_random_dfas(self):
         for i in range(6):
             aut = random_dfa(5, 2, seed=970 + i)
-            expr = mcnaughton_yamada(aut)
-            assert equivalent(construct_follow(expr), aut)
+            for simplify_steps in (True, False):
+                expr = mcnaughton_yamada(aut, None, simplify_steps)
+                assert equivalent(construct_follow(expr), aut)

@@ -5,6 +5,7 @@ from refa.constructions import construct_follow
 from refa.digraphs import underlying_digraph
 from refa.expressions import measures, render
 from refa.families import (
+    FAMILIES,
     buffer_dfa,
     buffer_regex,
     gen_family,
@@ -143,3 +144,13 @@ class TestGenFamily:
     def test_unknown(self):
         with pytest.raises(ValueError):
             gen_family("nope", 1)
+
+    def test_one_table_behind_every_dispatcher(self):
+        assert FAMILIES == ("buffer", "options", "row1", "row2", "row3", "hypercube", "torus")
+        assert gen_family("row2", 3).regex == row2_regex(3, 3) == table1_row(2, 3)
+        assert gen_family("row2", 2, 5).regex == table1_row(2, 2, 5)
+        for k, kind in enumerate(("row1", "row2", "row3", "options"), start=1):
+            assert table1_row(k, 4) == gen_family(kind, 4).regex
+        assert gen_family("hypercube", 2).regex is None
+        with pytest.raises(ValueError):
+            gen_family("buffer", 1, 2)
