@@ -103,8 +103,12 @@ class Automaton:
         return len(seen) == len(self.states) * len(self.alphabet)
 
 
-def _state_key(s: State):
-    return (0, s, "") if isinstance(s, int) else (1, 0, str(s))
+def _state_key(s):
+    """Ints first, then strings, then anything else (the source and sink of
+    state elimination), each group in its own order."""
+    if isinstance(s, int):
+        return (0, s, "")
+    return (1 if isinstance(s, str) else 2, 0, str(s))
 
 
 def _delta(aut: Automaton) -> dict[tuple[State, Label], set[State]]:

@@ -8,12 +8,15 @@ height).  Exit code 0 on success, 1 on domain errors, 2 on usage errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
 from . import automata, bench, digraphs, elimination, expressions, families
 from .constructions import CONSTRUCTION_NAMES, construct
 
+
+@functools.cache  # one parser per process: building it costs more than a small command
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="refa", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

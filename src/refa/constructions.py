@@ -32,9 +32,11 @@ from .expressions import (
     Star,
     Sym,
     Union,
+    _render,
+    _set,
+    _union_of,
     mark,
     nullable,
-    render,
     symbols_of,
 )
 
@@ -371,7 +373,7 @@ def construct_pd(r: RegEx) -> Automaton:
     while queue:
         term = queue.popleft()
         for a in letters:
-            for d in sorted(partial_derivatives(term, a), key=render):
+            for d in sorted(partial_derivatives(term, a), key=_render):
                 if d not in ids:
                     ids[d] = len(ids)
                     queue.append(d)
@@ -389,6 +391,9 @@ def _aci(r: RegEx) -> RegEx:
     unit/zero laws; keeps the iterated derivatives finitely many."""
     if isinstance(r, (Empty, Epsilon, Sym)):
         return r
+    out = r._aci
+    if out is not None:
+        return r if out is True else out
     if isinstance(r, Union):
         branches: list[RegEx] = []
         seen = set()
@@ -406,21 +411,23 @@ def _aci(r: RegEx) -> RegEx:
                 if not isinstance(node, Empty) and node not in seen:
                     seen.add(node)
                     branches.append(node)
-        if not branches:
-            return EMPTY
-        branches.sort(key=render)
-        out = branches[0]
-        for b in branches[1:]:
-            out = Union(out, b)
-        return out
-    if isinstance(r, Concat):
-        return _cat(_aci(r.left), _aci(r.right))
-    if isinstance(r, Star):
+        branches.sort(key=_render)
+        out = _union_of(branches, r) if branches else EMPTY
+    elif isinstance(r, Concat):
+        out = _cat(_aci(r.left), _aci(r.right))
+        if isinstance(out, Concat) and out.left is r.left and out.right is r.right:
+            out = r
+    elif isinstance(r, Star):
         inner = _aci(r.inner)
         if isinstance(inner, (Empty, Epsilon)):
-            return EPSILON
-        return Star(inner)
-    return Option(_aci(r.inner))
+            out = EPSILON
+        else:
+            out = r if inner is r.inner else Star(inner)
+    else:
+        inner = _aci(r.inner)
+        out = r if inner is r.inner else Option(inner)
+    _set(r, "_aci", True if out is r else out)
+    return out
 
 
 def derivative(r: RegEx, a: str) -> RegEx:

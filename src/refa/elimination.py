@@ -29,9 +29,12 @@ from .expressions import (
     Star,
     Sym,
     Union,
+    _operands,
+    _render,
+    _set,
+    _union_of,
     measures,
     nullable,
-    render,
 )
 
 __all__ = [
@@ -54,28 +57,23 @@ __all__ = [
 # Simplifier
 
 
-def _flatten_union(r: RegEx, out: list):
-    if isinstance(r, Union):
-        _flatten_union(r.left, out)
-        _flatten_union(r.right, out)
-    else:
-        out.append(r)
-
-
 def _canon_key(r: RegEx) -> str:
     """Render with union branches sorted; detects commuted duplicates."""
-    if isinstance(r, Union):
-        branches: list[RegEx] = []
-        _flatten_union(r, branches)
-        keys = sorted(_canon_key(b) for b in branches)
-        return "(+ " + " ".join(keys) + ")"
-    if isinstance(r, Concat):
-        return "(. " + _canon_key(r.left) + " " + _canon_key(r.right) + ")"
-    if isinstance(r, Star):
-        return "(* " + _canon_key(r.inner) + ")"
-    if isinstance(r, Option):
-        return "(? " + _canon_key(r.inner) + ")"
-    return render(r)
+    if isinstance(r, (Empty, Epsilon, Sym)):
+        return _render(r)
+    key = r._canon
+    if key is None:
+        if isinstance(r, Union):
+            keys = sorted(_canon_key(b) for b in _operands(r, Union))
+            key = "(+ " + " ".join(keys) + ")"
+        elif isinstance(r, Concat):
+            key = "(. " + _canon_key(r.left) + " " + _canon_key(r.right) + ")"
+        elif isinstance(r, Star):
+            key = "(* " + _canon_key(r.inner) + ")"
+        else:
+            key = "(? " + _canon_key(r.inner) + ")"
+        _set(r, "_canon", key)
+    return key
 
 
 def _absorbed_star_body(b: RegEx) -> RegEx | None:
@@ -98,69 +96,63 @@ def simplify(r: RegEx) -> RegEx:
     """
     if isinstance(r, (Empty, Epsilon, Sym)):
         return r
+    out = r._simple
+    if out is not None:
+        return r if out is True else out
     if isinstance(r, Star):
         inner = simplify(r.inner)
         if isinstance(inner, (Empty, Epsilon)):
-            return EPSILON
-        if isinstance(inner, Star):
-            return inner
-        return Star(inner)
-    if isinstance(r, Option):
-        return Option(simplify(r.inner))
-    if isinstance(r, Concat):
+            out = EPSILON
+        elif isinstance(inner, Star):
+            out = inner
+        else:
+            out = r if inner is r.inner else Star(inner)
+    elif isinstance(r, Option):
+        inner = simplify(r.inner)
+        out = r if inner is r.inner else Option(inner)
+    elif isinstance(r, Concat):
         left = simplify(r.left)
         right = simplify(r.right)
         if isinstance(left, Empty) or isinstance(right, Empty):
-            return EMPTY
-        if isinstance(left, Epsilon):
-            return right
-        if isinstance(right, Epsilon):
-            return left
-        return Concat(left, right)
-
-    raw: list[RegEx] = []
-    _flatten_union(r, raw)
-    flat: list[RegEx] = []
-    for b in raw:
-        b = simplify(b)
-        if isinstance(b, Union):
-            _flatten_union(b, flat)
+            out = EMPTY
+        elif isinstance(left, Epsilon):
+            out = right
+        elif isinstance(right, Epsilon):
+            out = left
         else:
-            flat.append(b)
-    pruned: list[RegEx] = []
-    seen: set[str] = set()
-    for b in flat:
-        if isinstance(b, Empty):
-            continue
-        key = _canon_key(b)
-        if key not in seen:
-            seen.add(key)
-            pruned.append(b)
-
-    # λ + x·x* (or x*·x) collapses to x*; at most one λ survives the dedup
-    eps_at = next((i for i, b in enumerate(pruned) if isinstance(b, Epsilon)), None)
-    if eps_at is not None:
-        for i, b in enumerate(pruned):
-            body = _absorbed_star_body(b)
-            if body is None:
+            out = r if left is r.left and right is r.right else Concat(left, right)
+    else:
+        flat: list[RegEx] = []
+        for b in _operands(r, Union):
+            flat.extend(_operands(simplify(b), Union))
+        pruned: list[RegEx] = []
+        seen: set[str] = set()
+        for b in flat:
+            if isinstance(b, Empty):
                 continue
-            replaced = [Star(body) if j == i else x for j, x in enumerate(pruned) if j != eps_at]
-            pruned = []
-            seen = set()
-            for x in replaced:
-                key = _canon_key(x)
-                if key not in seen:
-                    seen.add(key)
-                    pruned.append(x)
-            break
+            key = _canon_key(b)
+            if key not in seen:
+                seen.add(key)
+                pruned.append(b)
 
-    if not pruned:
-        return EMPTY
-    if len(pruned) == 1:
-        return pruned[0]
-    out = pruned[0]
-    for b in pruned[1:]:
-        out = Union(out, b)
+        # λ + x·x* (or x*·x) collapses to x*; at most one λ survives the dedup
+        eps_at = next((i for i, b in enumerate(pruned) if isinstance(b, Epsilon)), None)
+        if eps_at is not None:
+            for i, b in enumerate(pruned):
+                body = _absorbed_star_body(b)
+                if body is None:
+                    continue
+                replaced = [Star(body) if j == i else x for j, x in enumerate(pruned) if j != eps_at]
+                pruned = []
+                seen = set()
+                for x in replaced:
+                    key = _canon_key(x)
+                    if key not in seen:
+                        seen.add(key)
+                        pruned.append(x)
+                break
+        out = _union_of(pruned, r) if pruned else EMPTY
+    _set(r, "_simple", True if out is r else out)
     return out
 
 
@@ -180,12 +172,6 @@ class _Endpoint:
 
 SOURCE = _Endpoint("s")
 SINK = _Endpoint("t")
-
-
-def _ekey(v):
-    if isinstance(v, _Endpoint):
-        return (2, 0, v.tag)
-    return _state_key(v)
 
 
 @dataclass(frozen=True)
@@ -213,7 +199,7 @@ def _make_extended(states, label_map: dict) -> ExtendedAutomaton:
     pairs = tuple(
         sorted(
             ((pq, expr) for pq, expr in label_map.items() if not isinstance(expr, Empty)),
-            key=lambda item: (_ekey(item[0][0]), _ekey(item[0][1])),
+            key=lambda item: (_state_key(item[0][0]), _state_key(item[0][1])),
         )
     )
     return ExtendedAutomaton(frozenset(states), pairs)
@@ -254,11 +240,11 @@ def eliminate_state(
     loop = labels.get((q, q))
     ins = sorted(
         ((p, expr) for (p, tgt), expr in labels.items() if tgt == q and p != q),
-        key=lambda item: _ekey(item[0]),
+        key=lambda item: _state_key(item[0]),
     )
     outs = sorted(
         ((k, expr) for (src, k), expr in labels.items() if src == q and k != q),
-        key=lambda item: _ekey(item[0]),
+        key=lambda item: _state_key(item[0]),
     )
     post = simplify if simplify_labels else (lambda e: e)
     new_labels = {pq: expr for pq, expr in labels.items() if q not in pq}
@@ -517,9 +503,4 @@ def mcnaughton_yamada(
         entry = matrix[(aut.initial, f)]
         if not isinstance(entry, Empty):
             parts.append(entry)
-    if not parts:
-        return EMPTY
-    out = parts[0]
-    for p in parts[1:]:
-        out = Union(out, p)
-    return out
+    return _union_of(parts) if parts else EMPTY

@@ -40,12 +40,50 @@ __all__ = [
 
 
 class RegEx:
-    """Base class of all regular expression nodes."""
+    """Base class of all regular expression nodes.
+
+    Nodes are immutable, so values that depend on a node's structure alone
+    are computed once and kept on the node, as the attributes below whose
+    class default None means "not computed yet".  They die with the node,
+    and stay out of ``==``, ``repr``, the dataclass fields, copies and pickles.
+    """
 
     __slots__ = ()
 
+    _hash = None  # hash(node), equal to the dataclass hash of the fields
+    _text = None  # render(node) in ASCII
+    _nullable = None
+    # constructions._aci(node) and elimination.simplify(node); True when the
+    # result is the node itself, so that no node refers to itself
+    _aci = None
+    _simple = None
+    _canon = None  # elimination._canon_key(node)
+
     def __str__(self) -> str:
         return render(self)
+
+    def __getstate__(self):
+        # str hashes differ between processes, so a pickled hash would be stale
+        return {k: v for k, v in vars(self).items() if not k.startswith("_")}
+
+
+_set = object.__setattr__  # stores a derived value on a frozen node
+
+
+def _pair_hash(self) -> int:
+    h = self._hash
+    if h is None:
+        h = hash((self.left, self.right))
+        _set(self, "_hash", h)
+    return h
+
+
+def _unary_hash(self) -> int:
+    h = self._hash
+    if h is None:
+        h = hash((self.inner,))
+        _set(self, "_hash", h)
+    return h
 
 
 @dataclass(frozen=True)
@@ -73,21 +111,29 @@ class Union(RegEx):
     left: RegEx
     right: RegEx
 
+    __hash__ = _pair_hash
+
 
 @dataclass(frozen=True)
 class Concat(RegEx):
     left: RegEx
     right: RegEx
 
+    __hash__ = _pair_hash
+
 
 @dataclass(frozen=True)
 class Star(RegEx):
     inner: RegEx
 
+    __hash__ = _unary_hash
+
 
 @dataclass(frozen=True)
 class Option(RegEx):
     inner: RegEx
+
+    __hash__ = _unary_hash
 
 
 EMPTY = Empty()
@@ -246,17 +292,19 @@ def tokenize_word(text: str) -> list[str]:
     return out
 
 
-_LEVEL_UNION, _LEVEL_CONCAT, _LEVEL_UNARY, _LEVEL_ATOM = 0, 1, 2, 3
-
-
-def _level(r: RegEx) -> int:
-    if isinstance(r, Union):
-        return _LEVEL_UNION
-    if isinstance(r, Concat):
-        return _LEVEL_CONCAT
-    if isinstance(r, (Star, Option)):
-        return _LEVEL_UNARY
-    return _LEVEL_ATOM
+def _operands(r: RegEx, cls: type) -> list[RegEx]:
+    """The maximal subterms of `r` that are not `cls` nodes, left to right;
+    ``[r]`` when `r` is not a `cls` node itself."""
+    out: list[RegEx] = []
+    stack = [r]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, cls):
+            stack.append(node.right)
+            stack.append(node.left)
+        else:
+            out.append(node)
+    return out
 
 
 def render(r: RegEx, unicode: bool = False) -> str:
@@ -265,29 +313,60 @@ def render(r: RegEx, unicode: bool = False) -> str:
     With ``unicode=True`` the empty set and the empty word print as the
     usual glyphs instead of the `#` / `&` input lexemes.
     """
-    empty, epsilon = ("∅", "λ") if unicode else ("#", "&")
+    if not isinstance(r, RegEx):
+        raise TypeError(f"not a RegEx: {r!r}")
+    return _render(r, unicode)
 
-    def go(node: RegEx, need: int) -> str:
-        if _level(node) < need:
-            return "(" + go(node, _LEVEL_UNION) + ")"
-        if isinstance(node, Empty):
-            return empty
-        if isinstance(node, Epsilon):
-            return epsilon
-        if isinstance(node, Sym):
-            return node.name
-        if isinstance(node, Union):
-            # union is associative: no parens on either side for nested unions
-            return go(node.left, _LEVEL_UNION) + "+" + go(node.right, _LEVEL_UNION)
-        if isinstance(node, Concat):
-            return go(node.left, _LEVEL_CONCAT) + go(node.right, _LEVEL_CONCAT)
-        if isinstance(node, Star):
-            return go(node.inner, _LEVEL_UNARY) + "*"
-        if isinstance(node, Option):
-            return go(node.inner, _LEVEL_UNARY) + "?"
-        raise TypeError(f"not a RegEx: {node!r}")
 
-    return go(r, _LEVEL_UNION)
+def _render(r: RegEx, unicode: bool = False) -> str:
+    """render(r, unicode); the ASCII text of a compound node is kept on it."""
+    if isinstance(r, Sym):
+        return r.name
+    if not unicode and r._text is not None:
+        return r._text
+    # plain loops: a comprehension would add a stack frame per nesting level
+    if isinstance(r, Union):
+        parts = []
+        for branch in _operands(r, Union):
+            parts.append(_render(branch, unicode))
+        text = "+".join(parts)
+    elif isinstance(r, Concat):
+        parts = []
+        for factor in _operands(r, Concat):
+            part = _render(factor, unicode)
+            parts.append("(" + part + ")" if isinstance(factor, Union) else part)
+        text = "".join(parts)
+    elif isinstance(r, (Star, Option)):
+        text = _render(r.inner, unicode)
+        if isinstance(r.inner, (Union, Concat)):
+            text = "(" + text + ")"
+        text += "*" if isinstance(r, Star) else "?"
+    elif isinstance(r, Empty):
+        return "∅" if unicode else "#"
+    elif isinstance(r, Epsilon):
+        return "λ" if unicode else "&"
+    else:
+        raise TypeError(f"not a RegEx: {r!r}")
+    if not unicode:
+        _set(r, "_text", text)
+    return text
+
+
+def _union_of(parts: list[RegEx], like: RegEx | None = None) -> RegEx:
+    """The left-associated union of `parts`; `like` itself when it is that
+    very union already, so that unchanged nodes keep their stored values."""
+    node = like
+    for part in reversed(parts[1:]):
+        if not (isinstance(node, Union) and node.right is part):
+            break
+        node = node.left
+    else:
+        if node is parts[0]:
+            return like
+    out = parts[0]
+    for part in parts[1:]:
+        out = Union(out, part)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -321,11 +400,16 @@ def nullable(r: RegEx) -> bool:
     """True iff the empty word belongs to the denoted language."""
     if isinstance(r, (Star, Option, Epsilon)):
         return True
-    if isinstance(r, Union):
-        return nullable(r.left) or nullable(r.right)
-    if isinstance(r, Concat):
-        return nullable(r.left) and nullable(r.right)
-    return False
+    if not isinstance(r, (Union, Concat)):
+        return False
+    value = r._nullable
+    if value is None:
+        if isinstance(r, Union):
+            value = nullable(r.left) or nullable(r.right)
+        else:
+            value = nullable(r.left) and nullable(r.right)
+        _set(r, "_nullable", value)
+    return value
 
 
 def symbols_of(r: RegEx) -> frozenset[str]:
@@ -493,17 +577,7 @@ def random_expr(
     def join(cls, left: RegEx, right: RegEx) -> RegEx:
         # same-operator chains stay left-associated, as the parser builds
         # them, so that generated trees survive a render/parse round trip
-        parts: list[RegEx] = []
-
-        def flat(node: RegEx):
-            if isinstance(node, cls):
-                flat(node.left)
-                flat(node.right)
-            else:
-                parts.append(node)
-
-        flat(left)
-        flat(right)
+        parts = _operands(left, cls) + _operands(right, cls)
         out = parts[0]
         for part in parts[1:]:
             out = cls(out, part)

@@ -7,6 +7,7 @@ the position-automaton quotient that merges states with equal follow sets
 and equal finality; `path_pairs` is Warshall's transitive closure.
 """
 
+import random
 from itertools import product
 
 import pytest
@@ -14,11 +15,14 @@ import pytest
 from refa.automata import Automaton
 from refa.constructions import construct_position, position_sets
 from refa.expressions import (
+    EMPTY,
+    EPSILON,
     Concat,
     Empty,
     Epsilon,
     Option,
     RegEx,
+    Star,
     Sym,
     Union,
     mark,
@@ -53,6 +57,20 @@ def lang(r: RegEx, maxlen: int) -> frozenset:
         if new == out:
             return frozenset(out)
         out = new
+
+
+def lambda_heavy_tree(rng: random.Random, depth: int):
+    """Random tree whose leaves are drawn uniformly from a, b, & and #."""
+    if depth == 0 or rng.random() < 0.3:
+        return rng.choice([Sym("a"), Sym("b"), EPSILON, EMPTY])
+    kind = rng.randrange(4)
+    if kind == 0:
+        return Union(lambda_heavy_tree(rng, depth - 1), lambda_heavy_tree(rng, depth - 1))
+    if kind == 1:
+        return Concat(lambda_heavy_tree(rng, depth - 1), lambda_heavy_tree(rng, depth - 1))
+    if kind == 2:
+        return Star(lambda_heavy_tree(rng, depth - 1))
+    return Option(lambda_heavy_tree(rng, depth - 1))
 
 
 def path_pairs(vertices, arcs) -> set:

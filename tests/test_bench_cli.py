@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import refa
 from refa.bench import (
     bench_constructions,
     bench_orderings,
@@ -9,7 +14,7 @@ from refa.bench import (
     to_csv,
     verify_trends,
 )
-from refa.cli import main
+from refa.cli import _build_parser, main
 from refa.families import buffer_dfa
 
 
@@ -148,6 +153,32 @@ class TestCli:
     def test_usage_error_exit_code(self, capsys):
         assert main(["convert", "--to", "bogus", "x"]) == 2
         capsys.readouterr()
+
+    def test_one_parser_serves_every_call(self, monkeypatch, capsys):
+        # the parser is built once per process; each call must still print
+        # and exit as the same command does in a fresh process
+        assert _build_parser() is _build_parser()
+        src = str(Path(refa.__file__).resolve().parents[1])
+        base_env = {k: v for k, v in os.environ.items() if k != "REFA_SEED"}
+        calls = [
+            ({}, ["convert", "--to", "bogus", "x"]),
+            ({}, ["measure", "(ab)*"]),
+            ({"REFA_SEED": "9"}, ["gen", "random", "5", "2"]),
+        ]
+        for env, argv in calls:
+            fresh = subprocess.run(
+                [sys.executable, "-m", "refa.cli", *argv],
+                capture_output=True,
+                text=True,
+                env={**base_env, "PYTHONPATH": src, **env},
+                timeout=60,
+            )
+            monkeypatch.delenv("REFA_SEED", raising=False)
+            for name, value in env.items():
+                monkeypatch.setenv(name, value)
+            rc = main(argv)
+            captured = capsys.readouterr()
+            assert (rc, captured.out, captured.err) == (fresh.returncode, fresh.stdout, fresh.stderr)
 
     def test_syntax_error_exit_code(self, capsys):
         assert main(["measure", "(a"]) == 1

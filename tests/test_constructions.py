@@ -15,13 +15,10 @@ from refa.constructions import (
     position_sets,
 )
 from refa.expressions import (
-    EMPTY,
     EPSILON,
     Concat,
-    Option,
     Star,
     Sym,
-    Union,
     mark,
     measures,
     parse,
@@ -29,21 +26,7 @@ from refa.expressions import (
 )
 from refa.families import buffer_regex, options_regex, row3_regex
 
-from conftest import corpus, follow_quotient, lang, words_upto
-
-
-def lambda_heavy_tree(rng: random.Random, depth: int):
-    """Random tree whose leaves are drawn uniformly from a, b, & and #."""
-    if depth == 0 or rng.random() < 0.3:
-        return rng.choice([Sym("a"), Sym("b"), EPSILON, EMPTY])
-    kind = rng.randrange(4)
-    if kind == 0:
-        return Union(lambda_heavy_tree(rng, depth - 1), lambda_heavy_tree(rng, depth - 1))
-    if kind == 1:
-        return Concat(lambda_heavy_tree(rng, depth - 1), lambda_heavy_tree(rng, depth - 1))
-    if kind == 2:
-        return Star(lambda_heavy_tree(rng, depth - 1))
-    return Option(lambda_heavy_tree(rng, depth - 1))
+from conftest import corpus, follow_quotient, lambda_heavy_tree, lang, words_upto
 
 
 class TestOttFeinstein:

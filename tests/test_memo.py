@@ -1,0 +1,200 @@
+"""Values computed once per expression node must equal those computed afresh.
+
+A warm tree (one whose nodes already hold their hash, text, nullability, ACI
+form, simplified form and canonical key, shared with its derivatives) must
+give the same answers as an equal tree built from new nodes, and the stored
+values must stay invisible to equality, repr, the dataclass fields, copies
+and pickles.
+"""
+
+import copy
+import pickle
+import random
+import threading
+from dataclasses import astuple
+
+import pytest
+
+from refa.constructions import _aci, derivative, partial_derivatives
+from refa.elimination import _canon_key, simplify
+from refa.expressions import (
+    EMPTY,
+    EPSILON,
+    Concat,
+    Option,
+    Star,
+    Sym,
+    Union,
+    mark,
+    nullable,
+    parse,
+    random_expr,
+    render,
+)
+
+from conftest import lambda_heavy_tree
+
+LETTERS = ("a", "b")
+
+
+def rebuild(r):
+    """An equal tree made of new nodes, none of which holds a stored value."""
+    if isinstance(r, (Union, Concat)):
+        return type(r)(rebuild(r.left), rebuild(r.right))
+    if isinstance(r, (Star, Option)):
+        return type(r)(rebuild(r.inner))
+    return type(r)(*astuple(r))
+
+
+class Hashed:
+    """Stands in for a node whose hash is already known."""
+
+    def __init__(self, value: int):
+        self.value = value
+
+    def __hash__(self):
+        return self.value
+
+
+def reference_hash(r) -> int:
+    """The dataclass hash of the fields, recomputed without any node's __hash__."""
+    if isinstance(r, (Union, Concat)):
+        return hash((Hashed(reference_hash(r.left)), Hashed(reference_hash(r.right))))
+    if isinstance(r, (Star, Option)):
+        return hash((Hashed(reference_hash(r.inner)),))
+    if isinstance(r, Sym):
+        return hash((r.name, r.pos))
+    return hash(())
+
+
+def derived(r) -> tuple:
+    """Every memoised value of r, plus the derivatives that build on them."""
+    return (
+        render(r),
+        render(r, unicode=True),
+        nullable(r),
+        hash(r),
+        render(_aci(r)),
+        _aci(r),
+        render(simplify(r)),
+        simplify(r),
+        _canon_key(r),
+        tuple(derivative(r, a) for a in LETTERS),
+        tuple(frozenset(partial_derivatives(r, a)) for a in LETTERS),
+    )
+
+
+def sample_trees() -> list:
+    trees = [random_expr(w, list(LETTERS), seed) for seed, w in enumerate([1, 2, 3, 5, 8, 13] * 10)]
+    trees += [lambda_heavy_tree(random.Random(seed), 5) for seed in range(120)]
+    return trees
+
+
+class TestWarmAgreesWithFresh:
+    def test_random_trees_and_their_derivatives(self):
+        for t in sample_trees():
+            fresh = rebuild(t)
+            cold = derived(fresh)
+            assert derived(t) == cold
+            assert derived(t) == cold  # now served from the stored values
+            assert hash(t) == reference_hash(t)
+            # derivatives share subterms with t, which are warm by now
+            for d in {derivative(t, a) for a in LETTERS} | set().union(*(partial_derivatives(t, a) for a in LETTERS)):
+                assert derived(d) == derived(rebuild(d))
+                assert hash(d) == reference_hash(d)
+
+    def test_parse_of_render_is_an_equal_fresh_tree(self):
+        for t in sample_trees()[:60]:  # random_expr trees round-trip exactly
+            warm = derived(t)
+            again = parse(render(t))
+            assert again == t
+            assert derived(again) == warm
+
+    def test_marked_and_unmarked_symbols_stay_apart(self):
+        plain = Star(Concat(Sym("a"), Sym("b")))
+        marked = mark(plain).tree
+        assert marked == Star(Concat(Sym("a", 1), Sym("b", 2)))
+        derived(marked)
+        assert hash(plain) == reference_hash(plain)
+        assert hash(marked) == reference_hash(marked)
+        assert len({plain, marked, Sym("a", 1), Sym("a")}) == 4
+        assert _aci(plain) == plain and _aci(marked) == marked
+        assert simplify(plain) == plain and simplify(marked) == marked
+        assert render(plain) == render(marked) == "(ab)*"
+
+    def test_unicode_text_after_ascii_text(self):
+        t = Union(EPSILON, Concat(Sym("a"), Star(Option(EMPTY))))
+        assert render(t) == "&+a#?*"
+        assert render(t, unicode=True) == "λ+a∅?*"
+        assert str(t) == render(t) == "&+a#?*"
+        assert render(Star(t), unicode=True) == "(λ+a∅?*)*"
+
+
+class TestStoredValuesAreInvisible:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_equality_repr_fields_copies_and_pickles(self, seed):
+        t = random_expr(9, list(LETTERS), seed)
+        twin = rebuild(t)
+        before = (repr(t), astuple(t), pickle.dumps(t))
+        derived(t)
+        assert t == twin and hash(t) == hash(twin)
+        assert (repr(t), astuple(t), pickle.dumps(t)) == before
+        assert pickle.dumps(t) == pickle.dumps(twin)
+        for clone in (copy.copy(t), copy.deepcopy(t), pickle.loads(pickle.dumps(t))):
+            assert clone == t
+            assert derived(clone) == derived(twin)
+
+    def test_pickle_leaves_the_hash_behind(self):
+        # str hashes differ between processes, so a stored hash must not travel
+        t = Star(Union(Sym("a"), Sym("b")))
+        hash(t)
+        render(t)
+        state = t.__reduce_ex__(2)[2]
+        assert state == {"inner": t.inner}
+
+
+def star_chain(n: int):
+    r = Sym("a")
+    for _ in range(n):
+        r = Concat(Star(r), Sym("b"))
+    return r
+
+
+def option_chain(n: int):
+    r = Sym("a")
+    for _ in range(n):
+        r = Concat(Option(Sym("b")), r)
+    return r
+
+
+# The deepest input each walk handled before it stored its results on the
+# nodes, bisected in a fresh thread under the default recursion limit of
+# 1000 (CPython 3.11); storing values must not cost stack frames.
+DEPTH_BEFORE_MEMO = [
+    ("render", render, star_chain, 331),
+    ("nullable", nullable, option_chain, 994),
+    ("simplify", simplify, star_chain, 496),
+    ("_canon_key", _canon_key, star_chain, 495),
+    ("_aci", _aci, star_chain, 496),
+]
+
+
+@pytest.mark.parametrize(
+    "fn,build,depth", [case[1:] for case in DEPTH_BEFORE_MEMO], ids=[case[0] for case in DEPTH_BEFORE_MEMO]
+)
+def test_walks_are_no_shallower_than_before(fn, build, depth):
+    tree = build(depth)
+    outcome = []
+
+    def run():
+        try:
+            fn(tree)
+            outcome.append("ok")
+        except RecursionError:
+            outcome.append("RecursionError")
+
+    worker = threading.Thread(target=run)
+    worker.start()
+    worker.join(timeout=60)
+    assert not worker.is_alive()
+    assert outcome == ["ok"]
