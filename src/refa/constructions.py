@@ -16,10 +16,10 @@ Five routes with very different size behaviour:
 
 from __future__ import annotations
 
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass
 
-from .automata import Automaton, _adjacency, _reach, _reachable, _restrict, remove_lambda
+from .automata import Automaton, _reach, _reachable, _restrict, remove_lambda
 from .expressions import (
     EMPTY,
     EPSILON,
@@ -64,134 +64,198 @@ class ConstructionError(RuntimeError):
 # Ott-Feinstein λ-NFA and the follow automaton
 
 
-class _Frag:
-    """Sub-automaton under construction: one entry, one exit, loose arcs.
+class _InductiveNfaBuilder:
+    """Builds the inductive λ-NFA into one arc store.
 
-    The recursion maintains that no arc enters `init` and none leaves `fin`;
-    this is what makes plain state sharing at the endpoints sound.
+    A fragment is its (entry, exit) pair of states.  The recursion maintains
+    that no arc enters the entry and none leaves the exit; this is what makes
+    plain state sharing at the endpoints sound.  Arcs go to one list, and a
+    merge of state `old` into `new` is an entry in a union-find alias map
+    that `automaton` resolves once.
     """
 
-    __slots__ = ("init", "fin", "trans")
-
-    def __init__(self, init: int, fin: int, trans: set):
-        self.init = init
-        self.fin = fin
-        self.trans = trans
-
-
-def _replace(trans: set, old: int, new: int) -> set:
-    return {
-        (new if p == old else p, a, new if q == old else q) for p, a, q in trans
-    }
-
-
-class _InductiveNfaBuilder:
-    def __init__(self, improve: bool):
-        self.improve = improve
+    def __init__(self):
         self.n = 0
+        self.arcs: list[tuple] = []
+        self.alias: dict[int, int] = {}
 
     def fresh(self) -> int:
         self.n += 1
         return self.n - 1
 
-    def build(self, r: RegEx) -> _Frag:
+    def arc(self, p: int, a, q: int):
+        self.arcs.append((p, a, q))
+
+    def merge(self, old: int, new: int):
+        self.alias[old] = new
+
+    def build(self, r: RegEx) -> tuple[int, int]:
         if isinstance(r, Empty):
-            return _Frag(self.fresh(), self.fresh(), set())
-        if isinstance(r, Epsilon):
+            return self.fresh(), self.fresh()
+        if isinstance(r, (Epsilon, Sym)):
             i, f = self.fresh(), self.fresh()
-            return _Frag(i, f, {(i, None, f)})
-        if isinstance(r, Sym):
-            i, f = self.fresh(), self.fresh()
-            return _Frag(i, f, {(i, r.name, f)})
+            self.arc(i, None if isinstance(r, Epsilon) else r.name, f)
+            return i, f
         if isinstance(r, Union):
             return self._union(self.build(r.left), self.build(r.right))
         if isinstance(r, Option):
-            frag = self.build(r.inner)
-            frag.trans.add((frag.init, None, frag.fin))  # union with λ
-            return frag
+            i, f = self.build(r.inner)
+            self.arc(i, None, f)  # union with λ
+            return i, f
         if isinstance(r, Concat):
             return self._concat(self.build(r.left), self.build(r.right))
         return self._star(self.build(r.inner))
 
-    def _union(self, a: _Frag, b: _Frag) -> _Frag:
-        trans = _replace(_replace(b.trans, b.init, a.init), b.fin, a.fin)
-        return _Frag(a.init, a.fin, a.trans | trans)
+    def _union(self, a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
+        self.merge(b[0], a[0])
+        self.merge(b[1], a[1])
+        return a
 
-    def _concat(self, a: _Frag, b: _Frag) -> _Frag:
-        m = a.fin
-        frag = _Frag(a.init, b.fin, a.trans | _replace(b.trans, b.init, m))
-        if self.improve:
-            self._contract_around(frag, m)
-        return frag
+    def _concat(self, a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
+        self.merge(b[0], a[1])
+        return a[0], b[1]
 
-    def _star(self, a: _Frag) -> _Frag:
-        m = a.init
-        trans = _replace(a.trans, a.fin, m)
-        if self.improve:
-            trans, m = self._collapse_lambda_cycle(trans, m)
+    def _star(self, a: tuple[int, int]) -> tuple[int, int]:
+        m = a[0]
+        self.merge(a[1], m)
         i, f = self.fresh(), self.fresh()
-        trans |= {(i, None, m), (m, None, f)}
-        return _Frag(i, f, trans)
+        self.arc(i, None, m)
+        self.arc(m, None, f)
+        return i, f
+
+    def automaton(self, frag: tuple[int, int], alphabet) -> Automaton:
+        # a merge's target was a surviving state when it was recorded, so any
+        # later merge of that target comes later in the map: resolving the
+        # map backwards finds every target already resolved
+        alias = self.alias
+        for p in reversed(alias):
+            alias[p] = alias.get(alias[p], alias[p])
+        arcs = {(alias.get(p, p), a, alias.get(q, q)) for p, a, q in self.arcs}
+        return _arc_automaton(frag, arcs, alphabet)
+
+
+class _LambdaSteps:
+    """The λ-neighbours of a state along an arc index, read as `_reach` reads
+    a successor map: the targets (end 2) of `out` or the sources (end 0) of
+    `inn`."""
+
+    __slots__ = ("index", "end")
+
+    def __init__(self, index: dict, end: int):
+        self.index = index
+        self.end = end
+
+    def get(self, p: int, default=()) -> list[int]:
+        return [arc[self.end] for arc in self.index.get(p, default) if arc[1] is None]
+
+
+class _FollowBuilder(_InductiveNfaBuilder):
+    """The same recursion with eager λ-merging, over an indexed arc store.
+
+    `out[p]` and `inn[q]` hold the arcs leaving p and entering q, so merging
+    a state costs its degree, and an arc is the only one out of its source
+    when `out[p] == {arc}`.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.out: defaultdict[int, set] = defaultdict(set)
+        self.inn: defaultdict[int, set] = defaultdict(set)
+
+    def arc(self, p: int, a, q: int):
+        arc = (p, a, q)
+        self.out[p].add(arc)
+        self.inn[q].add(arc)
+
+    def _drop(self, arc: tuple):
+        self.out[arc[0]].discard(arc)
+        self.inn[arc[2]].discard(arc)
+
+    def merge(self, old: int, new: int):
+        moved = self.out.pop(old, set()) | self.inn.pop(old, set())
+        for p, a, q in moved:
+            if p != old:
+                self.out[p].discard((p, a, q))
+            if q != old:
+                self.inn[q].discard((p, a, q))
+        for p, a, q in moved:
+            self.arc(new if p == old else p, a, new if q == old else q)
+
+    def _concat(self, a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
+        return self._contract(super()._concat(a, b), a[1], enclosed=True)
+
+    def _star(self, a: tuple[int, int]) -> tuple[int, int]:
+        frag = super()._star(a)
+        # the new entry and exit lie on no λ-cycle through the looped state
+        self._collapse_lambda_cycle(a[0])
+        return frag
 
     # -- λ merging ----------------------------------------------------------
 
-    def _contract_around(self, frag: _Frag, m: int):
-        # a λ-arc into or out of the shared middle state is contracted when
-        # it is the only arc out of its source or the only arc into its
-        # target; when the absorbed state is the fragment's entry (exit) the
-        # uniqueness must hold on the middle state's side, otherwise the
-        # entry would acquire incoming arcs (the exit outgoing ones) and the
-        # plain state sharing of enclosing operators would become unsound
-        changed = True
-        while changed:
-            changed = False
-            for p, a, q in sorted(frag.trans, key=repr):
-                if a is not None or m not in (p, q) or p == q:
-                    continue
-                arc = (p, a, q)
-                out_unique = all(t == arc for t in frag.trans if t[0] == p)
-                in_unique = all(t == arc for t in frag.trans if t[2] == q)
+    def _contract(self, frag: tuple[int, int], m: int, enclosed: bool) -> tuple[int, int]:
+        """Contract λ-arcs at state m, smallest `repr` first, until none can
+        be; returns the fragment's new (entry, exit).
+
+        A λ-arc is contracted when it is the only arc out of its source or
+        the only arc into its target.  Inside an enclosing operator m is a
+        shared middle state, the arcs into and out of it are tried and m
+        survives; when the absorbed state is the fragment's entry (exit) the
+        uniqueness must hold on the middle state's side, otherwise the entry
+        would acquire incoming arcs (the exit outgoing ones) and the plain
+        state sharing of enclosing operators would become unsound.  On the
+        finished automaton m is the start state, the arcs out of it are
+        tried, and their target survives as the new start state.
+        """
+        init, fin = frag
+        while True:
+            arcs = self.out[m] | self.inn[m] if enclosed else self.out[m]
+            for arc in sorted([t for t in arcs if t[1] is None and t[0] != t[2]], key=repr):
+                p, _, q = arc
+                in_unique = self.inn[q] == {arc}
+                out_unique = self.out[p] == {arc}
                 # forward merge needs a non-accepting source: a final p keeps
                 # words alive that q alone would not accept
-                if not (in_unique or (out_unique and p != frag.fin)):
+                if not (in_unique or (out_unique and p != fin)):
                     continue
-                if p == frag.init and not in_unique:
+                if enclosed and (
+                    (p == init and not in_unique)
+                    or (q == fin and not out_unique)
+                    # an entry-to-exit arc stays: merging would make the entry
+                    # the exit, and an enclosing union would then loop its
+                    # other branch
+                    or (p == init and q == fin)
+                ):
                     continue
-                if q == frag.fin and not out_unique:
-                    continue
-                # an entry-to-exit arc stays: merging would make the entry the
-                # exit, and an enclosing union would then loop its other branch
-                if p == frag.init and q == frag.fin:
-                    continue
-                absorbed = p + q - m
-                frag.trans.discard(arc)
-                frag.trans = _replace(frag.trans, absorbed, m)
-                if frag.init == absorbed:
-                    frag.init = m
-                if frag.fin == absorbed:
-                    frag.fin = m
-                changed = True
+                keep = m if enclosed else q
+                gone = p + q - keep
+                self._drop(arc)
+                self.merge(gone, keep)
+                init = keep if init == gone else init
+                fin = keep if fin == gone else fin
+                m = keep
                 break
+            else:
+                return init, fin
 
-    @staticmethod
-    def _collapse_lambda_cycle(trans: set, m: int) -> tuple[set, int]:
-        lam = {(p, q) for p, a, q in trans if a is None}
-        cycle = _reach(_adjacency(lam), [m]) & _reach(_adjacency((q, p) for p, q in lam), [m])
-        if len(cycle) == 1 and (m, m) not in lam:
-            return trans, m
-        trans = {
-            (p, a, q)
-            for p, a, q in trans
-            if not (a is None and p in cycle and q in cycle)
-        }
+    def _collapse_lambda_cycle(self, m: int):
+        cycle = _reach(_LambdaSteps(self.out, 2), [m]) & _reach(_LambdaSteps(self.inn, 0), [m])
+        if len(cycle) == 1 and (m, None, m) not in self.out[m]:
+            return
+        for c in cycle:
+            for arc in [t for t in self.out[c] if t[1] is None and t[2] in cycle]:
+                self._drop(arc)
         for c in cycle - {m}:
-            trans = _replace(trans, c, m)
-        return trans, m
+            self.merge(c, m)
+
+    def automaton(self, frag: tuple[int, int], alphabet) -> Automaton:
+        # a λ-arc leaving the start state is contracted once construction is done
+        frag = self._contract(frag, frag[0], enclosed=False)
+        return _arc_automaton(frag, set().union(*self.out.values()), alphabet)
 
 
-def _frag_automaton(frag: _Frag, alphabet) -> Automaton:
-    states = {frag.init, frag.fin} | {p for p, _, _ in frag.trans} | {q for _, _, q in frag.trans}
-    return Automaton.make(states, alphabet, frag.init, {frag.fin}, frag.trans)
+def _arc_automaton(frag: tuple[int, int], arcs: set, alphabet) -> Automaton:
+    states = set(frag) | {p for p, _, _ in arcs} | {q for _, _, q in arcs}
+    return Automaton.make(states, alphabet, frag[0], {frag[1]}, arcs)
 
 
 def _relabel_bfs(aut: Automaton) -> Automaton:
@@ -221,36 +285,16 @@ def _relabel_bfs(aut: Automaton) -> Automaton:
 
 def construct_of(r: RegEx) -> Automaton:
     """Inductive λ-NFA; linear in the size of the expression."""
-    frag = _InductiveNfaBuilder(improve=False).build(r)
-    return _relabel_bfs(_frag_automaton(frag, symbols_of(r)))
+    builder = _InductiveNfaBuilder()
+    return _relabel_bfs(builder.automaton(builder.build(r), symbols_of(r)))
 
 
 def construct_follow(r: RegEx) -> Automaton:
     """Follow automaton: λ-free, at most as many states as positions."""
-    builder = _InductiveNfaBuilder(improve=True)
-    frag = builder.build(r)
-
-    # a λ-arc leaving the start state is contracted once construction is done
-    changed = True
-    while changed:
-        changed = False
-        for p, a, q in sorted(frag.trans, key=repr):
-            if a is not None or p != frag.init or p == q:
-                continue
-            arc = (p, a, q)
-            out_unique = all(t == arc for t in frag.trans if t[0] == p)
-            in_unique = all(t == arc for t in frag.trans if t[2] == q)
-            if not (in_unique or (out_unique and p != frag.fin)):
-                continue
-            frag.trans.discard(arc)
-            frag.trans = _replace(frag.trans, p, q)
-            frag.init = q
-            if frag.fin == p:
-                frag.fin = q
-            changed = True
-            break
-
-    aut = remove_lambda(_frag_automaton(frag, symbols_of(r)))
+    builder = _FollowBuilder()
+    aut = builder.automaton(builder.build(r), symbols_of(r))
+    del builder  # its arc index is freed before the λ-closures are taken
+    aut = remove_lambda(aut)
     return _relabel_bfs(_restrict(aut, _reachable(aut)))
 
 
@@ -344,24 +388,62 @@ def _cat(left: RegEx, right: RegEx) -> RegEx:
     return Concat(left, right)
 
 
+def _linear_form(r: RegEx, only: str | None = None) -> dict[str, set[RegEx]]:
+    """Antimirov's partial derivatives of r for every letter in one walk:
+    letter -> set of derived terms (a letter without any maps to an empty
+    set or is absent).  With `only`, the walk follows that one letter: the
+    terms of the others are neither built nor hashed, so one letter's set
+    costs no more stack than the per-letter recursion did (hashing a long
+    new term is the deepest point of the walk).
+
+    ∅ is dropped where the per-letter definition drops it: from a star's
+    inner terms before they are extended, and from a concatenation's result;
+    so a star's set can still hold ∅, as `(a(#b))*` on `a` gives {∅}.
+    Plain loops keep the recursion at one frame per level.
+    """
+    if isinstance(r, (Empty, Epsilon)):
+        return {}
+    if isinstance(r, Sym):
+        return {r.name: {EPSILON}} if only is None or only == r.name else {}
+    if isinstance(r, Union):
+        return _add_forms(_linear_form(r.left, only), _linear_form(r.right, only))
+    if isinstance(r, Option):
+        return _linear_form(r.inner, only)
+    if isinstance(r, Star):
+        form = _linear_form(r.inner, only)
+        for a, terms in form.items():
+            out = set()
+            for t in terms:
+                if not isinstance(t, Empty):
+                    out.add(_cat(t, r))
+            form[a] = out
+        return form
+    form = _linear_form(r.left, only)
+    for a, terms in form.items():
+        out = set()
+        for t in terms:
+            out.add(_cat(t, r.right))
+        form[a] = out
+    if nullable(r.left):
+        form = _add_forms(form, _linear_form(r.right, only))
+    for terms in form.values():
+        terms.discard(EMPTY)
+    return form
+
+
+def _add_forms(form: dict[str, set[RegEx]], other: dict[str, set[RegEx]]) -> dict[str, set[RegEx]]:
+    """The union of two linear forms, built in `form`."""
+    for a, terms in other.items():
+        if a in form:
+            form[a] |= terms
+        else:
+            form[a] = terms
+    return form
+
+
 def partial_derivatives(r: RegEx, a: str) -> frozenset[RegEx]:
     """Antimirov's set of partial derivatives of r with respect to symbol a."""
-    if isinstance(r, (Empty, Epsilon)):
-        return frozenset()
-    if isinstance(r, Sym):
-        return frozenset([EPSILON]) if r.name == a else frozenset()
-    if isinstance(r, Union):
-        return partial_derivatives(r.left, a) | partial_derivatives(r.right, a)
-    if isinstance(r, Option):
-        return partial_derivatives(r.inner, a)
-    if isinstance(r, Star):
-        return frozenset(
-            _cat(t, r) for t in partial_derivatives(r.inner, a) if not isinstance(t, Empty)
-        )
-    out = {_cat(t, r.right) for t in partial_derivatives(r.left, a)}
-    if nullable(r.left):
-        out |= partial_derivatives(r.right, a)
-    return frozenset(t for t in out if not isinstance(t, Empty))
+    return frozenset(_linear_form(r, a).get(a, ()))
 
 
 def construct_pd(r: RegEx) -> Automaton:
@@ -372,8 +454,9 @@ def construct_pd(r: RegEx) -> Automaton:
     transitions = set()
     while queue:
         term = queue.popleft()
+        form = _linear_form(term)
         for a in letters:
-            for d in sorted(partial_derivatives(term, a), key=_render):
+            for d in sorted(form.get(a, ()), key=_render):
                 if d not in ids:
                     ids[d] = len(ids)
                     queue.append(d)

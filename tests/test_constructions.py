@@ -15,13 +15,20 @@ from refa.constructions import (
     position_sets,
 )
 from refa.expressions import (
+    EMPTY,
     EPSILON,
     Concat,
+    Empty,
+    Epsilon,
+    Option,
     Star,
     Sym,
+    Union,
     mark,
     measures,
+    nullable,
     parse,
+    random_expr,
     render,
 )
 from refa.families import buffer_regex, options_regex, row3_regex
@@ -215,6 +222,75 @@ class TestPartialDerivatives:
     def test_never_larger_than_position(self, small_corpus):
         for r in small_corpus:
             assert len(construct_pd(r).states) <= len(construct_position(r).states)
+
+
+def reference_cat(left, right):
+    if isinstance(left, Empty) or isinstance(right, Empty):
+        return EMPTY
+    if isinstance(left, Epsilon):
+        return right
+    if isinstance(right, Epsilon):
+        return left
+    if isinstance(left, Concat):
+        return reference_cat(left.left, reference_cat(left.right, right))
+    return Concat(left, right)
+
+
+def reference_partial_derivatives(r, a):
+    """The per-letter recursion that the one-walk linear form replaced."""
+    if isinstance(r, (Empty, Epsilon)):
+        return frozenset()
+    if isinstance(r, Sym):
+        return frozenset([EPSILON]) if r.name == a else frozenset()
+    if isinstance(r, Union):
+        return reference_partial_derivatives(r.left, a) | reference_partial_derivatives(r.right, a)
+    if isinstance(r, Option):
+        return reference_partial_derivatives(r.inner, a)
+    if isinstance(r, Star):
+        return frozenset(
+            reference_cat(t, r) for t in reference_partial_derivatives(r.inner, a) if not isinstance(t, Empty)
+        )
+    out = {reference_cat(t, r.right) for t in reference_partial_derivatives(r.left, a)}
+    if nullable(r.left):
+        out |= reference_partial_derivatives(r.right, a)
+    return frozenset(t for t in out if not isinstance(t, Empty))
+
+
+class TestPartialDerivativeWalk:
+    """One walk per term gives every letter's set, equal to the per-letter recursion."""
+
+    LETTERS = ("a", "b", "c")
+
+    def assert_agrees(self, r):
+        for a in self.LETTERS:
+            assert partial_derivatives(r, a) == reference_partial_derivatives(r, a)
+
+    def test_random_trees_and_their_derived_terms(self):
+        for seed in range(300):
+            r = random_expr(1 + seed % 10, list(self.LETTERS[: 2 + seed % 2]), seed=9100 + seed)
+            self.assert_agrees(r)
+            for a in self.LETTERS:
+                for d in reference_partial_derivatives(r, a):
+                    self.assert_agrees(d)
+
+    def test_lambda_and_empty_heavy_trees(self):
+        for seed in range(400):
+            r = lambda_heavy_tree(random.Random(9500 + seed), 6)
+            self.assert_agrees(r)
+            for a in self.LETTERS:
+                for d in reference_partial_derivatives(r, a):
+                    self.assert_agrees(d)
+
+    def test_star_keeps_an_empty_term(self):
+        # ∅ is dropped before a star's inner terms are extended, but the
+        # extension itself can give ∅: that term stays, as a dead state
+        r = parse("(a(#b))*")
+        assert partial_derivatives(r, "a") == frozenset([EMPTY]) == reference_partial_derivatives(r, "a")
+        assert len(construct_pd(r).states) == 2
+        # ... and an enclosing star or concatenation drops it again
+        for text in ("((a(#b))*)*", "((a(#b))*+b)*", "((a(#b))*)?*", "(a(#b))*c"):
+            r = parse(text)
+            assert partial_derivatives(r, "a") == frozenset() == reference_partial_derivatives(r, "a")
 
 
 class TestBrzozowski:

@@ -15,7 +15,7 @@ from dataclasses import astuple
 
 import pytest
 
-from refa.constructions import _aci, derivative, partial_derivatives
+from refa.constructions import _aci, construct_follow, construct_of, derivative, partial_derivatives
 from refa.elimination import _canon_key, simplify
 from refa.expressions import (
     EMPTY,
@@ -31,6 +31,7 @@ from refa.expressions import (
     random_expr,
     render,
 )
+from refa.families import buffer_regex
 
 from conftest import lambda_heavy_tree
 
@@ -179,10 +180,38 @@ DEPTH_BEFORE_MEMO = [
 ]
 
 
+def pd_a(r):
+    return partial_derivatives(r, "a")
+
+
+def pd_b(r):
+    return partial_derivatives(r, "b")
+
+
+# The deepest input construct_of and construct_follow handled before they
+# built into one arc store, and partial_derivatives before it became one
+# linear-form walk, bisected the same way after a warm-up call.  On star chains the letter
+# `a` runs deepest (its terms grow longest) and costs 0.3 s; `b` reached
+# 249 both before and after, but one such run builds cubically many terms
+# and takes about 40 s.
+DEPTH_BEFORE_ARC_STORE = [
+    ("construct_of-star", construct_of, star_chain, 496),
+    ("construct_of-buffer", construct_of, buffer_regex, 331),
+    ("construct_of-option", construct_of, option_chain, 991),
+    ("construct_follow-star", construct_follow, star_chain, 495),
+    ("construct_follow-buffer", construct_follow, buffer_regex, 330),
+    ("construct_follow-option", construct_follow, option_chain, 989),
+    ("partial_derivatives-a-star", pd_a, star_chain, 247),
+    ("partial_derivatives-b-option", pd_b, option_chain, 495),
+]
+DEPTH_CASES = DEPTH_BEFORE_MEMO + DEPTH_BEFORE_ARC_STORE
+
+
 @pytest.mark.parametrize(
-    "fn,build,depth", [case[1:] for case in DEPTH_BEFORE_MEMO], ids=[case[0] for case in DEPTH_BEFORE_MEMO]
+    "fn,build,depth", [case[1:] for case in DEPTH_CASES], ids=[case[0] for case in DEPTH_CASES]
 )
 def test_walks_are_no_shallower_than_before(fn, build, depth):
+    fn(build(2))  # the limits were bisected with the code warm
     tree = build(depth)
     outcome = []
 
