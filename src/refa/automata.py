@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 __all__ = [
@@ -27,6 +28,7 @@ __all__ = [
     "is_bideterministic",
     "fa_measures",
     "to_dict",
+    "to_json",
     "from_dict",
     "load",
     "save",
@@ -416,6 +418,36 @@ def to_dict(aut: Automaton) -> dict:
     }
 
 
+# the JSON text of a state or symbol: strings and ints directly, any other
+# scalar as json writes it
+_JSON_SCALAR = {str: encode_basestring_ascii, int: int.__repr__}
+
+
+def _json_list(items: list[str]) -> str:
+    """A field's list of already encoded items, laid out as ``indent=2`` does."""
+    return "[\n    " + ",\n    ".join(items) + "\n  ]" if items else "[]"
+
+
+def to_json(aut: Automaton) -> str:
+    """``json.dumps(to_dict(aut), indent=2)`` plus a newline, written without
+    the pure-Python encoder that `json` falls back to when `indent` is set."""
+    data = to_dict(aut)
+    scalars = (*aut.states, *aut.alphabet, "")  # "" is the λ label
+    text = {v: _JSON_SCALAR.get(type(v), json.dumps)(v) for v in scalars}
+    transitions = [
+        f"[\n      {text[p]},\n      {text[a]},\n      {text[q]}\n    ]"
+        for p, a, q in data["transitions"]
+    ]
+    return (
+        '{\n  "states": ' + _json_list([text[s] for s in data["states"]])
+        + ',\n  "alphabet": ' + _json_list([text[a] for a in data["alphabet"]])
+        + ',\n  "initial": ' + text[data["initial"]]
+        + ',\n  "finals": ' + _json_list([text[s] for s in data["finals"]])
+        + ',\n  "transitions": ' + _json_list(transitions)
+        + "\n}\n"
+    )
+
+
 def _check_shape(data) -> None:
     """Raise a ValueError naming the field at fault unless `data` has the JSON shape."""
     if not isinstance(data, dict):
@@ -459,8 +491,7 @@ def from_dict(data: dict) -> Automaton:
 
 def save(aut: Automaton, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(to_dict(aut), fh, indent=2)
-        fh.write("\n")
+        fh.write(to_json(aut))
 
 
 def load(path) -> Automaton:

@@ -84,9 +84,7 @@ def _cmd_convert(args) -> int:
     if args.format == "dot":
         _emit(automata.to_dot(aut), args.output)
     else:
-        import json
-
-        _emit(json.dumps(automata.to_dict(aut), indent=2) + "\n", args.output)
+        _emit(automata.to_json(aut), args.output)
     return 0
 
 
@@ -146,9 +144,7 @@ def _cmd_gen(args) -> int:
         return 0
     if artifact.automaton is None:
         raise ValueError(f"family {args.family} has no automaton form; use --regex")
-    import json
-
-    _emit(json.dumps(automata.to_dict(artifact.automaton), indent=2) + "\n", args.output)
+    _emit(automata.to_json(artifact.automaton), args.output)
     return 0
 
 

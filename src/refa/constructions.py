@@ -513,26 +513,45 @@ def _aci(r: RegEx) -> RegEx:
     return out
 
 
-def derivative(r: RegEx, a: str) -> RegEx:
-    """Brzozowski derivative, returned in ACI normal form."""
+def _derive(r: RegEx, a: str, memo: dict) -> RegEx:
+    """The Brzozowski derivative of r by a before ACI normalisation.
 
-    def go(node: RegEx) -> RegEx:
-        if isinstance(node, (Empty, Epsilon)):
-            return EMPTY
-        if isinstance(node, Sym):
-            return EPSILON if node.name == a else EMPTY
-        if isinstance(node, Union):
-            return Union(go(node.left), go(node.right))
-        if isinstance(node, Option):
-            return go(node.inner)
-        if isinstance(node, Star):
-            return Concat(go(node.inner), node)
-        head = Concat(go(node.left), node.right)
-        if nullable(node.left):
-            return Union(head, go(node.right))
-        return head
+    `memo` maps (id(node), a) to (node, derivative): holding the node keeps
+    its id from being reused.  Identity keys cost no walk, where structural
+    keys would hash each fresh subterm before descending into it.
+    """
+    if isinstance(r, (Empty, Epsilon)):
+        return EMPTY
+    if isinstance(r, Sym):
+        return EPSILON if r.name == a else EMPTY
+    key = (id(r), a)
+    hit = memo.get(key)
+    if hit is not None:
+        return hit[1]
+    if isinstance(r, Union):
+        d = Union(_derive(r.left, a, memo), _derive(r.right, a, memo))
+    elif isinstance(r, Option):
+        d = _derive(r.inner, a, memo)
+    elif isinstance(r, Star):
+        d = Concat(_derive(r.inner, a, memo), r)
+    else:
+        d = Concat(_derive(r.left, a, memo), r.right)
+        if nullable(r.left):
+            d = Union(d, _derive(r.right, a, memo))
+    memo[key] = (r, d)
+    return d
 
-    return _aci(go(r))
+
+def derivative(r: RegEx, a: str, memo: dict | None = None) -> RegEx:
+    """Brzozowski derivative, returned in ACI normal form.
+
+    A `memo` passed from call to call (one per `construct_brzozowski` run)
+    shares the derivatives of subterms that recur across the calls, and
+    with them the ACI forms already stored on those derivatives.  It is
+    kept by the caller, never on the nodes: a star's derivative refers to
+    the star, so a memo on the node would make a reference cycle.
+    """
+    return _aci(_derive(r, a, {} if memo is None else memo))
 
 
 CONSTRUCTION_NAMES = ("of", "follow", "pos", "pd", "bdfa")
@@ -562,10 +581,11 @@ def construct_brzozowski(r: RegEx, cap: int = 10**6) -> Automaton:
     ids: dict[RegEx, int] = {start: 0}
     queue = deque([start])
     transitions = set()
+    memo: dict = {}
     while queue:
         term = queue.popleft()
         for a in letters:
-            d = derivative(term, a)
+            d = derivative(term, a, memo)
             if d not in ids:
                 if len(ids) >= cap:
                     raise ConstructionError(f"derivative DFA exceeds {cap} states")

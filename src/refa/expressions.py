@@ -58,6 +58,7 @@ class RegEx:
     _aci = None
     _simple = None
     _canon = None  # elimination._canon_key(node)
+    _measures = None  # measures(node); a constant on the atoms' classes
 
     def __str__(self) -> str:
         return render(self)
@@ -154,6 +155,11 @@ class MeasureReport:
     rpn: int
     awidth: int
     height: int
+
+
+# the atoms' measures are constants, kept on their classes
+Empty._measures = Epsilon._measures = MeasureReport(1, 1, 0, 0)
+Sym._measures = MeasureReport(1, 1, 1, 0)
 
 
 @dataclass(frozen=True)
@@ -378,22 +384,34 @@ def measures(r: RegEx) -> MeasureReport:
 
     The size convention charges atoms 1, binary nodes 3 (operator plus the
     surrounding parentheses, with concatenation written `·`), and unary
-    nodes 3.  Option is transparent for star height.
+    nodes 3.  Option is transparent for star height.  The report of a
+    compound node is kept on it; the walk runs on an explicit stack, so
+    depth costs no stack frames.
     """
-    if isinstance(r, (Empty, Epsilon, Sym)):
-        return MeasureReport(1, 1, 0 if not isinstance(r, Sym) else 1, 0)
-    if isinstance(r, (Union, Concat)):
-        a = measures(r.left)
-        b = measures(r.right)
-        return MeasureReport(
-            a.size + b.size + 3,
-            a.rpn + b.rpn + 1,
-            a.awidth + b.awidth,
-            max(a.height, b.height),
-        )
-    inner = measures(r.inner)
-    bump = 1 if isinstance(r, Star) else 0
-    return MeasureReport(inner.size + 3, inner.rpn + 1, inner.awidth, inner.height + bump)
+    stack = [r]
+    while r._measures is None:
+        node = stack[-1]
+        if isinstance(node, (Union, Concat)):
+            a, b = node.left._measures, node.right._measures
+            if a is None or b is None:
+                stack += [kid for kid in (node.left, node.right) if kid._measures is None]
+                continue
+            report = MeasureReport(
+                a.size + b.size + 3,
+                a.rpn + b.rpn + 1,
+                a.awidth + b.awidth,
+                max(a.height, b.height),
+            )
+        else:
+            inner = node.inner._measures
+            if inner is None:
+                stack.append(node.inner)
+                continue
+            bump = 1 if isinstance(node, Star) else 0
+            report = MeasureReport(inner.size + 3, inner.rpn + 1, inner.awidth, inner.height + bump)
+        _set(node, "_measures", report)
+        stack.pop()
+    return r._measures
 
 
 def nullable(r: RegEx) -> bool:

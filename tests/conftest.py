@@ -4,10 +4,12 @@
 `naive_cycle_rank` recomputes the deletion recursion without memoization on
 a Kosaraju SCC split; `follow_quotient` rebuilds the follow automaton as
 the position-automaton quotient that merges states with equal follow sets
-and equal finality; `path_pairs` is Warshall's transitive closure.
+and equal finality; `path_pairs` is Warshall's transitive closure;
+`rebuild` copies a tree into new nodes that hold no stored value.
 """
 
 import random
+from dataclasses import astuple
 from itertools import product
 
 import pytest
@@ -71,6 +73,15 @@ def lambda_heavy_tree(rng: random.Random, depth: int):
     if kind == 2:
         return Star(lambda_heavy_tree(rng, depth - 1))
     return Option(lambda_heavy_tree(rng, depth - 1))
+
+
+def rebuild(r: RegEx) -> RegEx:
+    """An equal tree made of new nodes, none of which holds a stored value."""
+    if isinstance(r, (Union, Concat)):
+        return type(r)(rebuild(r.left), rebuild(r.right))
+    if isinstance(r, (Star, Option)):
+        return type(r)(rebuild(r.inner))
+    return type(r)(*astuple(r))
 
 
 def path_pairs(vertices, arcs) -> set:

@@ -1,10 +1,10 @@
 """Values computed once per expression node must equal those computed afresh.
 
 A warm tree (one whose nodes already hold their hash, text, nullability, ACI
-form, simplified form and canonical key, shared with its derivatives) must
-give the same answers as an equal tree built from new nodes, and the stored
-values must stay invisible to equality, repr, the dataclass fields, copies
-and pickles.
+form, simplified form, canonical key and measures, shared with its
+derivatives) must give the same answers as an equal tree built from new
+nodes, and the stored values must stay invisible to equality, repr, the
+dataclass fields, copies and pickles.
 """
 
 import copy
@@ -21,11 +21,13 @@ from refa.expressions import (
     EMPTY,
     EPSILON,
     Concat,
+    MeasureReport,
     Option,
     Star,
     Sym,
     Union,
     mark,
+    measures,
     nullable,
     parse,
     random_expr,
@@ -33,18 +35,9 @@ from refa.expressions import (
 )
 from refa.families import buffer_regex
 
-from conftest import lambda_heavy_tree
+from conftest import lambda_heavy_tree, rebuild
 
 LETTERS = ("a", "b")
-
-
-def rebuild(r):
-    """An equal tree made of new nodes, none of which holds a stored value."""
-    if isinstance(r, (Union, Concat)):
-        return type(r)(rebuild(r.left), rebuild(r.right))
-    if isinstance(r, (Star, Option)):
-        return type(r)(rebuild(r.inner))
-    return type(r)(*astuple(r))
 
 
 class Hashed:
@@ -80,6 +73,7 @@ def derived(r) -> tuple:
         render(simplify(r)),
         simplify(r),
         _canon_key(r),
+        measures(r),
         tuple(derivative(r, a) for a in LETTERS),
         tuple(frozenset(partial_derivatives(r, a)) for a in LETTERS),
     )
@@ -204,7 +198,27 @@ DEPTH_BEFORE_ARC_STORE = [
     ("partial_derivatives-a-star", pd_a, star_chain, 247),
     ("partial_derivatives-b-option", pd_b, option_chain, 495),
 ]
-DEPTH_CASES = DEPTH_BEFORE_MEMO + DEPTH_BEFORE_ARC_STORE
+
+
+def derivative_a(r):
+    return derivative(r, "a")
+
+
+def derivative_b(r):
+    return derivative(r, "b")
+
+
+# The deepest input derivative handled before it shared one memo of raw
+# derivatives across a construction, bisected the same way.
+DEPTH_BEFORE_DERIVATIVE_MEMO = [
+    ("derivative-a-star", derivative_a, star_chain, 247),
+    ("derivative-b-star", derivative_b, star_chain, 329),
+    ("derivative-a-option", derivative_a, option_chain, 989),
+    ("derivative-b-option", derivative_b, option_chain, 495),
+    ("derivative-a-buffer", derivative_a, buffer_regex, 330),
+    ("derivative-b-buffer", derivative_b, buffer_regex, 330),
+]
+DEPTH_CASES = DEPTH_BEFORE_MEMO + DEPTH_BEFORE_ARC_STORE + DEPTH_BEFORE_DERIVATIVE_MEMO
 
 
 @pytest.mark.parametrize(
@@ -227,3 +241,10 @@ def test_walks_are_no_shallower_than_before(fn, build, depth):
     worker.join(timeout=60)
     assert not worker.is_alive()
     assert outcome == ["ok"]
+
+
+def test_measures_walks_any_depth():
+    # a walk on an explicit stack: 10^5 levels, far past the recursion limit
+    n = 10**5
+    assert measures(star_chain(n)) == MeasureReport(7 * n + 1, 3 * n + 1, n + 1, n)
+    assert measures(parse("a" * 1000)) == MeasureReport(3997, 1999, 1000, 0)
