@@ -406,14 +406,15 @@ def fa_measures(aut: Automaton) -> FaMeasures:
 
 
 def to_dict(aut: Automaton) -> dict:
+    key = {s: _state_key(s) for s in aut.states}  # once per state, not per transition
     return {
-        "states": sorted(aut.states, key=_state_key),
+        "states": sorted(aut.states, key=key.__getitem__),
         "alphabet": sorted(aut.alphabet),
         "initial": aut.initial,
-        "finals": sorted(aut.finals, key=_state_key),
+        "finals": sorted(aut.finals, key=key.__getitem__),
         "transitions": sorted(
             [[p, a if a is not None else "", q] for p, a, q in aut.transitions],
-            key=lambda t: (_state_key(t[0]), t[1], _state_key(t[2])),
+            key=lambda t: (key[t[0]], t[1], key[t[2]]),
         ),
     }
 

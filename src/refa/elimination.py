@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .automata import Automaton, State, _adjacency, _reach, _state_key
+from .automata import Automaton, State, _reach, _state_key
 from .digraphs import cycles_through, independent_set, underlying_digraph
 from .expressions import (
     EMPTY,
@@ -178,31 +178,22 @@ SINK = _Endpoint("t")
 class ExtendedAutomaton:
     """Automaton whose arcs carry expressions; the carrier of elimination.
 
-    No arc enters the source and none leaves the sink; a missing entry in
-    `labels` is the ∅ label.
+    `out[p]` maps each target of p to the label of the arc p -> q, and
+    `into[q]` maps each source of q to the same label; a missing entry is
+    the ∅ label.  No arc enters the source and none leaves the sink.
     """
 
     states: frozenset
-    labels: tuple  # sorted ((p, q), RegEx) pairs; kept hashable
+    out: dict
+    into: dict
+
+    @property
+    def labels(self):
+        """The ((p, q), label) pairs of all arcs."""
+        return (((p, q), expr) for p, row in self.out.items() for q, expr in row.items())
 
     def label(self, p, q) -> RegEx:
-        for (a, b), expr in self.labels:
-            if a == p and b == q:
-                return expr
-        return EMPTY
-
-    def label_map(self) -> dict:
-        return {pq: expr for pq, expr in self.labels}
-
-
-def _make_extended(states, label_map: dict) -> ExtendedAutomaton:
-    pairs = tuple(
-        sorted(
-            ((pq, expr) for pq, expr in label_map.items() if not isinstance(expr, Empty)),
-            key=lambda item: (_state_key(item[0][0]), _state_key(item[0][1])),
-        )
-    )
-    return ExtendedAutomaton(frozenset(states), pairs)
+        return self.out.get(p, {}).get(q, EMPTY)
 
 
 def augment(aut: Automaton) -> ExtendedAutomaton:
@@ -212,11 +203,13 @@ def augment(aut: Automaton) -> ExtendedAutomaton:
     the source reaches the old initial state and every old final state
     reaches the sink by λ-labels.
     """
-    labels: dict = {}
+    states = frozenset(aut.states) | {SOURCE, SINK}
+    out: dict = {s: {} for s in states}
+    into: dict = {s: {} for s in states}
 
     def add(p, q, expr: RegEx):
-        old = labels.get((p, q))
-        labels[(p, q)] = expr if old is None else Union(old, expr)
+        old = out[p].get(q)
+        out[p][q] = into[q][p] = expr if old is None else Union(old, expr)
 
     for p, a, q in sorted(
         aut.transitions, key=lambda t: (_state_key(t[0]), t[1] is not None, t[1] or "", _state_key(t[2]))
@@ -225,64 +218,65 @@ def augment(aut: Automaton) -> ExtendedAutomaton:
     add(SOURCE, aut.initial, EPSILON)
     for f in sorted(aut.finals, key=_state_key):
         add(f, SINK, EPSILON)
-    return _make_extended(set(aut.states) | {SOURCE, SINK}, labels)
+    return ExtendedAutomaton(states, out, into)
 
 
-def eliminate_state(
-    ext: ExtendedAutomaton, q, simplify_labels: bool = True
-) -> ExtendedAutomaton:
-    """Remove q, routing every path through it into the remaining labels."""
+def eliminate_state(ext: ExtendedAutomaton, q, simplify_labels: bool = True) -> ExtendedAutomaton:
+    """Remove q, routing every path through it into the remaining labels.
+
+    Only the rows of q's neighbours are copied and rewritten; `ext` itself
+    is left as it was.
+    """
     if isinstance(q, _Endpoint):
         raise ValueError("source and sink cannot be eliminated")
     if q not in ext.states:
         raise ValueError(f"{q!r} is not a state")
-    labels = ext.label_map()
-    loop = labels.get((q, q))
-    ins = sorted(
-        ((p, expr) for (p, tgt), expr in labels.items() if tgt == q and p != q),
-        key=lambda item: _state_key(item[0]),
-    )
-    outs = sorted(
-        ((k, expr) for (src, k), expr in labels.items() if src == q and k != q),
-        key=lambda item: _state_key(item[0]),
-    )
+    loop = ext.out[q].get(q)
+    ins = sorted((p for p in ext.into[q] if p != q), key=_state_key)
+    outs = sorted((k for k in ext.out[q] if k != q), key=_state_key)
     post = simplify if simplify_labels else (lambda e: e)
-    new_labels = {pq: expr for pq, expr in labels.items() if q not in pq}
-    for p, lin in ins:
-        for k, lout in outs:
+    out, into = dict(ext.out), dict(ext.into)
+    del out[q], into[q]
+    for k in outs:
+        into[k] = {p: e for p, e in into[k].items() if p != q}
+    for p in ins:
+        out[p] = {k: e for k, e in out[p].items() if k != q}
+        lin = ext.into[q][p]
+        for k in outs:
             path: RegEx = lin
             if loop is not None:
                 path = Concat(path, Star(loop))
-            path = Concat(path, lout)
-            old = new_labels.get((p, k))
-            new_labels[(p, k)] = post(path if old is None else Union(old, path))
-    return _make_extended(ext.states - {q}, new_labels)
+            path = Concat(path, ext.out[q][k])
+            old = out[p].get(k)
+            new = post(path if old is None else Union(old, path))
+            if isinstance(new, Empty):
+                out[p].pop(k, None)
+                into[k].pop(p, None)
+            else:
+                out[p][k] = into[k][p] = new
+    return ExtendedAutomaton(ext.states - {q}, out, into)
 
 
 STRATEGIES = ("id", "greedy", "dm", "cycles", "indep", "bridge")
 
 
-def _in_out(labels: dict, q) -> tuple[list, list]:
-    ins = [p for (p, tgt) in labels if tgt == q and p != q]
-    outs = [k for (src, k) in labels if src == q and k != q]
-    return ins, outs
+def _degrees(ext: ExtendedAutomaton, q) -> tuple[int, int]:
+    """In- and out-degree of q, its self-loop left out."""
+    looped = q in ext.out[q]
+    return len(ext.into[q]) - looped, len(ext.out[q]) - looped
 
 
-def _greedy_score(labels: dict, q) -> int:
-    ins, outs = _in_out(labels, q)
-    return len(ins) * len(outs)
+def _greedy_score(ext: ExtendedAutomaton, q) -> int:
+    n_in, n_out = _degrees(ext, q)
+    return n_in * n_out
 
 
-def _dm_score(labels: dict, q) -> int:
+def _dm_score(ext: ExtendedAutomaton, q) -> int:
     # in/out label widths weighted by the fan-out/fan-in they get copied to
-    ins, outs = _in_out(labels, q)
-    n_in, n_out = len(ins), len(outs)
-    weight = 0
-    for p in ins:
-        weight += measures(labels[(p, q)]).awidth * (n_out - 1)
-    for k in outs:
-        weight += measures(labels[(q, k)]).awidth * (n_in - 1)
-    loop = labels.get((q, q))
+    n_in, n_out = _degrees(ext, q)
+    weight = sum(measures(e).awidth for p, e in ext.into[q].items() if p != q) * (n_out - 1)
+    weight += sum(measures(e).awidth for k, e in ext.out[q].items() if k != q) * (n_in - 1)
+    loop = ext.out[q].get(q)
     if loop is not None:
         weight += measures(loop).awidth * (n_in * n_out - 1)
     return weight
@@ -290,44 +284,70 @@ def _dm_score(labels: dict, q) -> int:
 
 def bridge_states(aut: Automaton) -> frozenset[State]:
     """States that every accepting path must cross and that lie on no cycle."""
-    succ = _adjacency(pq for pq, _ in augment(aut).labels)
+    succ = augment(aut).out
     return frozenset(
         q
         for q in aut.states
-        if q not in _reach(succ, succ.get(q, ()))
+        if q not in _reach(succ, succ[q])
         and SINK not in _reach({**succ, q: ()}, [SOURCE])
     )
 
 
-def _pick_dynamic(
-    aut: Automaton, score, recompute: bool, first=frozenset(), defer=frozenset()
-) -> list:
-    """Greedy order over the states outside `first` and `defer`.
+def _plan(aut: Automaton, order: str | Sequence[State]) -> tuple[list, object, list]:
+    """(fixed prefix, score of the dynamic middle or None, fixed suffix).
 
-    `first` states are eliminated up front in the simulation (they precede
-    the greedy picks in the caller's order); `defer` states stay in place
-    and are appended by the caller afterwards.
+    The middle holds every state outside the prefix and the suffix; it is
+    eliminated lowest score first, with the scores read off the carrier as
+    elimination proceeds.
     """
+    if not isinstance(order, str):
+        seq = list(order)
+        if sorted(seq, key=_state_key) != sorted(aut.states, key=_state_key):
+            raise ValueError("order must be a permutation of the states")
+        return seq, None, []
+    if order == "id":
+        return sorted(aut.states, key=_state_key), None, []
+    if order == "greedy":
+        return [], _greedy_score, []
+    if order == "dm":
+        return [], _dm_score, []
+    if order == "cycles":
+        dg = underlying_digraph(aut)
+        counts = {q: cycles_through(dg, q, cap=10**5).count for q in aut.states}
+        return sorted(aut.states, key=lambda q: (counts[q], _state_key(q))), None, []
+    if order == "indep":
+        return sorted(independent_set(underlying_digraph(aut)), key=_state_key), _greedy_score, []
+    if order == "bridge":
+        return [], _greedy_score, sorted(bridge_states(aut), key=_state_key)
+    raise ValueError(f"unknown strategy {order!r}")
+
+
+def _eliminate(
+    aut: Automaton, prefix: list, score, suffix: list, simplify_labels: bool = True
+) -> tuple[list, ExtendedAutomaton]:
+    """Eliminate `prefix`, then the rest by `score`, then `suffix`; return
+    the order taken and the final carrier."""
     ext = augment(aut)
-    remaining = sorted(
-        (s for s in aut.states if s not in first and s not in defer), key=_state_key
-    )
-    if not recompute:
-        labels = ext.label_map()
-        return sorted(remaining, key=lambda q: (score(labels, q), _state_key(q)))
-    for q in sorted(first, key=_state_key):
-        ext = eliminate_state(ext, q)
     order = []
-    while remaining:
-        labels = ext.label_map()
-        q = min(remaining, key=lambda s: (score(labels, s), _state_key(s)))
+
+    def step(q):
+        nonlocal ext
+        ext = eliminate_state(ext, q, simplify_labels)
         order.append(q)
-        remaining.remove(q)
-        ext = eliminate_state(ext, q)
-    return order
+
+    for q in prefix:
+        step(q)
+    rest = sorted(set(aut.states).difference(prefix, suffix), key=_state_key)
+    while rest:
+        q = min(rest, key=lambda s: (score(ext, s), _state_key(s)))
+        rest.remove(q)
+        step(q)
+    for q in suffix:
+        step(q)
+    return order, ext
 
 
-def make_ordering(aut: Automaton, strategy: str, recompute: bool = True) -> list[State]:
+def make_ordering(aut: Automaton, strategy: str) -> list[State]:
     """An elimination order over all states, per the named heuristic.
 
     greedy: fewest in·out arcs next, recomputed as elimination proceeds.
@@ -336,49 +356,30 @@ def make_ordering(aut: Automaton, strategy: str, recompute: bool = True) -> list
     indep: an independent set first, the rest greedily.
     bridge: bridge states last, the rest greedily.
     id: ascending state id.
+
+    The dynamic orders (greedy, dm, and the greedy parts of indep and
+    bridge) come from one elimination with simplified labels, the one that
+    `state_elimination` runs with simplification on.
     """
-    if strategy == "id":
-        return sorted(aut.states, key=_state_key)
-    if strategy == "greedy":
-        return _pick_dynamic(aut, _greedy_score, recompute)
-    if strategy == "dm":
-        return _pick_dynamic(aut, _dm_score, recompute)
-    if strategy == "cycles":
-        dg = underlying_digraph(aut)
-        counts = {q: cycles_through(dg, q, cap=10**5).count for q in aut.states}
-        return sorted(aut.states, key=lambda q: (counts[q], _state_key(q)))
-    if strategy == "indep":
-        chosen = independent_set(underlying_digraph(aut))
-        head = sorted(chosen, key=_state_key)
-        tail = _pick_dynamic(aut, _greedy_score, True, first=chosen)
-        return head + tail
-    if strategy == "bridge":
-        bridges = bridge_states(aut)
-        head = _pick_dynamic(aut, _greedy_score, True, defer=bridges)
-        return head + sorted(bridges, key=_state_key)
-    raise ValueError(f"unknown strategy {strategy!r}")
+    prefix, score, suffix = _plan(aut, strategy)
+    return prefix if score is None else _eliminate(aut, prefix, score, suffix)[0]
 
 
 def state_elimination(
-    aut: Automaton,
-    order: str | Sequence[State] = "greedy",
-    simplify_steps: bool = True,
+    aut: Automaton, order: str | Sequence[State] = "greedy", simplify_steps: bool = True
 ) -> RegEx:
     """Convert by eliminating states in the given or computed order.
 
     `order` is a strategy name from STRATEGIES or an explicit permutation
-    of the automaton's states.
+    of the automaton's states.  A dynamic order is chosen while its states
+    are eliminated, in one pass.  Without `simplify_steps` the order is
+    still the one the simplified pass takes, and a second pass eliminates
+    in that order with raw labels.
     """
-    if isinstance(order, str):
-        seq = make_ordering(aut, order)
-    else:
-        seq = list(order)
-        if sorted(seq, key=_state_key) != sorted(aut.states, key=_state_key):
-            raise ValueError("order must be a permutation of the states")
-    ext = augment(aut)
-    for q in seq:
-        ext = eliminate_state(ext, q, simplify_labels=simplify_steps)
-    label = ext.label(SOURCE, SINK)
+    prefix, score, suffix = _plan(aut, order)
+    if score is not None and not simplify_steps:
+        prefix, score, suffix = _eliminate(aut, prefix, score, suffix)[0], None, []
+    label = _eliminate(aut, prefix, score, suffix, simplify_steps)[1].label(SOURCE, SINK)
     return simplify(label) if simplify_steps else label
 
 
@@ -441,8 +442,8 @@ def arden_solve(aut: Automaton, simplify_steps: bool = True) -> RegEx:
 # McNaughton-Yamada matrix iteration
 
 
-def _mny_rounds(aut: Automaton, ranking: Sequence[State], post):
-    """Yield the expression matrix after each round of the iteration."""
+def _mny_matrix(aut: Automaton, ranking: Sequence[State], post) -> dict:
+    """The expression matrix after one round per state of `ranking`."""
     states = sorted(aut.states, key=_state_key)
     matrix: dict[tuple, RegEx] = {}
     for p, a, q in sorted(aut.transitions, key=lambda t: (_state_key(t[0]), t[1], _state_key(t[2]))):
@@ -470,7 +471,7 @@ def _mny_rounds(aut: Automaton, ranking: Sequence[State], post):
                     )
                 new[(j, k)] = post(entry)
         matrix = new
-        yield matrix
+    return matrix
 
 
 def mcnaughton_yamada(
@@ -490,12 +491,7 @@ def mcnaughton_yamada(
         ranking = list(ranking)
         if sorted(ranking, key=_state_key) != states:
             raise ValueError("ranking must be a permutation of the states")
-    post = simplify if simplify_steps else (lambda e: e)
-
-    matrix = {}
-    for rounds in _mny_rounds(aut, ranking, post):
-        matrix = rounds
-
+    matrix = _mny_matrix(aut, ranking, simplify if simplify_steps else (lambda e: e))
     parts: list[RegEx] = []
     if aut.initial in aut.finals:
         parts.append(EPSILON)

@@ -9,8 +9,10 @@ remain writable without quoting.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
+from typing import NamedTuple
 
 __all__ = [
     "RegEx",
@@ -147,8 +149,7 @@ def _valid_symbol(name: str) -> bool:
     return name[1:] == "" or name[1:].isdigit()
 
 
-@dataclass(frozen=True)
-class MeasureReport:
+class MeasureReport(NamedTuple):
     """Size measures of a single expression."""
 
     size: int
@@ -451,44 +452,40 @@ def symbols_of(r: RegEx) -> frozenset[str]:
 # Marking
 
 
+def _rewrite_symbols(r: RegEx, leaf) -> RegEx:
+    """A copy of r with each symbol leaf replaced by `leaf(sym)`, called on
+    the leaves left to right.  The walk runs on an explicit stack, so depth
+    costs no stack frames; a node class on the stack means "rebuild one of
+    these from the last copies built"."""
+    built: list[RegEx] = []
+    stack: list = [r]
+    while stack:
+        node = stack.pop()
+        cls = type(node)
+        if cls is type:
+            if node is Union or node is Concat:
+                right = built.pop()
+                built[-1] = node(built[-1], right)
+            else:
+                built[-1] = node(built[-1])
+        elif cls is Union or cls is Concat:
+            stack += (cls, node.right, node.left)
+        elif cls is Star or cls is Option:
+            stack += (cls, node.inner)
+        else:
+            built.append(leaf(node) if cls is Sym else node)
+    return built[0]
+
+
 def mark(r: RegEx) -> MarkedRegEx:
     """Attach position indices 1..awidth to the symbol leaves, left to right."""
-    counter = [0]
-
-    def walk(node: RegEx) -> RegEx:
-        if isinstance(node, Sym):
-            counter[0] += 1
-            return Sym(node.name, counter[0])
-        if isinstance(node, Union):
-            return Union(walk(node.left), walk(node.right))
-        if isinstance(node, Concat):
-            return Concat(walk(node.left), walk(node.right))
-        if isinstance(node, Star):
-            return Star(walk(node.inner))
-        if isinstance(node, Option):
-            return Option(walk(node.inner))
-        return node
-
-    return MarkedRegEx(walk(r), r)
+    positions = itertools.count(1)
+    return MarkedRegEx(_rewrite_symbols(r, lambda s: Sym(s.name, next(positions))), r)
 
 
 def unmark(m: MarkedRegEx) -> RegEx:
     """Erase position indices; inverse of :func:`mark`."""
-
-    def walk(node: RegEx) -> RegEx:
-        if isinstance(node, Sym):
-            return Sym(node.name)
-        if isinstance(node, Union):
-            return Union(walk(node.left), walk(node.right))
-        if isinstance(node, Concat):
-            return Concat(walk(node.left), walk(node.right))
-        if isinstance(node, Star):
-            return Star(walk(node.inner))
-        if isinstance(node, Option):
-            return Option(walk(node.inner))
-        return node
-
-    return walk(m.tree)
+    return _rewrite_symbols(m.tree, lambda s: Sym(s.name))
 
 
 # ---------------------------------------------------------------------------

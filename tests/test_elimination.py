@@ -66,10 +66,9 @@ class TestAugment:
     def test_self_loop_automaton(self):
         aut = Automaton.make([0], {"a"}, 0, {0}, [(0, "a", 0)])
         ext = augment(aut)
-        labels = ext.label_map()
-        assert labels[(SOURCE, 0)] == EPSILON
-        assert labels[(0, SINK)] == EPSILON
-        assert labels[(0, 0)] == Sym("a")
+        assert ext.label(SOURCE, 0) == EPSILON
+        assert ext.label(0, SINK) == EPSILON
+        assert ext.label(0, 0) == Sym("a")
 
     def test_buffer_node_count(self):
         ext = augment(buffer_dfa(2))
@@ -137,6 +136,24 @@ class TestStateElimination:
             for strategy in ("id", "greedy", "dm", "cycles", "indep", "bridge"):
                 assert measures(state_elimination(aut, strategy)).awidth <= bound
 
+    def test_dynamic_orders_eliminate_each_state_once(self, monkeypatch):
+        # the order is chosen while eliminating: no separate simulation pass
+        import refa.elimination as elimination
+
+        calls = []
+        step = elimination.eliminate_state
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return step(*args, **kwargs)
+
+        monkeypatch.setattr(elimination, "eliminate_state", counted)
+        for aut in (hypercube_dfa(3), buffer_dfa(6), random_dfa(7, 2, seed=31)):
+            for strategy in ("greedy", "dm", "indep", "bridge"):
+                calls.clear()
+                state_elimination(aut, strategy)
+                assert sorted(calls) == sorted(aut.states), strategy
+
     def test_matches_arden_on_buffer_family(self):
         # same substitution order: both produce the same expression text
         for n in (1, 3, 6):
@@ -161,11 +178,6 @@ class TestOrderings:
     def test_unknown_strategy(self):
         with pytest.raises(ValueError):
             make_ordering(buffer_dfa(1), "nope")
-
-    def test_greedy_without_recompute_is_static(self):
-        aut = random_dfa(6, 2, seed=44)
-        static = make_ordering(aut, "greedy", recompute=False)
-        assert sorted(static) == sorted(aut.states)
 
     def test_bridge_detection(self):
         # two loops joined by a mandatory pass-through state 2
@@ -252,10 +264,10 @@ class TestMcNaughtonYamada:
         assert render(got, unicode=True) == "λ+(a(a(ab)*b)*b)*a(a(ab)*b)*b"
 
     def test_intermediate_matrices(self):
-        from refa.elimination import _mny_rounds
+        from refa.elimination import _mny_matrix
 
-        rounds = list(_mny_rounds(buffer_dfa(3), [3, 2, 1, 0], simplify))
-        first, second = rounds[0], rounds[1]
+        first = _mny_matrix(buffer_dfa(3), [3], simplify)
+        second = _mny_matrix(buffer_dfa(3), [3, 2], simplify)
         assert render(first[(2, 2)]) == "ab"
         assert render(first[(3, 2)]) == "b"
         assert render(first[(2, 3)]) == "a"

@@ -8,8 +8,13 @@ arc-store builder.  `cli_golden.json` holds the sha256 of the JSON that
 `refa gen` writes for every automaton family (buffer, hypercube, torus at
 small sizes and `random` at several seeds) and of `refa measure` on the 84
 inputs above; it was recorded before the derivative memo and the JSON
-writer.  The digests are never regenerated to make a change pass: a
-mismatch means the output changed.
+writer.  `toregex_golden.json` holds the sha256 of `refa toregex` under
+every method, ordering and `--no-simplify` on buffer, torus, hypercube,
+random, λ-NFA and mixed int/string-state automata, and the order that
+`make_ordering` returns for each strategy on them; it was recorded before
+the elimination label store and the single elimination loop.  The digests
+are never regenerated to make a change pass: a mismatch means the output
+changed.
 """
 
 import contextlib
@@ -18,15 +23,19 @@ import io
 import json
 from pathlib import Path
 
-from refa.automata import save
+import pytest
+
+from refa.automata import load, save
 from refa.cli import main
 from refa.constructions import construct
+from refa.elimination import STRATEGIES, make_ordering
 from refa.expressions import parse
 from refa.families import FAMILIES
 
 HERE = Path(__file__).parent
 GOLDEN = json.loads((HERE / "convert_golden.json").read_text(encoding="utf-8"))
 CLI_GOLDEN = json.loads((HERE / "cli_golden.json").read_text(encoding="utf-8"))
+TOREGEX_GOLDEN = json.loads((HERE / "toregex_golden.json").read_text(encoding="utf-8"))
 
 
 def stdout_of(argv: list[str]) -> str:
@@ -78,3 +87,45 @@ def test_save_writes_what_convert_prints(tmp_path):
     for text, route, _ in GOLDEN["cases"][::7]:
         save(construct(route, parse(text)), path)
         assert path.read_bytes() == stdout_of(["convert", text, "--to", route]).encode()
+
+
+@pytest.fixture(scope="module")
+def toregex_inputs(tmp_path_factory) -> dict:
+    """Each golden input's automaton file, written by its CLI command or
+    from its inline JSON."""
+    folder = tmp_path_factory.mktemp("toregex")
+    paths = {}
+    for name, spec in TOREGEX_GOLDEN["inputs"]:
+        paths[name] = folder / f"{name}.json"
+        if isinstance(spec, dict):
+            paths[name].write_text(json.dumps(spec), encoding="utf-8")
+        else:
+            stdout_of([*spec, "-o", str(paths[name])])
+    return paths
+
+
+def test_toregex_golden_file_covers_every_method_and_order():
+    args = [argv for _, argv, _ in TOREGEX_GOLDEN["toregex"]]
+    orders = {a[a.index("--order") + 1] for a in args if "--order" in a}
+    assert set(STRATEGIES) <= orders and any(o.startswith("fixed:") for o in orders)
+    assert {a[a.index("--method") + 1] for a in args if "--method" in a} == {"arden", "mny"}
+    assert any("--no-simplify" in a for a in args) and any("--unicode" in a for a in args)
+    names = [name for name, _ in TOREGEX_GOLDEN["inputs"]]
+    assert {name for name, _, _ in TOREGEX_GOLDEN["orderings"]} == set(names)
+    assert len(TOREGEX_GOLDEN["toregex"]) == 268
+
+
+def test_toregex_output_is_byte_identical(toregex_inputs):
+    cases = [
+        (["toregex", str(toregex_inputs[name]), *argv], digest)
+        for name, argv, digest in TOREGEX_GOLDEN["toregex"]
+    ]
+    assert changed_cases(cases) == []
+
+
+def test_orderings_are_unchanged(toregex_inputs):
+    changed = []
+    for name, strategy, order in TOREGEX_GOLDEN["orderings"]:
+        if make_ordering(load(toregex_inputs[name]), strategy) != order:
+            changed.append((name, strategy))
+    assert changed == []

@@ -21,6 +21,7 @@ from refa.expressions import (
     EMPTY,
     EPSILON,
     Concat,
+    MarkedRegEx,
     MeasureReport,
     Option,
     Star,
@@ -32,6 +33,7 @@ from refa.expressions import (
     parse,
     random_expr,
     render,
+    unmark,
 )
 from refa.families import buffer_regex
 
@@ -248,3 +250,19 @@ def test_measures_walks_any_depth():
     n = 10**5
     assert measures(star_chain(n)) == MeasureReport(7 * n + 1, 3 * n + 1, n + 1, n)
     assert measures(parse("a" * 1000)) == MeasureReport(3997, 1999, 1000, 0)
+
+
+def test_mark_and_unmark_walk_any_depth():
+    # the same 10^5 levels, checked level by level from the outside in:
+    # == on the whole tree would recurse
+    n = 10**5
+    chain = star_chain(n)
+    marked = mark(chain).tree
+    plain = unmark(MarkedRegEx(marked, chain))
+    for tree, pos in ((marked, lambda k: k), (plain, lambda k: None)):
+        node = tree
+        for level in range(n, 0, -1):
+            assert type(node) is Concat and type(node.left) is Star
+            assert node.right == Sym("b", pos(level + 1))
+            node = node.left.inner
+        assert node == Sym("a", pos(1))
