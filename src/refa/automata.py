@@ -10,8 +10,9 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass
+from itertools import chain
 from json.encoder import encode_basestring_ascii
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 __all__ = [
     "Automaton",
@@ -113,45 +114,39 @@ def _state_key(s):
     return (1 if isinstance(s, str) else 2, 0, str(s))
 
 
-def _delta(aut: Automaton) -> dict[tuple[State, Label], set[State]]:
-    d: dict[tuple[State, Label], set[State]] = {}
+def _index(aut: Automaton) -> dict[State, dict[Label, list[State]]]:
+    """Each state's targets by label, λ under ``None``; every state has a row."""
+    index: dict[State, dict[Label, list[State]]] = {p: {} for p in aut.states}
     for p, a, q in aut.transitions:
-        d.setdefault((p, a), set()).add(q)
-    return d
+        index[p].setdefault(a, []).append(q)
+    return index
 
 
-def _reach(successors: Mapping, starts: Iterable[State]) -> set[State]:
-    """The states reachable from `starts` (included) along `successors`."""
+def _reach(step: Callable[[State], Iterable[State]], starts: Iterable[State]) -> set[State]:
+    """The states reachable from `starts` (included) by repeated `step`."""
     seen = set(starts)
     stack = list(seen)
     while stack:
-        for q in successors.get(stack.pop(), ()):
+        for q in step(stack.pop()):
             if q not in seen:
                 seen.add(q)
                 stack.append(q)
     return seen
 
 
-def _adjacency(arcs: Iterable[tuple[State, State]]) -> dict[State, list[State]]:
-    """Successor lists of the (source, target) pairs."""
-    succ: dict[State, list[State]] = {}
-    for p, q in arcs:
-        succ.setdefault(p, []).append(q)
-    return succ
+def _closure(index: dict, starts: Iterable[State]) -> set[State]:
+    """The λ-closure of `starts` along an :func:`_index`."""
+    return _reach(lambda p: index[p].get(None, ()), starts)
 
 
 def accepts(aut: Automaton, word: Sequence[str]) -> bool:
     """Membership test; spontaneous moves are handled by λ-closure."""
-    delta = _delta(aut)
-    lam = _adjacency((p, q) for p, a, q in aut.transitions if a is None)
-    current = _reach(lam, [aut.initial])
+    index = _index(aut)
+    current = _closure(index, [aut.initial])
     for a in word:
         if a not in aut.alphabet:
             raise UnknownSymbolError(f"symbol {a!r} not in the alphabet")
-        step = set()
-        for p in current:
-            step |= delta.get((p, a), set())
-        current = _reach(lam, step)
+        current = _closure(index, [q for p in current for q in index[p].get(a, ())])
     return bool(current & aut.finals)
 
 
@@ -163,17 +158,16 @@ def remove_lambda(aut: Automaton) -> Automaton:
     """
     if aut.is_lambda_free():
         return aut
-    lam = _adjacency((p, q) for p, a, q in aut.transitions if a is None)
-    closures = {p: _reach(lam, [p]) for p in aut.states}
-    sym_arcs: dict[State, list[tuple[str, State]]] = {p: [] for p in aut.states}
-    for p, a, q in aut.transitions:
-        if a is not None:
-            sym_arcs[p].append((a, q))
-    transitions = set()
-    for p in aut.states:
-        for q in closures[p]:
-            for a, t in sym_arcs[q]:
-                transitions.add((p, a, t))
+    index = _index(aut)
+    closures = {p: _closure(index, [p]) for p in aut.states}
+    transitions = {
+        (p, a, t)
+        for p in aut.states
+        for q in closures[p]
+        for a, targets in index[q].items()
+        if a is not None
+        for t in targets
+    }
     finals = frozenset(p for p in aut.states if closures[p] & aut.finals)
     return Automaton(aut.states, aut.alphabet, aut.initial, finals, frozenset(transitions))
 
@@ -193,7 +187,7 @@ def subset_construction(aut: Automaton) -> Automaton:
     """
     if not aut.is_lambda_free():
         raise ValueError("subset construction expects a λ-free automaton")
-    delta = _delta(aut)
+    index = _index(aut)
     letters = sorted(aut.alphabet)
     start = frozenset([aut.initial])
     ids: dict[frozenset, int] = {start: 0}
@@ -202,10 +196,7 @@ def subset_construction(aut: Automaton) -> Automaton:
     while queue:
         subset = queue.popleft()
         for a in letters:
-            target = set()
-            for p in subset:
-                target |= delta.get((p, a), set())
-            target = frozenset(target)
+            target = frozenset(q for p in subset for q in index[p].get(a, ()))
             if target not in ids:
                 ids[target] = len(ids)
                 queue.append(target)
@@ -236,7 +227,8 @@ def _complete(aut: Automaton) -> Automaton:
 
 
 def _reachable(aut: Automaton) -> frozenset[State]:
-    return frozenset(_reach(_adjacency((p, q) for p, _, q in aut.transitions), [aut.initial]))
+    index = _index(aut)
+    return frozenset(_reach(lambda p: chain.from_iterable(index[p].values()), [aut.initial]))
 
 
 def _restrict(aut: Automaton, keep: frozenset[State]) -> Automaton:
@@ -261,95 +253,92 @@ def minimize(aut: Automaton, mode: str = "complete") -> Automaton:
     if not aut.is_partial_dfa():
         raise NotDeterministicError("minimize expects a deterministic automaton")
     aut = _complete(aut)
-    aut = _restrict(aut, _reachable(aut))
     letters = sorted(aut.alphabet)
-    succ = {(p, a): q for p, a, q in aut.transitions}
+    index = _index(aut)
+    succ = {p: [row[a][0] for a in letters] for p, row in index.items()}  # one target per letter
+    reachable = sorted(_reach(succ.__getitem__, [aut.initial]), key=_state_key)
 
-    block: dict[State, int] = {p: (1 if p in aut.finals else 0) for p in aut.states}
-    if not aut.finals:
-        block = {p: 0 for p in aut.states}
+    block: dict[State, int] = {p: int(p in aut.finals) for p in reachable}
     while True:
-        signatures = {p: (block[p], tuple(block[succ[(p, a)]] for a in letters)) for p in aut.states}
-        renumber: dict[tuple, int] = {}
-        for p in sorted(aut.states, key=_state_key):
-            renumber.setdefault(signatures[p], len(renumber))
-        new_block = {p: renumber[signatures[p]] for p in aut.states}
-        if len(set(new_block.values())) == len(set(block.values())):
-            block = new_block
+        renumber: dict[tuple, int] = {}  # signature -> its block, numbered in state order
+        refined = {
+            p: renumber.setdefault((block[p], tuple(block[q] for q in succ[p])), len(renumber))
+            for p in reachable
+        }
+        stable = len(renumber) == len(set(block.values()))
+        block = refined
+        if stable:
             break
-        block = new_block
 
     # canonical renumbering: BFS over classes from the initial class
-    class_succ = {(block[p], a): block[succ[(p, a)]] for p in aut.states for a in letters}
+    class_succ = {block[p]: [block[q] for q in succ[p]] for p in reachable}
     order: dict[int, int] = {block[aut.initial]: 0}
     queue = deque([block[aut.initial]])
     while queue:
-        b = queue.popleft()
-        for a in letters:
-            nb = class_succ[(b, a)]
+        for nb in class_succ[queue.popleft()]:
             if nb not in order:
                 order[nb] = len(order)
                 queue.append(nb)
-    states = frozenset(order.values())
+    finals = frozenset(order[block[p]] for p in aut.finals if p in block)
+    # partial: the dead state goes, with its transitions; it is the non-final
+    # class every letter leads back to (a minimal DFA has at most one).  The
+    # initial state survives even when dead, to keep the automaton well-formed
+    dead = {
+        order[b]
+        for b, targets in class_succ.items()
+        if mode == "partial" and order[b] not in finals and all(t == b for t in targets)
+    }
     transitions = frozenset(
-        (order[b], a, order[class_succ[(b, a)]]) for b in order for a in letters
+        (order[b], a, order[t])
+        for b in order
+        for a, t in zip(letters, class_succ[b])
+        if order[b] not in dead and order[t] not in dead
     )
-    finals = frozenset(order[block[p]] for p in aut.finals)
-    result = Automaton(states, aut.alphabet, 0, finals, transitions)
-    if mode == "complete":
-        return result
-
-    # partial: delete the dead state and its transitions (the initial state
-    # itself survives even when dead, to keep the automaton well-formed)
-    co = _reach(_adjacency((q, p) for p, _, q in result.transitions), result.finals)
-    return Automaton(
-        frozenset(co) | {result.initial},
-        result.alphabet,
-        result.initial,
-        result.finals,
-        frozenset((p, a, q) for p, a, q in result.transitions if p in co and q in co),
-    )
+    states = (frozenset(order.values()) - dead) | {0}
+    return Automaton(states, aut.alphabet, 0, finals, transitions)
 
 
 def _canonical(aut: Automaton, alphabet: frozenset[str]) -> Automaton:
     return minimize(subset_construction(_widen(remove_lambda(aut), alphabet)), "complete")
 
 
-def equivalent(a: Automaton, b: Automaton) -> bool:
-    """Language equality, decided over the union alphabet.
-
-    Both automata are determinized and minimized; the canonical renumbering
-    in :func:`minimize` makes isomorphism a plain equality test.
-    """
-    sigma = a.alphabet | b.alphabet
-    return _canonical(a, sigma) == _canonical(b, sigma)
-
-
 def distinguishing_word(a: Automaton, b: Automaton) -> list[str] | None:
-    """A shortest word accepted by exactly one of the automata, or None."""
-    sigma = a.alphabet | b.alphabet
-    da = _canonical(a, sigma)
-    db = _canonical(b, sigma)
-    sa = {(p, x): q for p, x, q in da.transitions}
-    sb = {(p, x): q for p, x, q in db.transitions}
-    start = (da.initial, db.initial)
-    back: dict[tuple, tuple | None] = {start: None}
+    """The shortlex-least word accepted by exactly one of the automata, or None.
+
+    A breadth-first search over the product of the two subset automata,
+    built as its pairs of subsets are reached: the letters of the union
+    alphabet are tried in sorted order, so the first pair that disagrees on
+    acceptance is reached by the least such word.
+    """
+    a, b = remove_lambda(a), remove_lambda(b)
+    index_a, index_b = _index(a), _index(b)
+    letters = sorted(a.alphabet | b.alphabet)
+    start = (frozenset([a.initial]), frozenset([b.initial]))
+    back: dict[tuple, tuple | None] = {start: None}  # the visited pairs, each with its parent
     queue = deque([start])
     while queue:
         pair = queue.popleft()
-        p, q = pair
-        if (p in da.finals) != (q in db.finals):
+        left, right = pair
+        if left.isdisjoint(a.finals) != right.isdisjoint(b.finals):
             word = []
             while back[pair] is not None:
-                pair, a_ = back[pair]  # type: ignore[misc]
-                word.append(a_)
-            return list(reversed(word))
-        for x in sorted(sigma):
-            nxt = (sa[(p, x)], sb[(q, x)])
+                pair, x = back[pair]  # type: ignore[misc]
+                word.append(x)
+            return word[::-1]
+        for x in letters:
+            nxt = (
+                frozenset(q for p in left for q in index_a[p].get(x, ())),
+                frozenset(q for p in right for q in index_b[p].get(x, ())),
+            )
             if nxt not in back:
                 back[nxt] = (pair, x)
                 queue.append(nxt)
     return None
+
+
+def equivalent(a: Automaton, b: Automaton) -> bool:
+    """Language equality over the union alphabet."""
+    return distinguishing_word(a, b) is None
 
 
 def _fresh_state(states: frozenset[State]) -> State:
@@ -504,15 +493,13 @@ def to_dot(aut: Automaton) -> str:
     def q(s) -> str:
         return '"%s"' % str(s).replace('"', '\\"')
 
+    data = to_dict(aut)  # its order, and "" for λ
     lines = ["digraph automaton {", "  rankdir=LR;", '  __start__ [shape=point label=""];']
-    for s in sorted(aut.states, key=_state_key):
+    for s in data["states"]:
         shape = "doublecircle" if s in aut.finals else "circle"
         lines.append(f"  {q(s)} [shape={shape}];")
     lines.append(f"  __start__ -> {q(aut.initial)};")
-    for p, a, t in sorted(
-        aut.transitions, key=lambda t: (_state_key(t[0]), t[1] or "", _state_key(t[2]))
-    ):
-        label = a if a is not None else "ε"
-        lines.append(f"  {q(p)} -> {q(t)} [label={q(label)}];")
+    for p, a, t in data["transitions"]:
+        lines.append(f"  {q(p)} -> {q(t)} [label={q(a or 'ε')}];")
     lines.append("}")
     return "\n".join(lines) + "\n"

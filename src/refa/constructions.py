@@ -19,7 +19,7 @@ from __future__ import annotations
 from collections import defaultdict, deque
 from dataclasses import dataclass
 
-from .automata import Automaton, _reach, _reachable, _restrict, remove_lambda
+from .automata import Automaton, _index, _reach, _reachable, _restrict, remove_lambda
 from .expressions import (
     EMPTY,
     EPSILON,
@@ -32,6 +32,7 @@ from .expressions import (
     Star,
     Sym,
     Union,
+    _leaves,
     _render,
     _set,
     _union_of,
@@ -134,21 +135,6 @@ class _InductiveNfaBuilder:
         return _arc_automaton(frag, arcs, alphabet)
 
 
-class _LambdaSteps:
-    """The λ-neighbours of a state along an arc index, read as `_reach` reads
-    a successor map: the targets (end 2) of `out` or the sources (end 0) of
-    `inn`."""
-
-    __slots__ = ("index", "end")
-
-    def __init__(self, index: dict, end: int):
-        self.index = index
-        self.end = end
-
-    def get(self, p: int, default=()) -> list[int]:
-        return [arc[self.end] for arc in self.index.get(p, default) if arc[1] is None]
-
-
 class _FollowBuilder(_InductiveNfaBuilder):
     """The same recursion with eager λ-merging, over an indexed arc store.
 
@@ -238,7 +224,9 @@ class _FollowBuilder(_InductiveNfaBuilder):
                 return init, fin
 
     def _collapse_lambda_cycle(self, m: int):
-        cycle = _reach(_LambdaSteps(self.out, 2), [m]) & _reach(_LambdaSteps(self.inn, 0), [m])
+        forward = _reach(lambda p: [q for _, a, q in self.out.get(p, ()) if a is None], [m])
+        backward = _reach(lambda q: [p for p, a, _ in self.inn.get(q, ()) if a is None], [m])
+        cycle = forward & backward
         if len(cycle) == 1 and (m, None, m) not in self.out[m]:
             return
         for c in cycle:
@@ -261,13 +249,12 @@ def _arc_automaton(frag: tuple[int, int], arcs: set, alphabet) -> Automaton:
 def _relabel_bfs(aut: Automaton) -> Automaton:
     """Renumber 0,1,... in BFS order over arcs sorted by (label, target), λ
     first; unreachable states follow in increasing order."""
-    arcs: dict[int, list[tuple[str, int]]] = {}
-    for p, a, q in aut.transitions:
-        arcs.setdefault(p, []).append(("" if a is None else a, q))
+    index = _index(aut)
     order = {aut.initial: 0}
     queue = deque([aut.initial])
     while queue:
-        for _, q in sorted(arcs.get(queue.popleft(), ())):
+        row = index[queue.popleft()]
+        for _, q in sorted((a or "", q) for a, targets in row.items() for q in targets):
             if q not in order:
                 order[q] = len(order)
                 queue.append(q)
@@ -342,19 +329,7 @@ def position_sets(marked: MarkedRegEx) -> PositionSets:
 
 
 def _position_letters(tree: RegEx) -> dict[int, str]:
-    letters: dict[int, str] = {}
-
-    def walk(node: RegEx):
-        if isinstance(node, Sym):
-            letters[node.pos] = node.name
-        elif isinstance(node, (Union, Concat)):
-            walk(node.left)
-            walk(node.right)
-        elif isinstance(node, (Star, Option)):
-            walk(node.inner)
-
-    walk(tree)
-    return letters
+    return {leaf.pos: leaf.name for leaf in _leaves(tree)}
 
 
 def construct_position(r: RegEx) -> Automaton:

@@ -62,13 +62,6 @@ def underlying_digraph(aut: Automaton) -> Digraph:
     return Digraph(aut.states, frozenset((p, q) for p, _, q in aut.transitions))
 
 
-def _adjacency(dg: Digraph) -> dict:
-    adj = {v: set() for v in dg.vertices}
-    for u, v in dg.arcs:
-        adj[u].add(v)
-    return adj
-
-
 # -- bitmask kernel ------------------------------------------------------------
 # Vertex i (in _state_key order) is bit 1 << i; a vertex set is an int mask.
 
@@ -272,26 +265,24 @@ def cycles_through(dg: Digraph, v: Vertex, cap: int = 10**6) -> CycleCount:
     """Number of simple cycles containing v; enumeration stops at `cap`."""
     if v not in dg.vertices:
         raise ValueError(f"{v!r} is not a vertex")
-    adj = _adjacency(dg)
+    order, succ, _ = _index(dg)
+    home = 1 << order.index(v)
     count = 0
-    saturated = False
 
-    def walk(u, visited: set):
-        nonlocal count, saturated
-        if saturated:
-            return
-        for w in sorted(adj[u], key=_state_key):
-            if w == v:
+    def walk(u: int, visited: int) -> bool:
+        """Count the cycles closing from vertex bit u, successors in
+        _state_key order; True once `cap` is reached."""
+        nonlocal count
+        for w in _bits(succ[u.bit_length() - 1]):
+            if w == home:
                 count += 1
                 if count >= cap:
-                    saturated = True
-                    return
-            elif w not in visited:
-                visited.add(w)
-                walk(w, visited)
-                visited.discard(w)
+                    return True
+            elif not w & visited and walk(w, visited | w):
+                return True
+        return False
 
-    walk(v, {v})
+    saturated = walk(home, home)
     return CycleCount(count, saturated)
 
 

@@ -288,8 +288,8 @@ def bridge_states(aut: Automaton) -> frozenset[State]:
     return frozenset(
         q
         for q in aut.states
-        if q not in _reach(succ, succ[q])
-        and SINK not in _reach({**succ, q: ()}, [SOURCE])
+        if q not in _reach(succ.__getitem__, succ[q])
+        and SINK not in _reach(lambda p: () if p == q else succ[p], [SOURCE])
     )
 
 

@@ -431,21 +431,25 @@ def nullable(r: RegEx) -> bool:
     return value
 
 
+def _leaves(r: RegEx) -> list[Sym]:
+    """The symbol leaves of r, left to right, found on an explicit stack."""
+    out: list[Sym] = []
+    stack = [r]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Sym):
+            out.append(node)
+        elif isinstance(node, (Union, Concat)):
+            stack.append(node.right)
+            stack.append(node.left)
+        elif isinstance(node, (Star, Option)):
+            stack.append(node.inner)
+    return out
+
+
 def symbols_of(r: RegEx) -> frozenset[str]:
     """All symbol names occurring in the expression."""
-    acc: set[str] = set()
-
-    def walk(node: RegEx):
-        if isinstance(node, Sym):
-            acc.add(node.name)
-        elif isinstance(node, (Union, Concat)):
-            walk(node.left)
-            walk(node.right)
-        elif isinstance(node, (Star, Option)):
-            walk(node.inner)
-
-    walk(r)
-    return frozenset(acc)
+    return frozenset(leaf.name for leaf in _leaves(r))
 
 
 # ---------------------------------------------------------------------------

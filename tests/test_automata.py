@@ -7,6 +7,8 @@ from refa.automata import (
     Automaton,
     NotDeterministicError,
     UnknownSymbolError,
+    _canonical,
+    _widen,
     accepts,
     distinguishing_word,
     equivalent,
@@ -20,8 +22,14 @@ from refa.automata import (
     to_dict,
     to_dot,
 )
-from refa.constructions import construct_follow, construct_of, construct_position
-from refa.expressions import parse
+from refa.constructions import (
+    construct_brzozowski,
+    construct_follow,
+    construct_of,
+    construct_pd,
+    construct_position,
+)
+from refa.expressions import parse, random_expr, render
 from refa.families import buffer_dfa, buffer_regex, torus_dfa
 
 from conftest import corpus, lang, path_pairs, words_upto
@@ -193,6 +201,37 @@ class TestEquivalence:
         assert w is not None
         assert accepts(a, w) != accepts(b, w)
         assert distinguishing_word(a, a) is None
+
+    def test_witness_is_shortlex_least(self):
+        # 320 seeded pairs of automata of random trees: every route, λ-NFAs
+        # (`of`) among them, over equal and differing alphabets
+        alphabets = (["a", "b"], ["a", "b", "c"], ["b", "c"], ["a"])
+        routes = (
+            construct_of, construct_follow, construct_position, construct_pd, construct_brzozowski
+        )
+        trees = [random_expr(1 + i % 5, alphabets[i % 4], seed=1300 + i) for i in range(64)]
+        inequivalent = 0
+        for i in range(320):
+            r, s = trees[i % 64], trees[(i + i // 64) % 64]
+            a, b = routes[i % 5](r), routes[(i // 5 + i) % 5](s)
+            sigma = a.alphabet | b.alphabet
+            wide_a, wide_b = _widen(a, sigma), _widen(b, sigma)
+            brute = next(
+                (
+                    list(w)
+                    for w in words_upto(sigma, 5)
+                    if accepts(wide_a, list(w)) != accepts(wide_b, list(w))
+                ),
+                None,
+            )
+            got = distinguishing_word(a, b)
+            if brute is not None or got is not None:
+                inequivalent += 1
+                assert got == brute or (
+                    brute is None and len(got) > 5 and accepts(wide_a, got) != accepts(wide_b, got)
+                ), (i, render(r), render(s))
+            assert equivalent(a, b) == (_canonical(a, sigma) == _canonical(b, sigma)), i
+        assert inequivalent >= 100 and 320 - inequivalent >= 60
 
 
 class TestReverseBideterministic:

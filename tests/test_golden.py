@@ -12,8 +12,15 @@ writer.  `toregex_golden.json` holds the sha256 of `refa toregex` under
 every method, ordering and `--no-simplify` on buffer, torus, hypercube,
 random, λ-NFA and mixed int/string-state automata, and the order that
 `make_ordering` returns for each strategy on them; it was recorded before
-the elimination label store and the single elimination loop.  The digests
-are never regenerated to make a change pass: a mismatch means the output
+the elimination label store and the single elimination loop.
+`cli_golden.json` also holds the sha256 of `refa equiv` on 110 pairs of
+automata (every route of seeded `random_expr` trees, λ-NFAs among them,
+over equal and differing alphabets, with equivalent and inequivalent
+pairs), of `refa rank` on the automaton families and random DFAs at
+`--budget 18` and at a budget below the state count, and of
+`refa convert --format dot` on the 420 convert cases; those were recorded
+before the transition index and the product search.  The digests are
+never regenerated to make a change pass: a mismatch means the output
 changed.
 """
 
@@ -82,6 +89,51 @@ def test_measure_output_is_byte_identical():
     assert changed_cases([(["measure", text], digest) for text, digest in CLI_GOLDEN["measure"]]) == []
 
 
+def written_inputs(folder: Path, inputs) -> dict:
+    """Each named input's automaton file, written by its CLI command or
+    from its inline JSON."""
+    paths = {}
+    for name, spec in inputs:
+        paths[name] = folder / f"{name}.json"
+        if isinstance(spec, dict):
+            paths[name].write_text(json.dumps(spec), encoding="utf-8")
+        else:
+            stdout_of([*spec, "-o", str(paths[name])])
+    return paths
+
+
+def test_dot_output_is_byte_identical():
+    cases = [
+        (["convert", text, "--to", route, "--format", "dot"], digest)
+        for text, route, digest in CLI_GOLDEN["dot"]
+    ]
+    assert [text for text, _, _ in CLI_GOLDEN["dot"]] == [text for text, _, _ in GOLDEN["cases"]]
+    assert changed_cases(cases) == []
+
+
+def test_equiv_output_is_byte_identical(tmp_path):
+    paths = written_inputs(tmp_path, CLI_GOLDEN["equiv_inputs"])
+    routes = {argv[argv.index("--to") + 1] for _, argv in CLI_GOLDEN["equiv_inputs"]}
+    assert routes == {"of", "follow", "pos", "pd", "bdfa"}
+    assert len(CLI_GOLDEN["equiv"]) == 110
+    cases = [
+        (["equiv", str(paths[left]), str(paths[right])], digest)
+        for left, right, digest in CLI_GOLDEN["equiv"]
+    ]
+    assert changed_cases(cases) == []
+
+
+def test_rank_output_is_byte_identical(tmp_path):
+    paths = written_inputs(tmp_path, CLI_GOLDEN["rank_inputs"])
+    assert {argv[1] for _, argv in CLI_GOLDEN["rank_inputs"]} == {
+        "buffer", "hypercube", "torus", "random"
+    }
+    cases = [
+        (["rank", str(paths[name]), *args], digest) for name, args, digest in CLI_GOLDEN["rank"]
+    ]
+    assert changed_cases(cases) == []
+
+
 def test_save_writes_what_convert_prints(tmp_path):
     path = tmp_path / "aut.json"
     for text, route, _ in GOLDEN["cases"][::7]:
@@ -91,17 +143,7 @@ def test_save_writes_what_convert_prints(tmp_path):
 
 @pytest.fixture(scope="module")
 def toregex_inputs(tmp_path_factory) -> dict:
-    """Each golden input's automaton file, written by its CLI command or
-    from its inline JSON."""
-    folder = tmp_path_factory.mktemp("toregex")
-    paths = {}
-    for name, spec in TOREGEX_GOLDEN["inputs"]:
-        paths[name] = folder / f"{name}.json"
-        if isinstance(spec, dict):
-            paths[name].write_text(json.dumps(spec), encoding="utf-8")
-        else:
-            stdout_of([*spec, "-o", str(paths[name])])
-    return paths
+    return written_inputs(tmp_path_factory.mktemp("toregex"), TOREGEX_GOLDEN["inputs"])
 
 
 def test_toregex_golden_file_covers_every_method_and_order():
