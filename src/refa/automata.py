@@ -10,7 +10,6 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass
-from itertools import chain
 from json.encoder import encode_basestring_ascii
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -223,21 +222,6 @@ def _complete(aut: Automaton) -> Automaton:
     transitions.update((sink, a, sink) for a in aut.alphabet)
     return Automaton(
         aut.states | {sink}, aut.alphabet, aut.initial, aut.finals, frozenset(transitions)
-    )
-
-
-def _reachable(aut: Automaton) -> frozenset[State]:
-    index = _index(aut)
-    return frozenset(_reach(lambda p: chain.from_iterable(index[p].values()), [aut.initial]))
-
-
-def _restrict(aut: Automaton, keep: frozenset[State]) -> Automaton:
-    return Automaton(
-        keep,
-        aut.alphabet,
-        aut.initial,
-        aut.finals & keep,
-        frozenset((p, a, q) for p, a, q in aut.transitions if p in keep and q in keep),
     )
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 from collections import defaultdict, deque
 from dataclasses import dataclass
 
-from .automata import Automaton, _index, _reach, _reachable, _restrict, remove_lambda
+from .automata import Automaton, _reach
 from .expressions import (
     EMPTY,
     EPSILON,
@@ -125,14 +125,30 @@ class _InductiveNfaBuilder:
         return i, f
 
     def automaton(self, frag: tuple[int, int], alphabet) -> Automaton:
+        """The automaton from frag[0] to frag[1], numbered 0,1,... in BFS
+        order over each state's arcs sorted by (label, target), λ first;
+        unreachable states follow in increasing order."""
         # a merge's target was a surviving state when it was recorded, so any
         # later merge of that target comes later in the map: resolving the
         # map backwards finds every target already resolved
         alias = self.alias
         for p in reversed(alias):
             alias[p] = alias.get(alias[p], alias[p])
-        arcs = {(alias.get(p, p), a, alias.get(q, q)) for p, a, q in self.arcs}
-        return _arc_automaton(frag, arcs, alphabet)
+        rows: dict[int, list[tuple[str, int]]] = {frag[0]: [], frag[1]: []}
+        for p, a, q in self.arcs:  # a λ label is "" here, so that it sorts first
+            rows.setdefault(alias.get(p, p), []).append((a or "", alias.get(q, q)))
+            rows.setdefault(alias.get(q, q), [])
+        order, queue = {frag[0]: 0}, [frag[0]]
+        for p in queue:
+            for _, q in sorted(rows[p]):
+                if q not in order:
+                    order[q] = len(queue)
+                    queue.append(q)
+        for p in sorted(rows):
+            if p not in order:
+                order[p] = len(order)
+        arcs = ((order[p], a or None, order[q]) for p, row in rows.items() for a, q in row)
+        return Automaton.make(order.values(), alphabet, 0, [order[frag[1]]], arcs)
 
 
 class _FollowBuilder(_InductiveNfaBuilder):
@@ -235,54 +251,36 @@ class _FollowBuilder(_InductiveNfaBuilder):
         for c in cycle - {m}:
             self.merge(c, m)
 
-    def automaton(self, frag: tuple[int, int], alphabet) -> Automaton:
-        # a λ-arc leaving the start state is contracted once construction is done
-        frag = self._contract(frag, frag[0], enclosed=False)
-        return _arc_automaton(frag, set().union(*self.out.values()), alphabet)
-
-
-def _arc_automaton(frag: tuple[int, int], arcs: set, alphabet) -> Automaton:
-    states = set(frag) | {p for p, _, _ in arcs} | {q for _, _, q in arcs}
-    return Automaton.make(states, alphabet, frag[0], {frag[1]}, arcs)
-
-
-def _relabel_bfs(aut: Automaton) -> Automaton:
-    """Renumber 0,1,... in BFS order over arcs sorted by (label, target), λ
-    first; unreachable states follow in increasing order."""
-    index = _index(aut)
-    order = {aut.initial: 0}
-    queue = deque([aut.initial])
-    while queue:
-        row = index[queue.popleft()]
-        for _, q in sorted((a or "", q) for a, targets in row.items() for q in targets):
-            if q not in order:
-                order[q] = len(order)
-                queue.append(q)
-    for p in sorted(aut.states):
-        if p not in order:
-            order[p] = len(order)
-    return Automaton.make(
-        order.values(),
-        aut.alphabet,
-        0,
-        (order[f] for f in aut.finals),
-        ((order[p], a, order[q]) for p, a, q in aut.transitions),
-    )
 
 
 def construct_of(r: RegEx) -> Automaton:
     """Inductive λ-NFA; linear in the size of the expression."""
     builder = _InductiveNfaBuilder()
-    return _relabel_bfs(builder.automaton(builder.build(r), symbols_of(r)))
+    return builder.automaton(builder.build(r), symbols_of(r))
 
 
 def construct_follow(r: RegEx) -> Automaton:
-    """Follow automaton: λ-free, at most as many states as positions."""
+    """Follow automaton: λ-free, at most as many states as positions.  One
+    BFS on the builder's arc index numbers the reachable states, each with
+    the symbol arcs out of its λ-closure in (label, target) order."""
     builder = _FollowBuilder()
-    aut = builder.automaton(builder.build(r), symbols_of(r))
-    del builder  # its arc index is freed before the λ-closures are taken
-    aut = remove_lambda(aut)
-    return _relabel_bfs(_restrict(aut, _reachable(aut)))
+    frag = builder.build(r)
+    # a λ-arc leaving the start state is contracted once construction is done
+    init, fin = builder._contract(frag, frag[0], enclosed=False)
+    out = builder.out
+    del builder  # the in-arc index is freed before the λ-closures are taken
+    order, queue = {init: 0}, [init]
+    finals, transitions = [], []
+    for i, p in enumerate(queue):
+        closure = _reach(lambda c: [q for _, a, q in out.get(c, ()) if a is None], [p])
+        if fin in closure:
+            finals.append(i)
+        for a, q in sorted({(a, q) for c in closure for _, a, q in out.get(c, ()) if a is not None}):
+            if q not in order:
+                order[q] = len(queue)
+                queue.append(q)
+            transitions.append((i, a, order[q]))
+    return Automaton.make(range(len(queue)), symbols_of(r), 0, finals, transitions)
 
 
 # ---------------------------------------------------------------------------
@@ -300,32 +298,41 @@ class PositionSets:
 
 
 def position_sets(marked: MarkedRegEx) -> PositionSets:
-    def go(node: RegEx) -> tuple[frozenset, frozenset, frozenset]:
-        if isinstance(node, (Empty, Epsilon)):
-            return frozenset(), frozenset(), frozenset()
+    """The sets of a marked expression, in post-order on an explicit stack:
+    a node is pushed again, as ready, above its children, whose (first,
+    last) sets it then pops off `done`.  Follow pairs go to one set.
+    `nullable` is called on each node after its children, so no call recurses.
+    """
+    done: list[tuple[frozenset, frozenset]] = []
+    follow: set[tuple[int, int]] = set()
+    stack = [(marked.tree, False)]
+    while stack:
+        node, ready = stack.pop()
         if isinstance(node, Sym):
             if node.pos is None:
                 raise ValueError("position_sets expects a marked expression")
-            return frozenset([node.pos]), frozenset([node.pos]), frozenset()
-        if isinstance(node, Union):
-            f1, l1, w1 = go(node.left)
-            f2, l2, w2 = go(node.right)
-            return f1 | f2, l1 | l2, w1 | w2
-        if isinstance(node, Concat):
-            f1, l1, w1 = go(node.left)
-            f2, l2, w2 = go(node.right)
-            first = f1 | f2 if nullable(node.left) else f1
-            last = l1 | l2 if nullable(node.right) else l2
-            follow = w1 | w2 | frozenset((i, j) for i in l1 for j in f2)
-            return first, last, follow
-        f1, l1, w1 = go(node.inner)
-        if isinstance(node, Star):
-            w1 = w1 | frozenset((i, j) for i in l1 for j in f1)
-        return f1, l1, w1
-
-    first, last, follow = go(marked.tree)
-    positions = frozenset(_position_letters(marked.tree))
-    return PositionSets(first, last, follow, positions)
+            done.append((frozenset([node.pos]), frozenset([node.pos])))
+        elif isinstance(node, (Empty, Epsilon)):
+            done.append((frozenset(), frozenset()))
+        elif not ready:
+            stack.append((node, True))
+            if isinstance(node, (Union, Concat)):
+                stack += ((node.right, False), (node.left, False))
+            else:
+                stack.append((node.inner, False))
+        elif isinstance(node, (Union, Concat)):
+            f2, l2 = done.pop()
+            f1, l1 = done.pop()
+            if isinstance(node, Union):
+                done.append((f1 | f2, l1 | l2))
+            else:
+                follow.update((i, j) for i in l1 for j in f2)
+                first = f1 | f2 if nullable(node.left) else f1
+                done.append((first, l1 | l2 if nullable(node.right) else l2))
+            nullable(node)
+        elif isinstance(node, Star):
+            follow.update((i, j) for i in done[-1][1] for j in done[-1][0])
+    return PositionSets(*done[0], frozenset(follow), frozenset(_position_letters(marked.tree)))
 
 
 def _position_letters(tree: RegEx) -> dict[int, str]:
@@ -339,11 +346,8 @@ def construct_position(r: RegEx) -> Automaton:
     letters = _position_letters(marked.tree)
     transitions = {(0, letters[j], j) for j in sets.first}
     transitions |= {(i, letters[j], j) for i, j in sets.follow}
-    finals = set(sets.last)
-    if nullable(r):
-        finals.add(0)
-    states = set(range(len(letters) + 1))
-    return Automaton.make(states, symbols_of(r), 0, finals, transitions)
+    finals = sets.last | {0} if nullable(marked.tree) else sets.last  # stored: no recursion
+    return Automaton.make(range(len(letters) + 1), symbols_of(r), 0, finals, transitions)
 
 
 # ---------------------------------------------------------------------------
@@ -363,81 +367,133 @@ def _cat(left: RegEx, right: RegEx) -> RegEx:
     return Concat(left, right)
 
 
-def _linear_form(r: RegEx, only: str | None = None) -> dict[str, set[RegEx]]:
-    """Antimirov's partial derivatives of r for every letter in one walk:
-    letter -> set of derived terms (a letter without any maps to an empty
-    set or is absent).  With `only`, the walk follows that one letter: the
-    terms of the others are neither built nor hashed, so one letter's set
-    costs no more stack than the per-letter recursion did (hashing a long
-    new term is the deepest point of the walk).
+class _Terms:
+    """The derived terms of one partial-derivative run, hash-consed: `make`
+    gives one node per class and children compared by identity, so once
+    `intern` has rebuilt the input through it, equal terms are one object,
+    keyed by `id` and rendered once.  `cats` and `forms` memoise `_cat` and
+    the linear forms.  The table holds every node it keys, so no `id` is
+    reused; it lives for one construction."""
 
-    ∅ is dropped where the per-letter definition drops it: from a star's
-    inner terms before they are extended, and from a concatenation's result;
-    so a star's set can still hold ∅, as `(a(#b))*` on `a` gives {∅}.
-    Plain loops keep the recursion at one frame per level.
-    """
-    if isinstance(r, (Empty, Epsilon)):
-        return {}
-    if isinstance(r, Sym):
-        return {r.name: {EPSILON}} if only is None or only == r.name else {}
-    if isinstance(r, Union):
-        return _add_forms(_linear_form(r.left, only), _linear_form(r.right, only))
-    if isinstance(r, Option):
-        return _linear_form(r.inner, only)
-    if isinstance(r, Star):
-        form = _linear_form(r.inner, only)
-        for a, terms in form.items():
-            out = set()
-            for t in terms:
-                if not isinstance(t, Empty):
-                    out.add(_cat(t, r))
-            form[a] = out
-        return form
-    form = _linear_form(r.left, only)
-    for a, terms in form.items():
-        out = set()
-        for t in terms:
-            out.add(_cat(t, r.right))
-        form[a] = out
-    if nullable(r.left):
-        form = _add_forms(form, _linear_form(r.right, only))
-    for terms in form.values():
-        terms.discard(EMPTY)
-    return form
+    def __init__(self):
+        self.nodes: dict[tuple, RegEx] = {}
+        self.cats: dict[tuple[int, int], RegEx] = {}
+        self.forms: dict[int, dict[str, dict[int, RegEx]]] = {}
 
+    def make(self, cls: type, *kids: RegEx) -> RegEx:
+        key = (cls, *map(id, kids))
+        if key not in self.nodes:
+            self.nodes[key] = cls(*kids)
+        return self.nodes[key]
 
-def _add_forms(form: dict[str, set[RegEx]], other: dict[str, set[RegEx]]) -> dict[str, set[RegEx]]:
-    """The union of two linear forms, built in `form`."""
-    for a, terms in other.items():
-        if a in form:
-            form[a] |= terms
+    def intern(self, r: RegEx) -> RegEx:
+        """The term equal to r, built in post-order on an explicit stack; an
+        input node whose children are terms becomes the term itself."""
+        done: dict[int, RegEx] = {}
+        stack = [r]
+        while stack:
+            node = stack[-1]
+            if isinstance(node, Sym):
+                done[id(node)] = self.nodes.setdefault((Sym, node.name, node.pos), node)
+            elif isinstance(node, (Empty, Epsilon)):
+                done[id(node)] = EMPTY if isinstance(node, Empty) else EPSILON
+            else:
+                kids = (node.left, node.right) if isinstance(node, (Union, Concat)) else (node.inner,)
+                todo = [kid for kid in kids if id(kid) not in done]
+                if todo:
+                    stack += todo
+                    continue
+                terms = [done[id(kid)] for kid in kids]
+                term = node if all(t is kid for t, kid in zip(terms, kids)) else type(node)(*terms)
+                done[id(node)] = self.nodes.setdefault((type(node), *map(id, terms)), term)
+            stack.pop()
+        return done[id(r)]
+
+    def cat(self, left: RegEx, right: RegEx) -> RegEx:
+        """`_cat(left, right)` on terms, memoised."""
+        if isinstance(left, Empty) or isinstance(right, Empty):
+            return EMPTY
+        if isinstance(left, Epsilon):
+            return right
+        if isinstance(right, Epsilon):
+            return left
+        if not isinstance(left, Concat):
+            return self.make(Concat, left, right)
+        key = (id(left), id(right))
+        if key not in self.cats:
+            self.cats[key] = self.cat(left.left, self.cat(left.right, right))
+        return self.cats[key]
+
+    def form(self, r: RegEx) -> dict[str, dict[int, RegEx]]:
+        """Antimirov's partial derivatives of the term r for every letter,
+        letter -> {id: term}; stored forms are shared, so none is changed.
+        ∅ is dropped where the per-letter definition drops it: from a star's
+        inner terms before they are extended, and from a concatenation's
+        result; so `(a(#b))*` on `a` still gives {∅}.
+        """
+        if id(r) in self.forms:
+            return self.forms[id(r)]
+        if isinstance(r, (Empty, Epsilon)):
+            out = {}
+        elif isinstance(r, Sym):
+            out = {r.name: {id(EPSILON): EPSILON}}
+        elif isinstance(r, Union):
+            out = _add_forms(self.form(r.left), self.form(r.right))
+        elif isinstance(r, Option):
+            out = self.form(r.inner)
+        elif isinstance(r, Star):
+            out = {a: self._extend(terms, r) for a, terms in self.form(r.inner).items()}
         else:
-            form[a] = terms
-    return form
+            out = {a: self._extend(terms, r.right) for a, terms in self.form(r.left).items()}
+            if nullable(r.left):
+                out = _add_forms(out, self.form(r.right))
+            if any(id(EMPTY) in terms for terms in out.values()):
+                out = {a: {k: t for k, t in terms.items() if t is not EMPTY} for a, terms in out.items()}
+        self.forms[id(r)] = out
+        return out
+
+    def _extend(self, terms: dict[int, RegEx], right: RegEx) -> dict[int, RegEx]:
+        """t·right for the terms t other than ∅."""
+        return {id(u := self.cat(t, right)): u for t in terms.values() if t is not EMPTY}
+
+
+def _add_forms(form: dict, other: dict) -> dict:
+    """The union of two linear forms, in a new dict."""
+    out = dict(form)
+    for a, terms in other.items():
+        out[a] = {**out[a], **terms} if a in out else terms
+    return out
 
 
 def partial_derivatives(r: RegEx, a: str) -> frozenset[RegEx]:
-    """Antimirov's set of partial derivatives of r with respect to symbol a."""
-    return frozenset(_linear_form(r, a).get(a, ()))
+    """Antimirov's set of partial derivatives of r with respect to symbol a,
+    from a term table of its own (see `_Terms`).  Its nodes are hashed in
+    the order they were built, so hashing the set does not recurse deeply."""
+    terms = _Terms()
+    out = terms.form(terms.intern(r)).get(a, {})
+    for node in terms.nodes.values():
+        hash(node)
+    return frozenset(out.values())
 
 
 def construct_pd(r: RegEx) -> Automaton:
-    """Partial derivative automaton; states are the iterated derived terms."""
-    letters = sorted(symbols_of(r))
-    ids: dict[RegEx, int] = {r: 0}
-    queue = deque([r])
+    """Partial derivative automaton; states are the iterated derived terms,
+    held once each in one term table (see `_Terms`) and keyed by identity.
+    They are numbered in BFS order, successors by letter, then by text."""
+    terms = _Terms()
+    states = [terms.intern(r)]
+    ids = {id(states[0]): 0}
     transitions = set()
-    while queue:
-        term = queue.popleft()
-        form = _linear_form(term)
-        for a in letters:
-            for d in sorted(form.get(a, ()), key=_render):
-                if d not in ids:
-                    ids[d] = len(ids)
-                    queue.append(d)
-                transitions.add((ids[term], a, ids[d]))
-    finals = {i for term, i in ids.items() if nullable(term)}
-    return Automaton.make(range(len(ids)), letters, 0, finals, transitions)
+    for i, term in enumerate(states):
+        form = terms.form(term)
+        for a in sorted(form):
+            for d in sorted(form[a].values(), key=_render):
+                if id(d) not in ids:
+                    ids[id(d)] = len(states)
+                    states.append(d)
+                transitions.add((i, a, ids[id(d)]))
+    finals = {i for i, term in enumerate(states) if nullable(term)}
+    return Automaton.make(range(len(states)), symbols_of(r), 0, finals, transitions)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,12 @@
 import random
+from collections import deque
 
 import pytest
 
-from refa.automata import accepts, equivalent, fa_measures, remove_lambda, subset_construction
+from refa.automata import Automaton, accepts, equivalent, fa_measures, remove_lambda, subset_construction, to_dict
 from refa.constructions import (
     ConstructionError,
+    _Terms,
     construct_brzozowski,
     construct_follow,
     construct_of,
@@ -30,10 +32,11 @@ from refa.expressions import (
     parse,
     random_expr,
     render,
+    symbols_of,
 )
-from refa.families import buffer_regex, options_regex, row3_regex
+from refa.families import buffer_regex, options_regex, row1_regex, row2_regex, row3_regex
 
-from conftest import corpus, follow_quotient, lambda_heavy_tree, lang, words_upto
+from conftest import corpus, follow_quotient, lambda_heavy_tree, lang, rebuild, words_upto
 
 
 class TestOttFeinstein:
@@ -291,6 +294,68 @@ class TestPartialDerivativeWalk:
         for text in ("((a(#b))*)*", "((a(#b))*+b)*", "((a(#b))*)?*", "(a(#b))*c"):
             r = parse(text)
             assert partial_derivatives(r, "a") == frozenset() == reference_partial_derivatives(r, "a")
+
+
+def reference_pd_automaton(r):
+    """The partial derivative automaton built from the per-letter recursion,
+    with terms compared structurally: BFS order, successors by letter, then
+    by text."""
+    letters = sorted(symbols_of(r))
+    ids = {r: 0}
+    queue = deque([r])
+    transitions = set()
+    while queue:
+        term = queue.popleft()
+        for a in letters:
+            for d in sorted(reference_partial_derivatives(term, a), key=render):
+                if d not in ids:
+                    ids[d] = len(ids)
+                    queue.append(d)
+                transitions.add((ids[term], a, ids[d]))
+    finals = {i for term, i in ids.items() if nullable(term)}
+    return Automaton.make(range(len(ids)), letters, 0, finals, transitions)
+
+
+class TestTermTable:
+    """construct_pd on one term table builds the reference automaton, state
+    order included, and holds each term once."""
+
+    WITNESSES = (
+        [options_regex(n) for n in (1, 2, 5, 12)]
+        + [buffer_regex(n) for n in (1, 2, 4)]
+        + [row1_regex(n) for n in (1, 2, 3)]
+        + [row2_regex(n) for n in (1, 2, 3)]
+        + [row3_regex(n) for n in (1, 2, 4)]
+        + [parse(text) for text in ("(a(#b))*", "(a(#b))*c", "((a+&)(b+&))*(a+b)", "#", "&", "a#b*")]
+    )
+
+    def test_equals_the_reference_automaton(self):
+        exprs = [random_expr(1 + seed % 12, ["a", "b", "c"][: 1 + seed % 3], seed=8800 + seed) for seed in range(200)]
+        for r in exprs + self.WITNESSES:
+            assert to_dict(construct_pd(r)) == to_dict(reference_pd_automaton(r)), render(r)
+
+    def test_equal_terms_are_one_object(self):
+        terms = _Terms()
+        r = parse("(ab+ab)(ab)*((ab)*+b)")
+        term = terms.intern(r)
+        assert term is terms.intern(rebuild(r)) and term == r
+        union, star, tail = term.left.left, term.left.right, term.right
+        assert union.left is union.right is star.inner and tail.left is star
+        # every term reached by the construction's walk is held once
+        seen, queue = {id(term)}, [term]
+        for t in queue:
+            for derived in terms.form(t).values():
+                for d in derived.values():
+                    if id(d) not in seen:
+                        seen.add(id(d))
+                        queue.append(d)
+        assert len(queue) == len(construct_pd(r).states)
+        nodes = list(terms.nodes.values())
+        assert len(set(nodes)) == len(nodes)  # no two distinct nodes are equal
+        # _cat right-associates the parsed (ab)(ab)* onto one chain of terms
+        chain = terms.cat(term.left.left.left, star)
+        assert chain is terms.make(Concat, star.inner.left, terms.make(Concat, star.inner.right, star))
+        assert chain is terms.cat(star.inner, star) and chain == Concat(Sym("a"), Concat(Sym("b"), star))
 
 
 class TestBrzozowski:

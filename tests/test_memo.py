@@ -15,7 +15,7 @@ from dataclasses import astuple
 
 import pytest
 
-from refa.constructions import _aci, construct_follow, construct_of, derivative, partial_derivatives
+from refa.constructions import _aci, construct_follow, construct_of, construct_position, derivative, partial_derivatives
 from refa.elimination import _canon_key, simplify
 from refa.expressions import (
     EMPTY,
@@ -220,7 +220,11 @@ DEPTH_BEFORE_DERIVATIVE_MEMO = [
     ("derivative-a-buffer", derivative_a, buffer_regex, 330),
     ("derivative-b-buffer", derivative_b, buffer_regex, 330),
 ]
-DEPTH_CASES = DEPTH_BEFORE_MEMO + DEPTH_BEFORE_ARC_STORE + DEPTH_BEFORE_DERIVATIVE_MEMO
+# partial_derivatives on one term table: `b` on star chains reached 249
+# before it too, but took about 40 s there; it must now end within the
+# thread timeout below.
+DEPTH_AFTER_TERM_TABLE = [("partial_derivatives-b-star", pd_b, star_chain, 249)]
+DEPTH_CASES = DEPTH_BEFORE_MEMO + DEPTH_BEFORE_ARC_STORE + DEPTH_BEFORE_DERIVATIVE_MEMO + DEPTH_AFTER_TERM_TABLE
 
 
 @pytest.mark.parametrize(
@@ -266,3 +270,23 @@ def test_mark_and_unmark_walk_any_depth():
             assert node.right == Sym("b", pos(level + 1))
             node = node.left.inner
         assert node == Sym("a", pos(1))
+
+
+def union_chain(n: int):
+    r = Sym("a")
+    for _ in range(n):
+        r = Union(r, Sym("b"))
+    return Union(r, EPSILON)
+
+
+def test_position_walks_any_depth():
+    # position_sets runs on an explicit stack and stores nullable bottom-up.
+    # The star and option chains have quadratically many follow pairs
+    # (5*10^7 at 10^4 levels), so they are taken only past the recursion
+    # limit; the buffer (nested stars) and the union chain (a nullable test
+    # that recursed through every level) stay linear in size.
+    assert len(construct_position(star_chain(600)).transitions) == 181501
+    aut = construct_position(buffer_regex(10**4))
+    assert len(aut.states) == 2 * 10**4 + 1 and aut.finals == {0, 2 * 10**4}
+    aut = construct_position(union_chain(3000))
+    assert len(aut.transitions) == 3001 and 0 in aut.finals
