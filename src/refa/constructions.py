@@ -438,7 +438,7 @@ class _Terms:
         elif isinstance(r, Sym):
             out = {r.name: {id(EPSILON): EPSILON}}
         elif isinstance(r, Union):
-            out = _add_forms(self.form(r.left), self.form(r.right))
+            out = _union_forms(self.form(r.left), self.form(r.right))
         elif isinstance(r, Option):
             out = self.form(r.inner)
         elif isinstance(r, Star):
@@ -446,7 +446,7 @@ class _Terms:
         else:
             out = {a: self._extend(terms, r.right) for a, terms in self.form(r.left).items()}
             if nullable(r.left):
-                out = _add_forms(out, self.form(r.right))
+                out = _union_forms(out, self.form(r.right))
             if any(id(EMPTY) in terms for terms in out.values()):
                 out = {a: {k: t for k, t in terms.items() if t is not EMPTY} for a, terms in out.items()}
         self.forms[id(r)] = out
@@ -457,7 +457,7 @@ class _Terms:
         return {id(u := self.cat(t, right)): u for t in terms.values() if t is not EMPTY}
 
 
-def _add_forms(form: dict, other: dict) -> dict:
+def _union_forms(form: dict, other: dict) -> dict:
     """The union of two linear forms, in a new dict."""
     out = dict(form)
     for a, terms in other.items():
