@@ -16,7 +16,7 @@ Five routes with very different size behaviour:
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
+from collections import defaultdict
 from dataclasses import dataclass
 
 from .automata import Automaton, _reach
@@ -33,9 +33,8 @@ from .expressions import (
     Sym,
     Union,
     _leaves,
+    _operands,
     _render,
-    _set,
-    _union_of,
     mark,
     nullable,
     symbols_of,
@@ -354,24 +353,11 @@ def construct_position(r: RegEx) -> Automaton:
 # Partial derivatives (Antimirov)
 
 
-def _cat(left: RegEx, right: RegEx) -> RegEx:
-    """Right-associated concatenation with λ-units dropped, ∅ annihilating."""
-    if isinstance(left, Empty) or isinstance(right, Empty):
-        return EMPTY
-    if isinstance(left, Epsilon):
-        return right
-    if isinstance(right, Epsilon):
-        return left
-    if isinstance(left, Concat):
-        return _cat(left.left, _cat(left.right, right))
-    return Concat(left, right)
-
-
 class _Terms:
     """The derived terms of one partial-derivative run, hash-consed: `make`
     gives one node per class and children compared by identity, so once
     `intern` has rebuilt the input through it, equal terms are one object,
-    keyed by `id` and rendered once.  `cats` and `forms` memoise `_cat` and
+    keyed by `id` and rendered once.  `cats` and `forms` memoise `cat` and
     the linear forms.  The table holds every node it keys, so no `id` is
     reused; it lives for one construction."""
 
@@ -387,8 +373,8 @@ class _Terms:
         return self.nodes[key]
 
     def intern(self, r: RegEx) -> RegEx:
-        """The term equal to r, built in post-order on an explicit stack; an
-        input node whose children are terms becomes the term itself."""
+        """The term of r, built in post-order on an explicit stack: `join`
+        makes each node's term from the terms of its `kids`."""
         done: dict[int, RegEx] = {}
         stack = [r]
         while stack:
@@ -398,19 +384,27 @@ class _Terms:
             elif isinstance(node, (Empty, Epsilon)):
                 done[id(node)] = EMPTY if isinstance(node, Empty) else EPSILON
             else:
-                kids = (node.left, node.right) if isinstance(node, (Union, Concat)) else (node.inner,)
+                kids = self.kids(node)
                 todo = [kid for kid in kids if id(kid) not in done]
                 if todo:
                     stack += todo
                     continue
-                terms = [done[id(kid)] for kid in kids]
-                term = node if all(t is kid for t, kid in zip(terms, kids)) else type(node)(*terms)
-                done[id(node)] = self.nodes.setdefault((type(node), *map(id, terms)), term)
+                done[id(node)] = self.join(node, [done[id(kid)] for kid in kids])
             stack.pop()
         return done[id(r)]
 
+    def kids(self, node: RegEx) -> tuple[RegEx, ...]:
+        """The nodes whose terms make the term of a compound node."""
+        return (node.left, node.right) if isinstance(node, (Union, Concat)) else (node.inner,)
+
+    def join(self, node: RegEx, terms: list[RegEx]) -> RegEx:
+        """The term equal to node; node itself when its children are terms."""
+        term = node if all(t is kid for t, kid in zip(terms, self.kids(node))) else type(node)(*terms)
+        return self.nodes.setdefault((type(node), *map(id, terms)), term)
+
     def cat(self, left: RegEx, right: RegEx) -> RegEx:
-        """`_cat(left, right)` on terms, memoised."""
+        """Right-associated concatenation of terms with λ-units dropped and ∅
+        annihilating, memoised."""
         if isinstance(left, Empty) or isinstance(right, Empty):
             return EMPTY
         if isinstance(left, Epsilon):
@@ -500,89 +494,86 @@ def construct_pd(r: RegEx) -> Automaton:
 # Brzozowski derivatives
 
 
+class _AciTerms(_Terms):
+    """The derivatives of one Brzozowski run, hash-consed in normal form under
+    +-associativity/commutativity/idempotence and the unit/zero laws, which
+    keeps the iterated derivatives finitely many.  The constructors apply
+    the laws as they build (Owens, Reppy & Turon, JFP 2009), so `derive`
+    yields normal forms directly.  Every union term is built by `union`,
+    which keeps its branches in `unions`, by id, in order, so a union is
+    never flattened twice; `derived` memoises `derive` by (id, letter)."""
+
+    def __init__(self):
+        super().__init__()
+        self.unions: dict[int, dict[int, RegEx]] = {}
+        self.derived: dict[tuple[int, str], RegEx] = {}
+
+    def kids(self, node: RegEx) -> tuple[RegEx, ...]:
+        """A union's kids are its maximal non-union subterms, so that a chain
+        of k branches is sorted once, not k times."""
+        return tuple(_operands(node, Union)) if isinstance(node, Union) else super().kids(node)
+
+    def join(self, node: RegEx, terms: list[RegEx]) -> RegEx:
+        if isinstance(node, Union):
+            return self.union(terms)
+        if isinstance(node, Concat):
+            return self.cat(*terms)
+        return self.star(*terms) if isinstance(node, Star) else self.make(Option, *terms)
+
+    def union(self, terms: list[RegEx]) -> RegEx:
+        """The left-associated union of the distinct branches of the terms,
+        ∅ dropped, sorted by text."""
+        branches: dict[int, RegEx] = {}
+        for t in terms:
+            if id(t) in self.unions:
+                branches.update(self.unions[id(t)])
+            elif t is not EMPTY:
+                branches[id(t)] = t
+        if len(branches) < 2:
+            return next(iter(branches.values()), EMPTY)
+        ordered = sorted(branches.values(), key=_render)
+        out = ordered[0]
+        for b in ordered[1:]:
+            out = self.make(Union, out, b)
+        if id(out) not in self.unions:
+            self.unions[id(out)] = {id(b): b for b in ordered}
+        return out
+
+    def star(self, inner: RegEx) -> RegEx:
+        return EPSILON if inner is EMPTY or inner is EPSILON else self.make(Star, inner)
+
+    def derive(self, r: RegEx, a: str) -> RegEx:
+        """The Brzozowski derivative of the term r by a."""
+        d = self.derived.get((id(r), a))
+        if d is None:
+            if isinstance(r, Sym):
+                d = EPSILON if r.name == a else EMPTY
+            elif isinstance(r, Union):
+                d = self.union([self.derive(b, a) for b in self.unions[id(r)].values()])
+            elif isinstance(r, Concat):
+                d = self.cat(self.derive(r.left, a), r.right)
+                if nullable(r.left):
+                    d = self.union([d, self.derive(r.right, a)])
+            elif isinstance(r, Star):
+                d = self.cat(self.derive(r.inner, a), r)
+            elif isinstance(r, Option):
+                d = self.derive(r.inner, a)
+            else:  # ∅ or λ
+                d = EMPTY
+            self.derived[(id(r), a)] = d
+        return d
+
+
 def _aci(r: RegEx) -> RegEx:
-    """Normal form under +-associativity/commutativity/idempotence and the
-    unit/zero laws; keeps the iterated derivatives finitely many."""
-    if isinstance(r, (Empty, Epsilon, Sym)):
-        return r
-    out = r._aci
-    if out is not None:
-        return r if out is True else out
-    if isinstance(r, Union):
-        branches: list[RegEx] = []
-        seen = set()
-        stack = [r]
-        while stack:
-            node = stack.pop()
-            if isinstance(node, Union):
-                stack.append(node.right)
-                stack.append(node.left)
-            else:
-                node = _aci(node)
-                if isinstance(node, Union):
-                    stack.append(node)
-                    continue
-                if not isinstance(node, Empty) and node not in seen:
-                    seen.add(node)
-                    branches.append(node)
-        branches.sort(key=_render)
-        out = _union_of(branches, r) if branches else EMPTY
-    elif isinstance(r, Concat):
-        out = _cat(_aci(r.left), _aci(r.right))
-        if isinstance(out, Concat) and out.left is r.left and out.right is r.right:
-            out = r
-    elif isinstance(r, Star):
-        inner = _aci(r.inner)
-        if isinstance(inner, (Empty, Epsilon)):
-            out = EPSILON
-        else:
-            out = r if inner is r.inner else Star(inner)
-    else:
-        inner = _aci(r.inner)
-        out = r if inner is r.inner else Option(inner)
-    _set(r, "_aci", True if out is r else out)
-    return out
+    """The normal form of r (see `_AciTerms`)."""
+    return _AciTerms().intern(r)
 
 
-def _derive(r: RegEx, a: str, memo: dict) -> RegEx:
-    """The Brzozowski derivative of r by a before ACI normalisation.
-
-    `memo` maps (id(node), a) to (node, derivative): holding the node keeps
-    its id from being reused.  Identity keys cost no walk, where structural
-    keys would hash each fresh subterm before descending into it.
-    """
-    if isinstance(r, (Empty, Epsilon)):
-        return EMPTY
-    if isinstance(r, Sym):
-        return EPSILON if r.name == a else EMPTY
-    key = (id(r), a)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit[1]
-    if isinstance(r, Union):
-        d = Union(_derive(r.left, a, memo), _derive(r.right, a, memo))
-    elif isinstance(r, Option):
-        d = _derive(r.inner, a, memo)
-    elif isinstance(r, Star):
-        d = Concat(_derive(r.inner, a, memo), r)
-    else:
-        d = Concat(_derive(r.left, a, memo), r.right)
-        if nullable(r.left):
-            d = Union(d, _derive(r.right, a, memo))
-    memo[key] = (r, d)
-    return d
-
-
-def derivative(r: RegEx, a: str, memo: dict | None = None) -> RegEx:
-    """Brzozowski derivative, returned in ACI normal form.
-
-    A `memo` passed from call to call (one per `construct_brzozowski` run)
-    shares the derivatives of subterms that recur across the calls, and
-    with them the ACI forms already stored on those derivatives.  It is
-    kept by the caller, never on the nodes: a star's derivative refers to
-    the star, so a memo on the node would make a reference cycle.
-    """
-    return _aci(_derive(r, a, {} if memo is None else memo))
+def derivative(r: RegEx, a: str) -> RegEx:
+    """Brzozowski derivative in normal form (see `_AciTerms`), from a term
+    table of its own."""
+    terms = _AciTerms()
+    return terms.derive(terms.intern(r), a)
 
 
 CONSTRUCTION_NAMES = ("of", "follow", "pos", "pd", "bdfa")
@@ -605,23 +596,24 @@ def construct(name: str, r: RegEx) -> Automaton:
 def construct_brzozowski(r: RegEx, cap: int = 10**6) -> Automaton:
     """Complete DFA whose states are derivatives modulo ACI.
 
-    Raises :class:`ConstructionError` when more than `cap` states appear.
+    The states are the iterated derivatives in normal form, held once each
+    in one term table (see `_AciTerms`) and keyed by identity; they are
+    numbered in BFS order, successors by letter.  Raises
+    :class:`ConstructionError` when more than `cap` states appear.
     """
     letters = sorted(symbols_of(r))
-    start = _aci(r)
-    ids: dict[RegEx, int] = {start: 0}
-    queue = deque([start])
+    terms = _AciTerms()
+    states = [terms.intern(r)]
+    ids = {id(states[0]): 0}
     transitions = set()
-    memo: dict = {}
-    while queue:
-        term = queue.popleft()
+    for i, term in enumerate(states):
         for a in letters:
-            d = derivative(term, a, memo)
-            if d not in ids:
+            d = terms.derive(term, a)
+            if id(d) not in ids:
                 if len(ids) >= cap:
                     raise ConstructionError(f"derivative DFA exceeds {cap} states")
-                ids[d] = len(ids)
-                queue.append(d)
-            transitions.add((ids[term], a, ids[d]))
-    finals = {i for term, i in ids.items() if nullable(term)}
-    return Automaton.make(range(len(ids)), letters, 0, finals, transitions)
+                ids[id(d)] = len(states)
+                states.append(d)
+            transitions.add((i, a, ids[id(d)]))
+    finals = {i for i, term in enumerate(states) if nullable(term)}
+    return Automaton.make(range(len(states)), letters, 0, finals, transitions)

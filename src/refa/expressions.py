@@ -55,9 +55,8 @@ class RegEx:
     _hash = None  # hash(node), equal to the dataclass hash of the fields
     _text = None  # render(node) in ASCII
     _nullable = None
-    # constructions._aci(node) and elimination.simplify(node); True when the
-    # result is the node itself, so that no node refers to itself
-    _aci = None
+    # elimination.simplify(node); True when the result is the node itself,
+    # so that no node refers to itself
     _simple = None
     _canon = None  # elimination._canon_key(node)
     _measures = None  # measures(node); a constant on the atoms' classes
@@ -189,98 +188,77 @@ class RegexSyntaxError(ValueError):
 # SYMBOL := [A-Za-z][0-9]*
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.i = 0
-
-    def parse(self) -> RegEx:
-        self._skip_ws()
-        if self.i >= len(self.text):
-            raise RegexSyntaxError("empty expression", 0)
-        node = self._expr()
-        self._skip_ws()
-        if self.i < len(self.text):
-            raise RegexSyntaxError(f"unexpected {self.text[self.i]!r}", self.i)
-        return node
-
-    def _skip_ws(self):
-        while self.i < len(self.text) and self.text[self.i] == " ":
-            self.i += 1
-
-    def _peek(self) -> str | None:
-        self._skip_ws()
-        return self.text[self.i] if self.i < len(self.text) else None
-
-    def _expr(self) -> RegEx:
-        node = self._term()
-        while self._peek() == "+":
-            self.i += 1
-            node = Union(node, self._term())
-        return node
-
-    def _term(self) -> RegEx:
-        node = self._factor()
-        while True:
-            c = self._peek()
-            if c == "·":
-                self.i += 1
-                c = self._peek()
-                if c is None or c in ")+*?·":
-                    raise RegexSyntaxError("dangling '·'", self.i)
-                node = Concat(node, self._factor())
-            elif c is not None and (c == "(" or c == "#" or c == "&" or c.isalpha()):
-                node = Concat(node, self._factor())
-            else:
-                return node
-
-    def _factor(self) -> RegEx:
-        node = self._base()
-        while True:
-            c = self._peek()
-            if c == "*":
-                self.i += 1
-                node = Star(node)
-            elif c == "?":
-                self.i += 1
-                node = Option(node)
-            else:
-                return node
-
-    def _base(self) -> RegEx:
-        c = self._peek()
-        if c is None:
-            raise RegexSyntaxError("unexpected end of input", self.i)
-        if c == "(":
-            open_at = self.i
-            self.i += 1
-            node = self._expr()
-            if self._peek() != ")":
-                raise RegexSyntaxError(f"unbalanced '(' opened at offset {open_at}", self.i)
-            self.i += 1
-            return node
-        if c == "#":
-            self.i += 1
-            return EMPTY
-        if c == "&":
-            self.i += 1
-            return EPSILON
-        if c.isalpha() and c.isascii():
-            start = self.i
-            self.i += 1
-            while self.i < len(self.text) and self.text[self.i].isdigit():
-                self.i += 1
-            return Sym(self.text[start : self.i])
-        raise RegexSyntaxError(f"unexpected {c!r}", self.i)
-
-
 def parse(text: str) -> RegEx:
     """Parse concrete syntax into an AST.
 
     Star/option bind tighter than concatenation, which binds tighter than
-    union; binary operators group to the left.
+    union; binary operators group to the left.  One loop reads an operand,
+    its postfix operators and the `)` that close groups after it, then the
+    operator that follows; each open `(` is a frame on an explicit stack
+    (its offset, and the union and the concatenation before it), so nesting
+    costs no stack frames.
     """
-    return _Parser(text).parse()
+    n = len(text)
+    i = _skip_spaces(text, 0)
+    if i == n:
+        raise RegexSyntaxError("empty expression", 0)
+    frames: list[tuple[int, RegEx | None, RegEx | None]] = []
+    union = term = None  # the current group's union and concatenation so far
+    while True:
+        c = text[i] if i < n else None
+        if c == "(":
+            frames.append((i, union, term))
+            union = term = None
+            i = _skip_spaces(text, i + 1)
+            continue
+        if c == "#" or c == "&":
+            node = EMPTY if c == "#" else EPSILON
+            i += 1
+        elif c is not None and c.isalpha() and c.isascii():
+            start = i
+            i += 1
+            while i < n and text[i].isdigit():
+                i += 1
+            node = Sym(text[start:i])
+        elif c is None:
+            raise RegexSyntaxError("unexpected end of input", i)
+        else:
+            raise RegexSyntaxError(f"unexpected {c!r}", i)
+        while True:
+            i = _skip_spaces(text, i)
+            c = text[i] if i < n else None
+            if c == "*":
+                node = Star(node)
+            elif c == "?":
+                node = Option(node)
+            elif c == ")" and frames:
+                node = node if term is None else Concat(term, node)
+                node = node if union is None else Union(union, node)
+                _, union, term = frames.pop()
+            else:
+                break
+            i += 1
+        term = node if term is None else Concat(term, node)
+        if c == "+":
+            union = term if union is None else Union(union, term)
+            term = None
+            i = _skip_spaces(text, i + 1)
+        elif c == "·":
+            i = _skip_spaces(text, i + 1)
+            if i == n or text[i] in ")+*?·":
+                raise RegexSyntaxError("dangling '·'", i)
+        elif c is None or not (c == "(" or c == "#" or c == "&" or c.isalpha()):
+            if frames:
+                raise RegexSyntaxError(f"unbalanced '(' opened at offset {frames[-1][0]}", i)
+            if c is not None:
+                raise RegexSyntaxError(f"unexpected {c!r}", i)
+            return term if union is None else Union(union, term)
+
+
+def _skip_spaces(text: str, i: int) -> int:
+    while i < len(text) and text[i] == " ":
+        i += 1
+    return i
 
 
 def tokenize_word(text: str) -> list[str]:

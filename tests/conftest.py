@@ -5,10 +5,13 @@
 a Kosaraju SCC split; `follow_quotient` rebuilds the follow automaton as
 the position-automaton quotient that merges states with equal follow sets
 and equal finality; `path_pairs` is Warshall's transitive closure;
-`rebuild` copies a tree into new nodes that hold no stored value.
+`rebuild` copies a tree into new nodes that hold no stored value;
+`reference_brzozowski` builds the derivative DFA from raw derivatives that
+are normalised afterwards, with states compared structurally.
 """
 
 import random
+from collections import deque
 from dataclasses import astuple
 from itertools import product
 
@@ -30,6 +33,7 @@ from refa.expressions import (
     mark,
     nullable,
     random_expr,
+    render,
     symbols_of,
 )
 
@@ -199,6 +203,108 @@ def follow_quotient(r: RegEx) -> Automaton:
     states = {rep[i] for i in follow0}
     finals = {rep[i] for i in final0}
     return Automaton.make(states, symbols_of(r), rep[0], finals, transitions)
+
+
+# -- reference derivative automaton ------------------------------------------
+
+
+def reference_cat(left, right):
+    """Right-associated concatenation with λ-units dropped, ∅ annihilating."""
+    if isinstance(left, Empty) or isinstance(right, Empty):
+        return EMPTY
+    if isinstance(left, Epsilon):
+        return right
+    if isinstance(right, Epsilon):
+        return left
+    if isinstance(left, Concat):
+        return reference_cat(left.left, reference_cat(left.right, right))
+    return Concat(left, right)
+
+
+def reference_aci(r, memo=None):
+    """Normal form under +-associativity/commutativity/idempotence and the
+    unit/zero laws: union branches flattened, ∅ and duplicates dropped,
+    sorted by text and joined to the left.  `memo` maps id(node) to (node,
+    normal form) across calls, as the normal form once stored on each node."""
+    memo = {} if memo is None else memo
+    if isinstance(r, (Empty, Epsilon, Sym)):
+        return r
+    if id(r) in memo:
+        return memo[id(r)][1]
+    if isinstance(r, Union):
+        branches, seen, stack = [], set(), [r]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, Union):
+                stack += (node.right, node.left)
+                continue
+            node = reference_aci(node, memo)
+            if isinstance(node, Union):
+                stack.append(node)
+            elif not isinstance(node, Empty) and node not in seen:
+                seen.add(node)
+                branches.append(node)
+        branches.sort(key=render)
+        out = branches[0] if branches else EMPTY
+        for b in branches[1:]:
+            out = Union(out, b)
+    elif isinstance(r, Concat):
+        out = reference_cat(reference_aci(r.left, memo), reference_aci(r.right, memo))
+    elif isinstance(r, Option):
+        out = Option(reference_aci(r.inner, memo))
+    else:
+        inner = reference_aci(r.inner, memo)
+        out = EPSILON if isinstance(inner, (Empty, Epsilon)) else Star(inner)
+    memo[id(r)] = (r, out)
+    return out
+
+
+def reference_derivative(r, a, memo=None):
+    """The Brzozowski derivative of r by a, built raw and then normalised;
+    `memo` also maps (id(node), a) to (node, raw derivative)."""
+    memo = {} if memo is None else memo
+
+    def raw(node):
+        if isinstance(node, (Empty, Epsilon)):
+            return EMPTY
+        if isinstance(node, Sym):
+            return EPSILON if node.name == a else EMPTY
+        if (id(node), a) in memo:
+            return memo[id(node), a][1]
+        if isinstance(node, Union):
+            d = Union(raw(node.left), raw(node.right))
+        elif isinstance(node, Option):
+            d = raw(node.inner)
+        elif isinstance(node, Star):
+            d = Concat(raw(node.inner), node)
+        else:
+            d = Concat(raw(node.left), node.right)
+            d = Union(d, raw(node.right)) if nullable(node.left) else d
+        memo[id(node), a] = (node, d)
+        return d
+
+    return reference_aci(raw(r), memo)
+
+
+def reference_brzozowski(r: RegEx) -> Automaton:
+    """The derivative DFA with states compared structurally, numbered in BFS
+    order, successors by letter."""
+    letters = sorted(symbols_of(r))
+    memo: dict = {}
+    start = reference_aci(r, memo)
+    ids = {start: 0}
+    queue = deque([start])
+    transitions = set()
+    while queue:
+        term = queue.popleft()
+        for a in letters:
+            d = reference_derivative(term, a, memo)
+            if d not in ids:
+                ids[d] = len(ids)
+                queue.append(d)
+            transitions.add((ids[term], a, ids[d]))
+    finals = {i for term, i in ids.items() if nullable(term)}
+    return Automaton.make(range(len(ids)), letters, 0, finals, transitions)
 
 
 @pytest.fixture(scope="session")

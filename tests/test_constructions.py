@@ -6,6 +6,7 @@ import pytest
 from refa.automata import Automaton, accepts, equivalent, fa_measures, remove_lambda, subset_construction, to_dict
 from refa.constructions import (
     ConstructionError,
+    _AciTerms,
     _Terms,
     construct_brzozowski,
     construct_follow,
@@ -36,7 +37,16 @@ from refa.expressions import (
 )
 from refa.families import buffer_regex, options_regex, row1_regex, row2_regex, row3_regex
 
-from conftest import corpus, follow_quotient, lambda_heavy_tree, lang, rebuild, words_upto
+from conftest import (
+    corpus,
+    follow_quotient,
+    lambda_heavy_tree,
+    lang,
+    rebuild,
+    reference_brzozowski,
+    reference_cat,
+    words_upto,
+)
 
 
 class TestOttFeinstein:
@@ -227,18 +237,6 @@ class TestPartialDerivatives:
             assert len(construct_pd(r).states) <= len(construct_position(r).states)
 
 
-def reference_cat(left, right):
-    if isinstance(left, Empty) or isinstance(right, Empty):
-        return EMPTY
-    if isinstance(left, Epsilon):
-        return right
-    if isinstance(right, Epsilon):
-        return left
-    if isinstance(left, Concat):
-        return reference_cat(left.left, reference_cat(left.right, right))
-    return Concat(left, right)
-
-
 def reference_partial_derivatives(r, a):
     """The per-letter recursion that the one-walk linear form replaced."""
     if isinstance(r, (Empty, Epsilon)):
@@ -382,6 +380,24 @@ class TestBrzozowski:
         for r in corpus(40, seed=802, max_awidth=7):
             via_subset = subset_construction(remove_lambda(construct_of(r)))
             assert equivalent(construct_brzozowski(r), via_subset)
+
+    def test_equals_the_reference_automaton(self):
+        # states built in normal form on one term table are the raw
+        # derivatives normalised afterwards, in the same order
+        exprs = [random_expr(1 + seed % 12, ["a", "b", "c"][: 1 + seed % 3], seed=7700 + seed) for seed in range(200)]
+        exprs += [lambda_heavy_tree(random.Random(7900 + seed), 6) for seed in range(100)]
+        for r in exprs + list(TestTermTable.WITNESSES):
+            assert to_dict(construct_brzozowski(r)) == to_dict(reference_brzozowski(r)), render(r)
+
+    def test_equal_states_are_one_object(self):
+        terms = _AciTerms()
+        r = parse("(b+a+#+a)((ab)*&+b)")
+        term = terms.intern(r)
+        assert term is terms.intern(rebuild(r)) and render(term) == "(a+b)((ab)*+b)"
+        d = terms.derive(term, "a")
+        assert d is terms.derive(term, "b") and render(d) == "(ab)*+b"
+        assert terms.derive(terms.derive(d, "a"), "b") is terms.intern(parse("(ab)*")) is term.right.left
+        assert terms.intern(parse("(#+&)*(a?)")) is terms.make(Option, terms.intern(Sym("a")))
 
 
 class TestAllConstructionsAgree:

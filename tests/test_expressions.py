@@ -23,7 +23,66 @@ from refa.expressions import (
 from refa.constructions import construct_position
 from refa.automata import accepts, equivalent
 
+from refa.families import buffer_regex
+
 from conftest import corpus, lang
+
+# The message and offset of malformed inputs, recorded from the recursive
+# descent parser that the one-loop parser replaced; they must not change.
+SYNTAX_ERRORS = [
+    ('', 'empty expression at offset 0', 0),
+    ('   ', 'empty expression at offset 0', 0),
+    ('(', 'unexpected end of input at offset 1', 1),
+    ('((', 'unexpected end of input at offset 2', 2),
+    ('(a', "unbalanced '(' opened at offset 0 at offset 2", 2),
+    ('((a)', "unbalanced '(' opened at offset 0 at offset 4", 4),
+    ('(((a)', "unbalanced '(' opened at offset 1 at offset 5", 5),
+    ('( a', "unbalanced '(' opened at offset 0 at offset 3", 3),
+    ('(a$', "unbalanced '(' opened at offset 0 at offset 2", 2),
+    ('(a+b', "unbalanced '(' opened at offset 0 at offset 4", 4),
+    ('a)', "unexpected ')' at offset 1", 1),
+    ('(a))', "unexpected ')' at offset 3", 3),
+    (')', "unexpected ')' at offset 0", 0),
+    ('a)b', "unexpected ')' at offset 1", 1),
+    ('()', "unexpected ')' at offset 1", 1),
+    ('(a+)', "unexpected ')' at offset 3", 3),
+    ('(+)', "unexpected '+' at offset 1", 1),
+    ('+a', "unexpected '+' at offset 0", 0),
+    ('a+', 'unexpected end of input at offset 2', 2),
+    ('a+*', "unexpected '*' at offset 2", 2),
+    ('  +', "unexpected '+' at offset 2", 2),
+    ('*a', "unexpected '*' at offset 0", 0),
+    ('?', "unexpected '?' at offset 0", 0),
+    ('a**+', 'unexpected end of input at offset 4', 4),
+    ('a·', "dangling '·' at offset 2", 2),
+    ('a·)', "dangling '·' at offset 2", 2),
+    ('a·*', "dangling '·' at offset 2", 2),
+    ('a·+b', "dangling '·' at offset 2", 2),
+    ('a··b', "dangling '·' at offset 2", 2),
+    ('a·  ', "dangling '·' at offset 4", 4),
+    ('·a', "unexpected '·' at offset 0", 0),
+    ('(·a)', "unexpected '·' at offset 1", 1),
+    ('a+·b', "unexpected '·' at offset 2", 2),
+    ('1', "unexpected '1' at offset 0", 0),
+    ('a 1', "unexpected '1' at offset 2", 2),
+    ('a1b2$', "unexpected '$' at offset 4", 4),
+    ('a|b', "unexpected '|' at offset 1", 1),
+    ('\t', "unexpected '\\t' at offset 0", 0),
+    ('a\n', "unexpected '\\n' at offset 1", 1),
+    ('Ω', "unexpected 'Ω' at offset 0", 0),
+    ('aΩ', "unexpected 'Ω' at offset 1", 1),
+    ('a·Ω', "unexpected 'Ω' at offset 2", 2),
+    ('ab(', 'unexpected end of input at offset 3', 3),
+    ('ab(  ', 'unexpected end of input at offset 5', 5),
+    ('a(b+)', "unexpected ')' at offset 4", 4),
+    ('((a)(b', "unbalanced '(' opened at offset 4 at offset 6", 6),
+    ('a*(b?(c+d)*', "unbalanced '(' opened at offset 2 at offset 11", 11),
+    ('a+(b+(c', "unbalanced '(' opened at offset 5 at offset 7", 7),
+    ('(a)b)c', "unexpected ')' at offset 4", 4),
+    ('a?(', 'unexpected end of input at offset 3', 3),
+    ('&#(', 'unexpected end of input at offset 3', 3),
+    ('#+&·', "dangling '·' at offset 4", 4),
+]
 
 
 class TestParse:
@@ -70,6 +129,21 @@ class TestParse:
     def test_roundtrip_corpus(self):
         for r in corpus(120, seed=31):
             assert parse(render(r)) == r
+
+    def test_syntax_errors_are_unchanged(self):
+        for text, message, offset in SYNTAX_ERRORS:
+            with pytest.raises(RegexSyntaxError) as err:
+                parse(text)
+            assert (str(err.value), err.value.offset) == (message, offset), text
+
+    def test_parses_any_depth(self):
+        # open groups are frames on an explicit stack: 10^4 levels, far past
+        # the recursion limit, checked with the iterative `measures`
+        n = 10**4
+        text = "(a" * (n - 1) + "(ab)*" + "b)*" * (n - 1)
+        assert measures(parse(text)) == measures(buffer_regex(n))
+        assert parse("(" * n + "a1" + ")" * n) == Sym("a1")
+        assert measures(parse("(" * n + "a" + ")*" * n)).height == n
 
     def test_tokenize_word(self):
         assert tokenize_word("a1a2b") == ["a1", "a2", "b"]

@@ -1,10 +1,10 @@
 """Values computed once per expression node must equal those computed afresh.
 
-A warm tree (one whose nodes already hold their hash, text, nullability, ACI
-form, simplified form, canonical key and measures, shared with its
-derivatives) must give the same answers as an equal tree built from new
-nodes, and the stored values must stay invisible to equality, repr, the
-dataclass fields, copies and pickles.
+A warm tree (one whose nodes already hold their hash, text, nullability,
+simplified form, canonical key and measures, shared with its derivatives)
+must give the same answers as an equal tree built from new nodes, and the
+stored values must stay invisible to equality, repr, the dataclass fields,
+copies and pickles.
 """
 
 import copy
@@ -224,7 +224,16 @@ DEPTH_BEFORE_DERIVATIVE_MEMO = [
 # before it too, but took about 40 s there; it must now end within the
 # thread timeout below.
 DEPTH_AFTER_TERM_TABLE = [("partial_derivatives-b-star", pd_b, star_chain, 249)]
-DEPTH_CASES = DEPTH_BEFORE_MEMO + DEPTH_BEFORE_ARC_STORE + DEPTH_BEFORE_DERIVATIVE_MEMO + DEPTH_AFTER_TERM_TABLE
+# _aci rebuilds its input through the constructors of a term table on an
+# explicit stack, so it takes any depth.
+DEPTH_AFTER_NORMAL_TERMS = [("_aci-any-depth", _aci, star_chain, 10**4)]
+DEPTH_CASES = (
+    DEPTH_BEFORE_MEMO
+    + DEPTH_BEFORE_ARC_STORE
+    + DEPTH_BEFORE_DERIVATIVE_MEMO
+    + DEPTH_AFTER_TERM_TABLE
+    + DEPTH_AFTER_NORMAL_TERMS
+)
 
 
 @pytest.mark.parametrize(
