@@ -282,10 +282,6 @@ def minimize(aut: Automaton, mode: str = "complete") -> Automaton:
     return Automaton(states, aut.alphabet, 0, finals, transitions)
 
 
-def _canonical(aut: Automaton, alphabet: frozenset[str]) -> Automaton:
-    return minimize(subset_construction(_widen(remove_lambda(aut), alphabet)), "complete")
-
-
 def distinguishing_word(a: Automaton, b: Automaton) -> list[str] | None:
     """The shortlex-least word accepted by exactly one of the automata, or None.
 

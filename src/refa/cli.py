@@ -207,7 +207,9 @@ def main(argv=None) -> int:
         if getattr(args, "seed", 0) is None:  # a --seed option left unset
             args.seed = int(seed)
         return _COMMANDS[args.command](args)
-    except (ValueError, OSError, KeyError) as exc:
+    except (ValueError, OSError, KeyError, RecursionError) as exc:
+        # RecursionError: the per-term walks recurse, so nesting deeper than
+        # the recursion limit is a domain error too
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

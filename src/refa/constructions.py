@@ -32,8 +32,8 @@ from .expressions import (
     Star,
     Sym,
     Union,
-    _leaves,
     _operands,
+    _postorder,
     _render,
     mark,
     nullable,
@@ -78,6 +78,7 @@ class _InductiveNfaBuilder:
         self.n = 0
         self.arcs: list[tuple] = []
         self.alias: dict[int, int] = {}
+        self.letters: set[str] = set()  # the symbols built so far
 
     def fresh(self) -> int:
         self.n += 1
@@ -90,21 +91,26 @@ class _InductiveNfaBuilder:
         self.alias[old] = new
 
     def build(self, r: RegEx) -> tuple[int, int]:
-        if isinstance(r, Empty):
-            return self.fresh(), self.fresh()
-        if isinstance(r, (Epsilon, Sym)):
-            i, f = self.fresh(), self.fresh()
-            self.arc(i, None if isinstance(r, Epsilon) else r.name, f)
-            return i, f
-        if isinstance(r, Union):
-            return self._union(self.build(r.left), self.build(r.right))
-        if isinstance(r, Option):
-            i, f = self.build(r.inner)
-            self.arc(i, None, f)  # union with λ
-            return i, f
-        if isinstance(r, Concat):
-            return self._concat(self.build(r.left), self.build(r.right))
-        return self._star(self.build(r.inner))
+        """The fragment of r, built in post-order from its kids' fragments."""
+        frags: list[tuple[int, int]] = []
+        for node in _postorder(r):
+            cls = type(node)
+            if cls is Union or cls is Concat:
+                b = frags.pop()
+                frags[-1] = (self._union if cls is Union else self._concat)(frags[-1], b)
+            elif cls is Star:
+                frags[-1] = self._star(frags[-1])
+            elif cls is Option:
+                i, f = frags[-1]
+                self.arc(i, None, f)  # union with λ
+            else:
+                i, f = self.fresh(), self.fresh()
+                if cls is Sym:
+                    self.letters.add(node.name)
+                if cls is not Empty:
+                    self.arc(i, None if cls is Epsilon else node.name, f)
+                frags.append((i, f))
+        return frags[0]
 
     def _union(self, a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
         self.merge(b[0], a[0])
@@ -255,7 +261,7 @@ class _FollowBuilder(_InductiveNfaBuilder):
 def construct_of(r: RegEx) -> Automaton:
     """Inductive λ-NFA; linear in the size of the expression."""
     builder = _InductiveNfaBuilder()
-    return builder.automaton(builder.build(r), symbols_of(r))
+    return builder.automaton(builder.build(r), builder.letters)
 
 
 def construct_follow(r: RegEx) -> Automaton:
@@ -266,7 +272,7 @@ def construct_follow(r: RegEx) -> Automaton:
     frag = builder.build(r)
     # a λ-arc leaving the start state is contracted once construction is done
     init, fin = builder._contract(frag, frag[0], enclosed=False)
-    out = builder.out
+    out, letters = builder.out, builder.letters
     del builder  # the in-arc index is freed before the λ-closures are taken
     order, queue = {init: 0}, [init]
     finals, transitions = [], []
@@ -279,7 +285,7 @@ def construct_follow(r: RegEx) -> Automaton:
                 order[q] = len(queue)
                 queue.append(q)
             transitions.append((i, a, order[q]))
-    return Automaton.make(range(len(queue)), symbols_of(r), 0, finals, transitions)
+    return Automaton.make(range(len(queue)), letters, 0, finals, transitions)
 
 
 # ---------------------------------------------------------------------------
@@ -297,56 +303,50 @@ class PositionSets:
 
 
 def position_sets(marked: MarkedRegEx) -> PositionSets:
-    """The sets of a marked expression, in post-order on an explicit stack:
-    a node is pushed again, as ready, above its children, whose (first,
-    last) sets it then pops off `done`.  Follow pairs go to one set.
-    `nullable` is called on each node after its children, so no call recurses.
-    """
-    done: list[tuple[frozenset, frozenset]] = []
+    """The sets of a marked expression."""
+    return _position_sets(marked.tree)[0]
+
+
+def _position_sets(tree: RegEx) -> tuple[PositionSets, dict[int, str], bool]:
+    """The sets of a marked tree, the letter at each position, and whether
+    the tree is nullable, from one walk: `done` holds the (first, last,
+    nullable) of each finished kid.  Follow pairs go to one set."""
+    done: list[tuple[frozenset, frozenset, bool]] = []
     follow: set[tuple[int, int]] = set()
-    stack = [(marked.tree, False)]
-    while stack:
-        node, ready = stack.pop()
-        if isinstance(node, Sym):
+    letters: dict[int, str] = {}
+    for node in _postorder(tree):
+        cls = type(node)
+        if cls is Sym:
             if node.pos is None:
                 raise ValueError("position_sets expects a marked expression")
-            done.append((frozenset([node.pos]), frozenset([node.pos])))
-        elif isinstance(node, (Empty, Epsilon)):
-            done.append((frozenset(), frozenset()))
-        elif not ready:
-            stack.append((node, True))
-            if isinstance(node, (Union, Concat)):
-                stack += ((node.right, False), (node.left, False))
-            else:
-                stack.append((node.inner, False))
-        elif isinstance(node, (Union, Concat)):
-            f2, l2 = done.pop()
-            f1, l1 = done.pop()
-            if isinstance(node, Union):
-                done.append((f1 | f2, l1 | l2))
+            letters[node.pos] = node.name
+            done.append((frozenset([node.pos]), frozenset([node.pos]), False))
+        elif cls is Union or cls is Concat:
+            f2, l2, n2 = done.pop()
+            f1, l1, n1 = done.pop()
+            if cls is Union:
+                done.append((f1 | f2, l1 | l2, n1 or n2))
             else:
                 follow.update((i, j) for i in l1 for j in f2)
-                first = f1 | f2 if nullable(node.left) else f1
-                done.append((first, l1 | l2 if nullable(node.right) else l2))
-            nullable(node)
-        elif isinstance(node, Star):
-            follow.update((i, j) for i in done[-1][1] for j in done[-1][0])
-    return PositionSets(*done[0], frozenset(follow), frozenset(_position_letters(marked.tree)))
-
-
-def _position_letters(tree: RegEx) -> dict[int, str]:
-    return {leaf.pos: leaf.name for leaf in _leaves(tree)}
+                done.append((f1 | f2 if n1 else f1, l1 | l2 if n2 else l2, n1 and n2))
+        elif cls is Star or cls is Option:
+            first, last, _ = done[-1]
+            if cls is Star:
+                follow.update((i, j) for i in last for j in first)
+            done[-1] = (first, last, True)
+        else:
+            done.append((frozenset(), frozenset(), cls is Epsilon))
+    first, last, empty_word = done[0]
+    return PositionSets(first, last, frozenset(follow), frozenset(letters)), letters, empty_word
 
 
 def construct_position(r: RegEx) -> Automaton:
     """Glushkov automaton: state 0 plus one state per symbol occurrence."""
-    marked = mark(r)
-    sets = position_sets(marked)
-    letters = _position_letters(marked.tree)
+    sets, letters, empty_word = _position_sets(mark(r).tree)
     transitions = {(0, letters[j], j) for j in sets.first}
     transitions |= {(i, letters[j], j) for i, j in sets.follow}
-    finals = sets.last | {0} if nullable(marked.tree) else sets.last  # stored: no recursion
-    return Automaton.make(range(len(letters) + 1), symbols_of(r), 0, finals, transitions)
+    finals = sets.last | {0} if empty_word else sets.last
+    return Automaton.make(range(len(letters) + 1), letters.values(), 0, finals, transitions)
 
 
 # ---------------------------------------------------------------------------
@@ -373,24 +373,16 @@ class _Terms:
         return self.nodes[key]
 
     def intern(self, r: RegEx) -> RegEx:
-        """The term of r, built in post-order on an explicit stack: `join`
-        makes each node's term from the terms of its `kids`."""
+        """The term of r: `join` makes each node's term from the terms of
+        its `kids`, once per distinct node."""
         done: dict[int, RegEx] = {}
-        stack = [r]
-        while stack:
-            node = stack[-1]
+        for node in _postorder(r, lambda node: done.get(id(node)), self.kids):
             if isinstance(node, Sym):
                 done[id(node)] = self.nodes.setdefault((Sym, node.name, node.pos), node)
             elif isinstance(node, (Empty, Epsilon)):
                 done[id(node)] = EMPTY if isinstance(node, Empty) else EPSILON
             else:
-                kids = self.kids(node)
-                todo = [kid for kid in kids if id(kid) not in done]
-                if todo:
-                    stack += todo
-                    continue
-                done[id(node)] = self.join(node, [done[id(kid)] for kid in kids])
-            stack.pop()
+                done[id(node)] = self.join(node, [done[id(kid)] for kid in self.kids(node)])
         return done[id(r)]
 
     def kids(self, node: RegEx) -> tuple[RegEx, ...]:

@@ -5,6 +5,16 @@ word, `+` union, juxtaposition (or an explicit `·`) concatenation, and
 postfix `*` / `?` iteration and option.  Symbols are a letter followed by
 optional digits (`a`, `b2`, `a17`), so families over growing alphabets
 remain writable without quoting.
+
+Every walk over a whole expression is a loop over `_postorder`, one
+generator on an explicit stack, so no walk is limited by the recursion
+depth.  A tree walk (marking, building an automaton, ssnf) handles each
+occurrence of a node; a walk that stores a value on each node (`measures`,
+`nullable`, rendering) skips the nodes that hold theirs, so each distinct
+node of a shared expression is visited once.  The walks on one term at a
+time (the linear forms and derivatives, `simplify`, `_canon_key`) recurse:
+they are memoised and hot, and on them CPython's recursion is cheaper than
+any explicit stack.
 """
 
 from __future__ import annotations
@@ -12,6 +22,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import NamedTuple
 
 __all__ = [
@@ -157,9 +168,12 @@ class MeasureReport(NamedTuple):
     height: int
 
 
-# the atoms' measures are constants, kept on their classes
+# the values that do not depend on a node's kids are kept on its class
 Empty._measures = Epsilon._measures = MeasureReport(1, 1, 0, 0)
 Sym._measures = MeasureReport(1, 1, 1, 0)
+Empty._text, Epsilon._text, Sym._text = "#", "&", property(attrgetter("name"))
+Empty._nullable = Sym._nullable = False
+Epsilon._nullable = Star._nullable = Option._nullable = True
 
 
 @dataclass(frozen=True)
@@ -176,6 +190,30 @@ class RegexSyntaxError(ValueError):
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} at offset {offset}")
         self.offset = offset
+
+
+_UP = object()  # on the walk's stack: the node below it has had its kids
+
+
+def _postorder(r: RegEx, known=None, kids=None):
+    """The nodes of r, each after its kids, left kid first, from an explicit
+    stack.  With `known`, a node for which ``known(node)`` is not None is
+    skipped with everything below it; a caller that stores a value on each
+    node it is given thus gets each distinct node once.  `kids(node)` gives
+    the kids of a union or concatenation, by default its two fields."""
+    stack = [r]
+    while stack:
+        node = stack.pop()
+        if node is _UP:
+            yield stack.pop()
+        elif known is None or known(node) is None:
+            cls = type(node)
+            if cls is Union or cls is Concat:
+                stack += (node, _UP, *reversed(kids(node))) if kids else (node, _UP, node.right, node.left)
+            elif cls is Star or cls is Option:
+                stack += (node, _UP, node.inner)
+            else:
+                yield node
 
 
 # ---------------------------------------------------------------------------
@@ -300,41 +338,37 @@ def render(r: RegEx, unicode: bool = False) -> str:
     """
     if not isinstance(r, RegEx):
         raise TypeError(f"not a RegEx: {r!r}")
-    return _render(r, unicode)
+    text = _render(r)
+    # no symbol name holds `#` or `&`
+    return text.replace("#", "∅").replace("&", "λ") if unicode else text
 
 
-def _render(r: RegEx, unicode: bool = False) -> str:
-    """render(r, unicode); the ASCII text of a compound node is kept on it."""
-    if isinstance(r, Sym):
-        return r.name
-    if not unicode and r._text is not None:
-        return r._text
-    # plain loops: a comprehension would add a stack frame per nesting level
-    if isinstance(r, Union):
-        parts = []
-        for branch in _operands(r, Union):
-            parts.append(_render(branch, unicode))
-        text = "+".join(parts)
-    elif isinstance(r, Concat):
-        parts = []
-        for factor in _operands(r, Concat):
-            part = _render(factor, unicode)
-            parts.append("(" + part + ")" if isinstance(factor, Union) else part)
-        text = "".join(parts)
-    elif isinstance(r, (Star, Option)):
-        text = _render(r.inner, unicode)
-        if isinstance(r.inner, (Union, Concat)):
-            text = "(" + text + ")"
-        text += "*" if isinstance(r, Star) else "?"
-    elif isinstance(r, Empty):
-        return "∅" if unicode else "#"
-    elif isinstance(r, Epsilon):
-        return "λ" if unicode else "&"
-    else:
-        raise TypeError(f"not a RegEx: {r!r}")
-    if not unicode:
-        _set(r, "_text", text)
-    return text
+def _render(r: RegEx) -> str:
+    """render(r) in ASCII, kept on each node it is made for.  The kids of a
+    union or concatenation chain are its operands, so that the chain's
+    prefixes hold no text."""
+    if r._text is None:
+        operands: dict[int, list[RegEx]] = {}  # of the chains on the walk's stack
+
+        def kids(chain: RegEx) -> list[RegEx]:
+            operands[id(chain)] = parts = _operands(chain, type(chain))
+            return parts
+
+        for node in _postorder(r, attrgetter("_text"), kids):
+            cls = type(node)
+            if cls is Union:
+                text = "+".join([branch._text for branch in operands.pop(id(node))])
+            elif cls is Concat:
+                parts = operands.pop(id(node))
+                text = "".join(["(" + f._text + ")" if type(f) is Union else f._text for f in parts])
+            elif cls is Star or cls is Option:
+                inner = node.inner
+                text = "(" + inner._text + ")" if isinstance(inner, (Union, Concat)) else inner._text
+                text += "*" if cls is Star else "?"
+            else:
+                raise TypeError(f"not a RegEx: {node!r}")
+            _set(node, "_text", text)
+    return r._text
 
 
 def _union_of(parts: list[RegEx], like: RegEx | None = None) -> RegEx:
@@ -364,70 +398,39 @@ def measures(r: RegEx) -> MeasureReport:
     The size convention charges atoms 1, binary nodes 3 (operator plus the
     surrounding parentheses, with concatenation written `·`), and unary
     nodes 3.  Option is transparent for star height.  The report of a
-    compound node is kept on it; the walk runs on an explicit stack, so
-    depth costs no stack frames.
+    compound node is kept on it.
     """
-    stack = [r]
-    while r._measures is None:
-        node = stack[-1]
-        if isinstance(node, (Union, Concat)):
-            a, b = node.left._measures, node.right._measures
-            if a is None or b is None:
-                stack += [kid for kid in (node.left, node.right) if kid._measures is None]
-                continue
-            report = MeasureReport(
-                a.size + b.size + 3,
-                a.rpn + b.rpn + 1,
-                a.awidth + b.awidth,
-                max(a.height, b.height),
-            )
-        else:
-            inner = node.inner._measures
-            if inner is None:
-                stack.append(node.inner)
-                continue
-            bump = 1 if isinstance(node, Star) else 0
-            report = MeasureReport(inner.size + 3, inner.rpn + 1, inner.awidth, inner.height + bump)
-        _set(node, "_measures", report)
-        stack.pop()
+    if r._measures is None:
+        for node in _postorder(r, attrgetter("_measures")):
+            if isinstance(node, (Union, Concat)):
+                a, b = node.left._measures, node.right._measures
+                report = MeasureReport(
+                    a.size + b.size + 3,
+                    a.rpn + b.rpn + 1,
+                    a.awidth + b.awidth,
+                    max(a.height, b.height),
+                )
+            else:
+                inner = node.inner._measures
+                bump = 1 if isinstance(node, Star) else 0
+                report = MeasureReport(inner.size + 3, inner.rpn + 1, inner.awidth, inner.height + bump)
+            _set(node, "_measures", report)
     return r._measures
 
 
 def nullable(r: RegEx) -> bool:
-    """True iff the empty word belongs to the denoted language."""
-    if isinstance(r, (Star, Option, Epsilon)):
-        return True
-    if not isinstance(r, (Union, Concat)):
-        return False
-    value = r._nullable
-    if value is None:
-        if isinstance(r, Union):
-            value = nullable(r.left) or nullable(r.right)
-        else:
-            value = nullable(r.left) and nullable(r.right)
-        _set(r, "_nullable", value)
-    return value
-
-
-def _leaves(r: RegEx) -> list[Sym]:
-    """The symbol leaves of r, left to right, found on an explicit stack."""
-    out: list[Sym] = []
-    stack = [r]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Sym):
-            out.append(node)
-        elif isinstance(node, (Union, Concat)):
-            stack.append(node.right)
-            stack.append(node.left)
-        elif isinstance(node, (Star, Option)):
-            stack.append(node.inner)
-    return out
+    """True iff the empty word belongs to the denoted language; kept on
+    each union and concatenation it is found for."""
+    if r._nullable is None:
+        for node in _postorder(r, attrgetter("_nullable")):
+            left, right = node.left._nullable, node.right._nullable
+            _set(node, "_nullable", left or right if isinstance(node, Union) else left and right)
+    return r._nullable
 
 
 def symbols_of(r: RegEx) -> frozenset[str]:
     """All symbol names occurring in the expression."""
-    return frozenset(leaf.name for leaf in _leaves(r))
+    return frozenset(node.name for node in _postorder(r) if isinstance(node, Sym))
 
 
 # ---------------------------------------------------------------------------
@@ -436,24 +439,15 @@ def symbols_of(r: RegEx) -> frozenset[str]:
 
 def _rewrite_symbols(r: RegEx, leaf) -> RegEx:
     """A copy of r with each symbol leaf replaced by `leaf(sym)`, called on
-    the leaves left to right.  The walk runs on an explicit stack, so depth
-    costs no stack frames; a node class on the stack means "rebuild one of
-    these from the last copies built"."""
+    the leaves left to right."""
     built: list[RegEx] = []
-    stack: list = [r]
-    while stack:
-        node = stack.pop()
+    for node in _postorder(r):
         cls = type(node)
-        if cls is type:
-            if node is Union or node is Concat:
-                right = built.pop()
-                built[-1] = node(built[-1], right)
-            else:
-                built[-1] = node(built[-1])
-        elif cls is Union or cls is Concat:
-            stack += (cls, node.right, node.left)
+        if cls is Union or cls is Concat:
+            right = built.pop()
+            built[-1] = cls(built[-1], right)
         elif cls is Star or cls is Option:
-            stack += (cls, node.inner)
+            built[-1] = cls(built[-1])
         else:
             built.append(leaf(node) if cls is Sym else node)
     return built[0]
@@ -480,65 +474,58 @@ def _purge_units(r: RegEx) -> RegEx:
     ``s+λ`` and ``λ+s`` become ``s?`` on the way.  The result is either an
     atomic ∅ / λ or an expression containing neither.
     """
-    if isinstance(r, (Empty, Epsilon, Sym)):
-        return r
-    if isinstance(r, Union):
-        left = _purge_units(r.left)
-        right = _purge_units(r.right)
-        if isinstance(left, Empty):
-            return right
-        if isinstance(right, Empty):
-            return left
-        if isinstance(left, Epsilon) and isinstance(right, Epsilon):
-            return EPSILON
-        if isinstance(left, Epsilon):
-            return Option(right)
-        if isinstance(right, Epsilon):
-            return Option(left)
-        return Union(left, right)
-    if isinstance(r, Concat):
-        left = _purge_units(r.left)
-        right = _purge_units(r.right)
-        if isinstance(left, Empty) or isinstance(right, Empty):
-            return EMPTY
-        if isinstance(left, Epsilon):
-            return right
-        if isinstance(right, Epsilon):
-            return left
-        return Concat(left, right)
-    inner = _purge_units(r.inner)
-    if isinstance(inner, (Empty, Epsilon)):
-        return EPSILON
-    return Star(inner) if isinstance(r, Star) else Option(inner)
-
-
-def _circ(r: RegEx) -> RegEx:
-    if isinstance(r, Sym):
-        return r
-    if isinstance(r, (Empty, Epsilon)):
-        return r
-    if isinstance(r, Union):
-        return Union(_circ(r.left), _circ(r.right))
-    if isinstance(r, (Star, Option)):
-        return _circ(r.inner)
-    # concatenation splits into a union exactly when it is nullable
-    if nullable(r):
-        return Union(_circ(r.left), _circ(r.right))
-    return r
+    done: list[RegEx] = []
+    for node in _postorder(r):
+        cls = type(node)
+        if cls is Star or cls is Option:
+            done[-1] = EPSILON if isinstance(done[-1], (Empty, Epsilon)) else cls(done[-1])
+        elif cls is not Union and cls is not Concat:
+            done.append(node)
+        else:
+            right = done.pop()
+            left = done[-1]  # and then the result, which replaces it
+            if cls is Union:
+                if isinstance(left, Empty):
+                    left = right
+                elif isinstance(left, Epsilon):
+                    left = EPSILON if isinstance(right, (Empty, Epsilon)) else Option(right)
+                elif not isinstance(right, Empty):
+                    left = Option(left) if isinstance(right, Epsilon) else Union(left, right)
+            elif isinstance(left, Empty) or isinstance(right, Empty):
+                left = EMPTY
+            elif isinstance(left, Epsilon):
+                left = right
+            elif not isinstance(right, Epsilon):
+                left = Concat(left, right)
+            done[-1] = left
+    return done[0]
 
 
 def _bullet(r: RegEx) -> RegEx:
-    if isinstance(r, (Sym, Empty, Epsilon)):
-        return r
-    if isinstance(r, Union):
-        return Union(_bullet(r.left), _bullet(r.right))
-    if isinstance(r, Concat):
-        return Concat(_bullet(r.left), _bullet(r.right))
-    if isinstance(r, Star):
-        return Star(_circ(_bullet(r.inner)))
-    if nullable(r.inner):
-        return _bullet(r.inner)
-    return Option(_bullet(r.inner))
+    """r• (Brüggemann-Klein's star normal form step), with (F*)• = (F•°)*.
+    `done` holds the • of each finished kid and beside it the ° of that •:
+    F° drops the stars and options of F and splits a nullable concatenation
+    into a union, keeping a non-nullable one whole.  A node and its • denote
+    one language, so nullability is asked of the node."""
+    done: list[tuple[RegEx, RegEx]] = []
+    for node in _postorder(r):
+        cls = type(node)
+        if cls is Union or cls is Concat:
+            b2, c2 = done.pop()
+            b1, c1 = done.pop()
+            b = cls(b1, b2)
+            if cls is Concat and not nullable(node):
+                done.append((b, b))
+            else:
+                done.append((b, b if cls is Union and c1 is b1 and c2 is b2 else Union(c1, c2)))
+        elif cls is Star:
+            done[-1] = (Star(done[-1][1]), done[-1][1])
+        elif cls is Option:
+            if not nullable(node.inner):
+                done[-1] = (Option(done[-1][0]), done[-1][1])
+        else:
+            done.append((node, node))
+    return done[0][0]
 
 
 def ssnf(r: RegEx) -> RegEx:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from .automata import Automaton
-from .expressions import EPSILON, Concat, RegEx, Star, Sym, Union
+from .expressions import EPSILON, Concat, RegEx, Star, Sym, Union, _rewrite_symbols
 
 __all__ = [
     "FamilyArtifact",
@@ -73,24 +73,13 @@ def options_regex(n: int) -> RegEx:
     return out
 
 
-def _shift_indices(r: RegEx, offset: int) -> RegEx:
-    if isinstance(r, Sym):
-        return Sym("a" + str(int(r.name[1:]) + offset))
-    if isinstance(r, Union):
-        return Union(_shift_indices(r.left, offset), _shift_indices(r.right, offset))
-    if isinstance(r, Concat):
-        return Concat(_shift_indices(r.left, offset), _shift_indices(r.right, offset))
-    if isinstance(r, Star):
-        return Star(_shift_indices(r.inner, offset))
-    return r
-
-
 def row1_regex(n: int) -> RegEx:
     """r1 = (a1+λ)*, r_{k+1} = (r_k + shifted copy)*; awidth 2^(n-1)."""
     _check(n >= 1, "n must be >= 1")
     r: RegEx = Star(Union(Sym("a1"), EPSILON))
     for k in range(1, n):
-        r = Star(Union(r, _shift_indices(r, 2 ** (k - 1))))
+        shifted = _rewrite_symbols(r, lambda s: Sym(f"a{int(s.name[1:]) + 2 ** (k - 1)}"))
+        r = Star(Union(r, shifted))
     return r
 
 

@@ -6,6 +6,7 @@ a Kosaraju SCC split; `follow_quotient` rebuilds the follow automaton as
 the position-automaton quotient that merges states with equal follow sets
 and equal finality; `path_pairs` is Warshall's transitive closure;
 `rebuild` copies a tree into new nodes that hold no stored value;
+`canonical` is the complete minimal DFA of an automaton over an alphabet;
 `reference_brzozowski` builds the derivative DFA from raw derivatives that
 are normalised afterwards, with states compared structurally.
 """
@@ -17,7 +18,7 @@ from itertools import product
 
 import pytest
 
-from refa.automata import Automaton
+from refa.automata import Automaton, _widen, minimize, remove_lambda, subset_construction
 from refa.constructions import construct_position, position_sets
 from refa.expressions import (
     EMPTY,
@@ -86,6 +87,12 @@ def rebuild(r: RegEx) -> RegEx:
     if isinstance(r, (Star, Option)):
         return type(r)(rebuild(r.inner))
     return type(r)(*astuple(r))
+
+
+def canonical(aut: Automaton, alphabet: frozenset[str]) -> Automaton:
+    """The complete minimal DFA of aut over the alphabet, states numbered
+    canonically, so that equal languages give equal automata."""
+    return minimize(subset_construction(_widen(remove_lambda(aut), alphabet)), "complete")
 
 
 def path_pairs(vertices, arcs) -> set:

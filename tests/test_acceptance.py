@@ -10,7 +10,6 @@ import time
 from contextlib import contextmanager
 
 from refa.automata import (
-    _canonical,
     equivalent,
     is_bideterministic,
     minimize,
@@ -42,7 +41,7 @@ from refa.families import (
     torus_dfa,
 )
 
-from conftest import naive_cycle_rank
+from conftest import canonical, naive_cycle_rank
 
 
 @contextmanager
@@ -119,7 +118,7 @@ def test_c05_construction_equivalence():
         for r in CORPUS:
             sigma = frozenset({"a", "b", "c", "d"})
             canons = [
-                _canonical(build(r), sigma)
+                canonical(build(r), sigma)
                 for build in (
                     construct_of,
                     construct_follow,

@@ -7,7 +7,6 @@ from refa.automata import (
     Automaton,
     NotDeterministicError,
     UnknownSymbolError,
-    _canonical,
     _widen,
     accepts,
     distinguishing_word,
@@ -32,7 +31,7 @@ from refa.constructions import (
 from refa.expressions import parse, random_expr, render
 from refa.families import buffer_dfa, buffer_regex, torus_dfa
 
-from conftest import corpus, lang, path_pairs, words_upto
+from conftest import canonical, corpus, lang, path_pairs, words_upto
 
 
 class TestAccepts:
@@ -230,7 +229,7 @@ class TestEquivalence:
                 assert got == brute or (
                     brute is None and len(got) > 5 and accepts(wide_a, got) != accepts(wide_b, got)
                 ), (i, render(r), render(s))
-            assert equivalent(a, b) == (_canonical(a, sigma) == _canonical(b, sigma)), i
+            assert equivalent(a, b) == (canonical(a, sigma) == canonical(b, sigma)), i
         assert inequivalent >= 100 and 320 - inequivalent >= 60
 
 

@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import subprocess
@@ -215,3 +216,53 @@ class TestCli:
         assert main(["convert", "--to", "pos", "(a+b)*", "-o", str(right)]) == 0
         assert main(["equiv", str(left), str(right)]) == 0
         assert capsys.readouterr().out.strip() == "inequivalent: b"
+
+
+STAR_TOWER = "(" * 3000 + "a" + ")*" * 3000
+
+
+@pytest.fixture
+def buffer_text(monkeypatch):
+    """perfbench's buffer_regex(n) text, built without refa."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    return importlib.import_module("workloads").buffer_text
+
+
+class TestDeepInputs:
+    """Nesting far past the recursion limit: the walks over whole trees take
+    any depth, and the per-term walks that recurse end in a one-line error."""
+
+    def test_gen_buffer_regex(self, capsys, buffer_text):
+        assert main(["gen", "buffer", "2000", "--regex"]) == 0
+        # text, not trees: the dataclass == recurses
+        assert capsys.readouterr().out == buffer_text(2000) + "\n"
+
+    @pytest.mark.parametrize("flags", [[], ["--no-simplify"]], ids=["simplify", "no-simplify"])
+    def test_toregex_buffer_round_trip(self, tmp_path, capsys, flags):
+        dfa, back = tmp_path / "b600.json", tmp_path / "back.json"
+        assert main(["gen", "buffer", "600", "-o", str(dfa)]) == 0
+        assert main(["toregex", str(dfa), *flags]) == 0
+        text = capsys.readouterr().out.strip()
+        assert main(["convert", text, "--to", "follow", "-o", str(back)]) == 0
+        assert main(["equiv", str(back), str(dfa)]) == 0
+        assert capsys.readouterr().out == "equivalent\n"
+
+    @pytest.mark.parametrize("route", [None, "of", "follow", "pos"], ids=["measure", "of", "follow", "pos"])
+    @pytest.mark.parametrize("deep", ["buffer", "tower"])
+    def test_walks_take_any_depth(self, capsys, buffer_text, route, deep):
+        text = buffer_text(3000) if deep == "buffer" else STAR_TOWER
+        assert main(["measure", text] if route is None else ["convert", text, "--to", route]) == 0
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("route", ["pd", "bdfa"])
+    def test_recursive_routes_end_in_one_line(self, route):
+        src = str(Path(refa.__file__).resolve().parents[1])
+        run = subprocess.run(
+            [sys.executable, "-m", "refa.cli", "convert", STAR_TOWER, "--to", route],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+            timeout=60,
+        )
+        assert run.returncode == 1 and run.stdout == ""
+        assert len(run.stderr.splitlines()) == 1 and run.stderr.startswith("error: ")

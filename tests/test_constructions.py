@@ -38,6 +38,7 @@ from refa.expressions import (
 from refa.families import buffer_regex, options_regex, row1_regex, row2_regex, row3_regex
 
 from conftest import (
+    canonical,
     corpus,
     follow_quotient,
     lambda_heavy_tree,
@@ -402,8 +403,6 @@ class TestBrzozowski:
 
 class TestAllConstructionsAgree:
     def test_pairwise_equivalent(self, small_corpus):
-        from refa.automata import _canonical
-
         for r in small_corpus:
             sigma = frozenset().union(
                 *[construct_position(r).alphabet]
@@ -415,5 +414,5 @@ class TestAllConstructionsAgree:
                 construct_pd(r),
                 construct_brzozowski(r),
             ]
-            canons = [_canonical(a, sigma) for a in auts]
+            canons = [canonical(a, sigma) for a in auts]
             assert all(c == canons[0] for c in canons), render(r)

@@ -33,6 +33,7 @@ from refa.expressions import (
     parse,
     random_expr,
     render,
+    ssnf,
     unmark,
 )
 from refa.families import buffer_regex
@@ -164,6 +165,13 @@ def option_chain(n: int):
     return r
 
 
+def union_chain(n: int):
+    r = Sym("a")
+    for _ in range(n):
+        r = Union(r, Sym("b"))
+    return Union(r, EPSILON)
+
+
 # The deepest input each walk handled before it stored its results on the
 # nodes, bisected in a fresh thread under the default recursion limit of
 # 1000 (CPython 3.11); storing values must not cost stack frames.
@@ -227,12 +235,23 @@ DEPTH_AFTER_TERM_TABLE = [("partial_derivatives-b-star", pd_b, star_chain, 249)]
 # _aci rebuilds its input through the constructors of a term table on an
 # explicit stack, so it takes any depth.
 DEPTH_AFTER_NORMAL_TERMS = [("_aci-any-depth", _aci, star_chain, 10**4)]
+# The walks over whole trees are loops over one post-order generator, so
+# they take any depth.  render stops at 3000: the texts kept on the nested
+# stars of buffer_regex(n) add up to quadratic length.
+DEPTH_AFTER_POSTORDER = [
+    ("construct_of-any-depth", construct_of, buffer_regex, 10**4),
+    ("construct_follow-any-depth", construct_follow, buffer_regex, 10**4),
+    ("nullable-any-depth", nullable, union_chain, 10**5),
+    ("ssnf-any-depth", ssnf, star_chain, 10**4),
+    ("render-any-depth", render, buffer_regex, 3000),
+]
 DEPTH_CASES = (
     DEPTH_BEFORE_MEMO
     + DEPTH_BEFORE_ARC_STORE
     + DEPTH_BEFORE_DERIVATIVE_MEMO
     + DEPTH_AFTER_TERM_TABLE
     + DEPTH_AFTER_NORMAL_TERMS
+    + DEPTH_AFTER_POSTORDER
 )
 
 
@@ -281,15 +300,8 @@ def test_mark_and_unmark_walk_any_depth():
         assert node == Sym("a", pos(1))
 
 
-def union_chain(n: int):
-    r = Sym("a")
-    for _ in range(n):
-        r = Union(r, Sym("b"))
-    return Union(r, EPSILON)
-
-
 def test_position_walks_any_depth():
-    # position_sets runs on an explicit stack and stores nullable bottom-up.
+    # position_sets runs on an explicit stack and takes nullability bottom-up.
     # The star and option chains have quadratically many follow pairs
     # (5*10^7 at 10^4 levels), so they are taken only past the recursion
     # limit; the buffer (nested stars) and the union chain (a nullable test
@@ -299,3 +311,27 @@ def test_position_walks_any_depth():
     assert len(aut.states) == 2 * 10**4 + 1 and aut.finals == {0, 2 * 10**4}
     aut = construct_position(union_chain(3000))
     assert len(aut.transitions) == 3001 and 0 in aut.finals
+
+
+def test_stored_value_walks_visit_each_distinct_node_once():
+    # 61 distinct nodes, 2**61 - 1 occurrences: a walk per occurrence never ends
+    x = Sym("a")
+    for _ in range(60):
+        x = Union(x, x)
+    outcome = []
+    worker = threading.Thread(target=lambda: outcome.append((measures(x).awidth, nullable(x))), daemon=True)
+    worker.start()
+    worker.join(timeout=10)
+    assert outcome == [(2**60, False)]
+
+
+def test_tree_walks_visit_each_occurrence():
+    # one subtree object three times over: every occurrence gets its own
+    # states and positions, as in an equal tree of new nodes
+    s = parse("(a+b)*c")
+    t = Concat(Union(s, Star(s)), s)
+    fresh = rebuild(t)
+    for build in (construct_of, construct_follow, construct_position):
+        assert build(t) == build(fresh)
+    assert mark(t).tree == mark(fresh).tree
+    assert len(construct_position(t).states) == 10
