@@ -169,13 +169,20 @@ def _cmd_bench(args) -> int:
 def _cmd_rank(args) -> int:
     aut = automata.load(args.automaton)
     dg = digraphs.underlying_digraph(aut)
+    rank = None
     try:
-        print(f"cycle rank: {digraphs.cycle_rank(dg, args.budget)}")
+        rank = digraphs.cycle_rank(dg, args.budget)
+        print(f"cycle rank: {rank}")
     except digraphs.CycleRankBudgetError:
         print(f"cycle rank upper bound: {digraphs.cycle_rank_upper(dg)}")
     try:
-        height = digraphs.star_height_bideterministic(aut, args.budget)
-        print(f"star height: {height}")
+        # when minimisation only renamed the states, the star height is `rank`
+        minimal = automata.minimize(aut, "partial")
+        if not automata.is_bideterministic(minimal):
+            raise digraphs.NotBideterministicError
+        if rank is None or automata.fa_measures(minimal) != automata.fa_measures(aut):
+            rank = digraphs.cycle_rank(digraphs.underlying_digraph(minimal), args.budget)
+        print(f"star height: {rank}")
     except (digraphs.NotBideterministicError, automata.NotDeterministicError):
         print("star height: undetermined (not bideterministic)")
     except digraphs.CycleRankBudgetError:

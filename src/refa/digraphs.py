@@ -137,6 +137,9 @@ def sccs(dg: Digraph) -> list[frozenset]:
 def cycle_rank(dg: Digraph, budget: int = 18) -> int:
     """Exact cycle rank via the memoized deletion recursion, with branch-and-bound.
 
+    A subgraph's rank never exceeds the digraph's (the monotone floor), so each
+    child's value, exact or a bound, raises a floor that can end the search early.
+
     Refuses digraphs above `budget` vertices: the recursion is exponential
     in the worst case, so callers beyond that should fall back to
     :func:`cycle_rank_upper`.
@@ -163,10 +166,12 @@ def cycle_rank(dg: Digraph, budget: int = 18) -> int:
             floor = max(floor, 1)
             sub = limit
             for v in _bits(mask):
-                sub = min(sub, rank(mask ^ v, min(sub, limit - 1)))
-                if sub + 1 <= floor:
+                child = rank(mask ^ v, min(sub, limit - 1))
+                sub, floor = min(sub, child), max(floor, child)
+                if floor >= limit or sub + 1 <= floor:
                     break
-            result = sub + 1
+            # sub + 1 bounds the rank only once every child is in
+            result = floor if floor >= limit else sub + 1
         else:
             result = 0
             for comp in comps:
@@ -183,7 +188,7 @@ def cycle_rank(dg: Digraph, budget: int = 18) -> int:
 
 
 def cycle_rank_upper(dg: Digraph) -> int:
-    """Greedy upper bound: always delete the highest-degree vertex of an SCC."""
+    """Greedy upper bound: how deep deleting each SCC's highest-degree vertex nests."""
     order, succ, pred = _index(dg)
     names = [repr(v) for v in order]
 
@@ -191,15 +196,13 @@ def cycle_rank_upper(dg: Digraph) -> int:
         i = b.bit_length() - 1
         return (-((succ[i] & comp).bit_count() + (pred[i] & comp).bit_count()), names[i])
 
-    def bound(mask: int) -> int:
-        best = 0
-        for comp in _components(mask, succ, pred):
-            if _cyclic(comp, succ):
-                victim = min(_bits(comp), key=lambda b: degree_key(b, comp))
-                best = max(best, 1 + bound(comp ^ victim))
-        return best
-
-    return bound((1 << len(order)) - 1)
+    best, stack = 0, [((1 << len(order)) - 1, 0)]
+    while stack:
+        mask, depth = stack.pop()
+        best = max(best, depth)
+        stack += [(comp ^ min(_bits(comp), key=lambda b: degree_key(b, comp)), depth + 1)
+                  for comp in _components(mask, succ, pred) if _cyclic(comp, succ)]
+    return best
 
 
 def symmetrize(dg: Digraph) -> Digraph:

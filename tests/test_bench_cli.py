@@ -8,6 +8,8 @@ from pathlib import Path
 import pytest
 
 import refa
+from refa import digraphs
+from refa.automata import Automaton, to_json
 from refa.bench import (
     bench_constructions,
     bench_orderings,
@@ -16,7 +18,7 @@ from refa.bench import (
     verify_trends,
 )
 from refa.cli import _build_parser, main
-from refa.families import buffer_dfa
+from refa.families import buffer_dfa, torus_dfa
 
 
 class TestBenchConstructions:
@@ -216,6 +218,37 @@ class TestCli:
         assert main(["convert", "--to", "pos", "(a+b)*", "-o", str(right)]) == 0
         assert main(["equiv", str(left), str(right)]) == 0
         assert capsys.readouterr().out.strip() == "inequivalent: b"
+
+
+class TestRank:
+    """`refa rank` prints the star height from the cycle rank it already has
+    when minimisation only renames the states, and computes it otherwise."""
+
+    @pytest.mark.parametrize(
+        "aut,out,ranks",
+        [
+            (torus_dfa(4, 4), "cycle rank: 4\nstar height: 4\n", 1),
+            # all final: the minimal DFA is one state with two loops
+            (Automaton.make(range(3), "ab", 0, range(3),
+                            [(0, "a", 1), (0, "b", 2), (1, "a", 0), (1, "b", 2), (2, "a", 2), (2, "b", 1)]),
+             "cycle rank: 2\nstar height: 1\n", 2),
+            # over the budget of 18, yet the minimal DFA has one state
+            (Automaton.make(range(20), "a", 0, range(20), [(i, "a", (i + 1) % 20) for i in range(20)]),
+             "cycle rank upper bound: 1\nstar height: 1\n", 2),
+            (Automaton.make([0], "a", 0, [], [(0, "a", 0)]),
+             "cycle rank: 1\nstar height: undetermined (not bideterministic)\n", 1),
+        ],
+        ids=["torus4x4-reused", "all-final-recomputed", "over-budget-recomputed", "non-final-loop"],
+    )
+    def test_star_height(self, tmp_path, capsys, monkeypatch, aut, out, ranks):
+        path = tmp_path / "aut.json"
+        path.write_text(to_json(aut))
+        calls = []
+        exact = digraphs.cycle_rank
+        monkeypatch.setattr(digraphs, "cycle_rank", lambda *a: calls.append(a) or exact(*a))
+        assert main(["rank", str(path)]) == 0
+        assert capsys.readouterr().out == out
+        assert len(calls) == ranks
 
 
 STAR_TOWER = "(" * 3000 + "a" + ")*" * 3000

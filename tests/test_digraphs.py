@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 
 import pytest
 
@@ -160,6 +161,13 @@ class TestCycleRank:
     def test_sixteen_vertex_families(self, aut, expected):
         assert cycle_rank(underlying_digraph(aut)) == expected
 
+    def test_floor_reaching_the_limit_is_returned(self):
+        # a child's bound lifts the floor to the limit before the other
+        # children are in, so one plus the smallest child so far is no bound
+        dg = Digraph.make(range(4), [(0, 0), (0, 1), (0, 3), (1, 2), (2, 0), (2, 2), (2, 3), (3, 2), (3, 3)])
+        assert naive_cycle_rank(dg.vertices, dg.arcs) == 2
+        assert cycle_rank(dg) == 2
+
 
 class TestCycleRankUpper:
     def test_dag_zero(self):
@@ -174,6 +182,16 @@ class TestCycleRankUpper:
             exact = cycle_rank(dg)
             upper = cycle_rank_upper(dg)
             assert exact <= upper <= len(dg.vertices)
+
+    def test_deep_deletions_need_no_recursion(self):
+        # the greedy deletions on this chain nest 253 deep
+        dg = underlying_digraph(buffer_dfa(600))
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(200)
+        try:
+            assert cycle_rank_upper(dg) == 253
+        finally:
+            sys.setrecursionlimit(limit)
 
     def test_torus_2x4_band(self):
         upper = cycle_rank_upper(underlying_digraph(torus_dfa(2, 4)))

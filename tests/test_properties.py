@@ -7,6 +7,10 @@
 * The derivatives that one term table, shared across calls as in
   `construct_brzozowski`, builds in normal form for every iterated
   derivative of a tree equal the raw derivatives normalised afterwards.
+* On digraphs of up to 7 vertices, `cycle_rank` equals the unmemoized
+  deletion recursion, deleting any one vertex lowers it by at most one and
+  never raises it (the floor its search relies on), and `sccs` agrees with
+  networkx where networkx is installed.
 
 Skipped where Hypothesis is not installed.
 """
@@ -22,9 +26,10 @@ from hypothesis import strategies as st
 
 from refa.automata import Automaton, to_dict, to_json
 from refa.constructions import _AciTerms
+from refa.digraphs import Digraph, cycle_rank, sccs
 from refa.expressions import random_expr, render
 
-from conftest import lambda_heavy_tree, rebuild, reference_aci, reference_derivative
+from conftest import lambda_heavy_tree, naive_cycle_rank, rebuild, reference_aci, reference_derivative
 
 NAMES = st.text(alphabet=st.sampled_from('ab"\\/\n\t\x00\x7fé€ 𝄞'), max_size=4) | st.text(max_size=4)
 STATES = st.integers(-(10**12), 10**12) | NAMES
@@ -73,3 +78,35 @@ def test_shared_memo_derivatives_equal_unmemoised_ones(tree):
             if id(d) not in seen:
                 seen.add(id(d))
                 queue.append(d)
+
+
+@st.composite
+def digraphs(draw) -> Digraph:
+    n = draw(st.integers(1, 7))
+    vertex = st.integers(0, n - 1)
+    return Digraph.make(range(n), draw(st.sets(st.tuples(vertex, vertex), max_size=n * n)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(digraphs())
+def test_cycle_rank_is_the_deletion_recursion(dg):
+    assert cycle_rank(dg) == naive_cycle_rank(dg.vertices, dg.arcs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(digraphs())
+def test_cycle_rank_drops_by_at_most_one_per_deleted_vertex(dg):
+    rank = cycle_rank(dg)
+    for v in dg.vertices:
+        rest = Digraph.make(dg.vertices - {v}, [(p, q) for p, q in dg.arcs if v not in (p, q)])
+        assert cycle_rank(rest) <= rank <= cycle_rank(rest) + 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(digraphs())
+def test_sccs_agree_with_networkx(dg):
+    nx = pytest.importorskip("networkx")
+    graph = nx.DiGraph()
+    graph.add_nodes_from(dg.vertices)
+    graph.add_edges_from(dg.arcs)
+    assert set(sccs(dg)) == set(map(frozenset, nx.strongly_connected_components(graph)))
