@@ -10,7 +10,9 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass
+from itertools import chain
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 __all__ = [
@@ -79,7 +81,7 @@ class Automaton:
             frozenset(alphabet),
             initial,
             frozenset(finals),
-            frozenset((p, a, q) for p, a, q in transitions),
+            frozenset(map(tuple, transitions)),
         )
 
     # -- derived class flags ------------------------------------------------
@@ -374,23 +376,35 @@ def fa_measures(aut: Automaton) -> FaMeasures:
 # Serialization: JSON ({"states": ..}; label "" is λ) and DOT (λ drawn as ε)
 
 
+def _sorted_triples(aut: Automaton) -> tuple[list, Callable | None]:
+    """The (p, label, q) triples of `aut` in `_state_key` order, "" for λ, and
+    the key that sorts its states so; None for int states (not bools), whose
+    triples take a stable sort per field, last first: quicker than tuple compares."""
+    triples = [(p, a or "", q) for p, a, q in aut.transitions]
+    if set(map(type, aut.states)) == {int}:
+        for field in (2, 1, 0):
+            triples.sort(key=itemgetter(field))
+        return triples, None
+    key = {s: _state_key(s) for s in aut.states}.__getitem__  # once per state, not per transition
+    triples.sort(key=lambda t: (key(t[0]), t[1], key(t[2])))
+    return triples, key
+
+
 def to_dict(aut: Automaton) -> dict:
-    key = {s: _state_key(s) for s in aut.states}  # once per state, not per transition
+    triples, key = _sorted_triples(aut)
     return {
-        "states": sorted(aut.states, key=key.__getitem__),
+        "states": sorted(aut.states, key=key),
         "alphabet": sorted(aut.alphabet),
         "initial": aut.initial,
-        "finals": sorted(aut.finals, key=key.__getitem__),
-        "transitions": sorted(
-            [[p, a if a is not None else "", q] for p, a, q in aut.transitions],
-            key=lambda t: (key[t[0]], t[1], key[t[2]]),
-        ),
+        "finals": sorted(aut.finals, key=key),
+        "transitions": list(map(list, triples)),
     }
 
 
 # the JSON text of a state or symbol: strings and ints directly, any other
-# scalar as json writes it
+# scalar as json writes it; and a transition's, from the texts of its fields
 _JSON_SCALAR = {str: encode_basestring_ascii, int: int.__repr__}
+_JSON_TRIPLE = "[\n      %s,\n      %s,\n      %s\n    ]"
 
 
 def _json_list(items: list[str]) -> str:
@@ -401,19 +415,16 @@ def _json_list(items: list[str]) -> str:
 def to_json(aut: Automaton) -> str:
     """``json.dumps(to_dict(aut), indent=2)`` plus a newline, written without
     the pure-Python encoder that `json` falls back to when `indent` is set."""
-    data = to_dict(aut)
+    triples, key = _sorted_triples(aut)
     scalars = (*aut.states, *aut.alphabet, "")  # "" is the λ label
     text = {v: _JSON_SCALAR.get(type(v), json.dumps)(v) for v in scalars}
-    transitions = [
-        f"[\n      {text[p]},\n      {text[a]},\n      {text[q]}\n    ]"
-        for p, a, q in data["transitions"]
-    ]
+    fields = tuple(map(text.__getitem__, chain.from_iterable(triples)))
     return (
-        '{\n  "states": ' + _json_list([text[s] for s in data["states"]])
-        + ',\n  "alphabet": ' + _json_list([text[a] for a in data["alphabet"]])
-        + ',\n  "initial": ' + text[data["initial"]]
-        + ',\n  "finals": ' + _json_list([text[s] for s in data["finals"]])
-        + ',\n  "transitions": ' + _json_list(transitions)
+        '{\n  "states": ' + _json_list([text[s] for s in sorted(aut.states, key=key)])
+        + ',\n  "alphabet": ' + _json_list([text[a] for a in sorted(aut.alphabet)])
+        + ',\n  "initial": ' + text[aut.initial]
+        + ',\n  "finals": ' + _json_list([text[s] for s in sorted(aut.finals, key=key)])
+        + ',\n  "transitions": ' + _json_list([_JSON_TRIPLE] * len(triples)) % fields
         + "\n}\n"
     )
 

@@ -311,7 +311,7 @@ def _position_sets(tree: RegEx) -> tuple[PositionSets, dict[int, str], bool]:
     """The sets of a marked tree, the letter at each position, and whether
     the tree is nullable, from one walk: `done` holds the (first, last,
     nullable) of each finished kid.  Follow pairs go to one set."""
-    done: list[tuple[frozenset, frozenset, bool]] = []
+    done: list[tuple[set[int], set[int], bool]] = []
     follow: set[tuple[int, int]] = set()
     letters: dict[int, str] = {}
     for node in _postorder(tree):
@@ -320,24 +320,32 @@ def _position_sets(tree: RegEx) -> tuple[PositionSets, dict[int, str], bool]:
             if node.pos is None:
                 raise ValueError("position_sets expects a marked expression")
             letters[node.pos] = node.name
-            done.append((frozenset([node.pos]), frozenset([node.pos]), False))
+            done.append(({node.pos}, {node.pos}, False))
         elif cls is Union or cls is Concat:
             f2, l2, n2 = done.pop()
             f1, l1, n1 = done.pop()
             if cls is Union:
-                done.append((f1 | f2, l1 | l2, n1 or n2))
+                done.append((_merge(f1, f2), _merge(l1, l2), n1 or n2))
             else:
                 follow.update((i, j) for i in l1 for j in f2)
-                done.append((f1 | f2 if n1 else f1, l1 | l2 if n2 else l2, n1 and n2))
+                done.append((_merge(f1, f2) if n1 else f1, _merge(l1, l2) if n2 else l2, n1 and n2))
         elif cls is Star or cls is Option:
             first, last, _ = done[-1]
             if cls is Star:
                 follow.update((i, j) for i in last for j in first)
             done[-1] = (first, last, True)
         else:
-            done.append((frozenset(), frozenset(), cls is Epsilon))
+            done.append((set(), set(), cls is Epsilon))
     first, last, empty_word = done[0]
-    return PositionSets(first, last, frozenset(follow), frozenset(letters)), letters, empty_word
+    return PositionSets(*map(frozenset, (first, last, follow, letters))), letters, empty_word
+
+
+def _merge(a: set, b: set) -> set:
+    """a | b, made in the larger of two popped kids' sets: linear on a union chain."""
+    if len(a) < len(b):
+        a, b = b, a
+    a |= b
+    return a
 
 
 def construct_position(r: RegEx) -> Automaton:

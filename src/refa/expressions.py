@@ -234,7 +234,8 @@ def parse(text: str) -> RegEx:
     its postfix operators and the `)` that close groups after it, then the
     operator that follows; each open `(` is a frame on an explicit stack
     (its offset, and the union and the concatenation before it), so nesting
-    costs no stack frames.
+    costs no stack frames.  Each symbol name gets one `Sym` per parse, shared
+    by its occurrences, which the tree walks still visit one by one.
     """
     n = len(text)
     i = _skip_spaces(text, 0)
@@ -242,12 +243,15 @@ def parse(text: str) -> RegEx:
         raise RegexSyntaxError("empty expression", 0)
     frames: list[tuple[int, RegEx | None, RegEx | None]] = []
     union = term = None  # the current group's union and concatenation so far
+    leaves: dict[str, Sym] = {}
     while True:
+        if i < n and text[i] == " ":
+            i = _skip_spaces(text, i)
         c = text[i] if i < n else None
         if c == "(":
             frames.append((i, union, term))
             union = term = None
-            i = _skip_spaces(text, i + 1)
+            i += 1
             continue
         if c == "#" or c == "&":
             node = EMPTY if c == "#" else EPSILON
@@ -257,13 +261,15 @@ def parse(text: str) -> RegEx:
             i += 1
             while i < n and text[i].isdigit():
                 i += 1
-            node = Sym(text[start:i])
+            name = text[start:i]
+            node = leaves.get(name) or leaves.setdefault(name, Sym(name))
         elif c is None:
             raise RegexSyntaxError("unexpected end of input", i)
         else:
             raise RegexSyntaxError(f"unexpected {c!r}", i)
         while True:
-            i = _skip_spaces(text, i)
+            if i < n and text[i] == " ":
+                i = _skip_spaces(text, i)
             c = text[i] if i < n else None
             if c == "*":
                 node = Star(node)
@@ -280,7 +286,7 @@ def parse(text: str) -> RegEx:
         if c == "+":
             union = term if union is None else Union(union, term)
             term = None
-            i = _skip_spaces(text, i + 1)
+            i += 1
         elif c == "·":
             i = _skip_spaces(text, i + 1)
             if i == n or text[i] in ")+*?·":

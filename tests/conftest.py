@@ -9,6 +9,10 @@ and equal finality; `path_pairs` is Warshall's transitive closure;
 `canonical` is the complete minimal DFA of an automaton over an alphabet;
 `reference_brzozowski` builds the derivative DFA from raw derivatives that
 are normalised afterwards, with states compared structurally.
+`reference_to_dict` sorts by the keyed state order alone, `reference_parse`
+makes a new `Sym` for every occurrence, and `reference_position_sets` builds
+new frozensets at every node: the simple forms the package's faster ones
+must agree with.
 """
 
 import random
@@ -18,8 +22,8 @@ from itertools import product
 
 import pytest
 
-from refa.automata import Automaton, _widen, minimize, remove_lambda, subset_construction
-from refa.constructions import construct_position, position_sets
+from refa.automata import Automaton, _state_key, _widen, minimize, remove_lambda, subset_construction
+from refa.constructions import PositionSets, construct_position, position_sets
 from refa.expressions import (
     EMPTY,
     EPSILON,
@@ -28,6 +32,7 @@ from refa.expressions import (
     Epsilon,
     Option,
     RegEx,
+    RegexSyntaxError,
     Star,
     Sym,
     Union,
@@ -312,6 +317,118 @@ def reference_brzozowski(r: RegEx) -> Automaton:
             transitions.add((ids[term], a, ids[d]))
     finals = {i for term, i in ids.items() if nullable(term)}
     return Automaton.make(range(len(ids)), letters, 0, finals, transitions)
+
+
+# -- reference serialization, parser and position sets --------------------
+
+
+def reference_to_dict(aut: Automaton) -> dict:
+    """The JSON dict of an automaton, every list sorted by `_state_key`."""
+    key = {s: _state_key(s) for s in aut.states}
+    return {
+        "states": sorted(aut.states, key=key.__getitem__),
+        "alphabet": sorted(aut.alphabet),
+        "initial": aut.initial,
+        "finals": sorted(aut.finals, key=key.__getitem__),
+        "transitions": sorted(
+            [[p, a if a is not None else "", q] for p, a, q in aut.transitions],
+            key=lambda t: (key[t[0]], t[1], key[t[2]]),
+        ),
+    }
+
+
+def _skip_spaces(text: str, i: int) -> int:
+    while i < len(text) and text[i] == " ":
+        i += 1
+    return i
+
+
+def reference_parse(text: str) -> RegEx:
+    """The one-loop parser with a new `Sym` per occurrence and a call to
+    skip spaces before every token."""
+    n = len(text)
+    i = _skip_spaces(text, 0)
+    if i == n:
+        raise RegexSyntaxError("empty expression", 0)
+    frames = []
+    union = term = None
+    while True:
+        c = text[i] if i < n else None
+        if c == "(":
+            frames.append((i, union, term))
+            union = term = None
+            i = _skip_spaces(text, i + 1)
+            continue
+        if c == "#" or c == "&":
+            node = EMPTY if c == "#" else EPSILON
+            i += 1
+        elif c is not None and c.isalpha() and c.isascii():
+            start = i
+            i += 1
+            while i < n and text[i].isdigit():
+                i += 1
+            node = Sym(text[start:i])
+        elif c is None:
+            raise RegexSyntaxError("unexpected end of input", i)
+        else:
+            raise RegexSyntaxError(f"unexpected {c!r}", i)
+        while True:
+            i = _skip_spaces(text, i)
+            c = text[i] if i < n else None
+            if c == "*":
+                node = Star(node)
+            elif c == "?":
+                node = Option(node)
+            elif c == ")" and frames:
+                node = node if term is None else Concat(term, node)
+                node = node if union is None else Union(union, node)
+                _, union, term = frames.pop()
+            else:
+                break
+            i += 1
+        term = node if term is None else Concat(term, node)
+        if c == "+":
+            union = term if union is None else Union(union, term)
+            term = None
+            i = _skip_spaces(text, i + 1)
+        elif c == "·":
+            i = _skip_spaces(text, i + 1)
+            if i == n or text[i] in ")+*?·":
+                raise RegexSyntaxError("dangling '·'", i)
+        elif c is None or not (c == "(" or c == "#" or c == "&" or c.isalpha()):
+            if frames:
+                raise RegexSyntaxError(f"unbalanced '(' opened at offset {frames[-1][0]}", i)
+            if c is not None:
+                raise RegexSyntaxError(f"unexpected {c!r}", i)
+            return term if union is None else Union(union, term)
+
+
+def reference_position_sets(r: RegEx) -> tuple[PositionSets, dict[int, str], bool]:
+    """First, last and follow of mark(r), the letter at each position and
+    the nullability of r, by recursion with new frozensets at every node."""
+    follow = set()
+    letters = {}
+
+    def walk(node):
+        if isinstance(node, Sym):
+            letters[node.pos] = node.name
+            return frozenset([node.pos]), frozenset([node.pos]), False
+        if isinstance(node, (Empty, Epsilon)):
+            return frozenset(), frozenset(), isinstance(node, Epsilon)
+        if isinstance(node, (Star, Option)):
+            first, last, _ = walk(node.inner)
+            if isinstance(node, Star):
+                follow.update((i, j) for i in last for j in first)
+            return first, last, True
+        f1, l1, n1 = walk(node.left)
+        f2, l2, n2 = walk(node.right)
+        if isinstance(node, Union):
+            return f1 | f2, l1 | l2, n1 or n2
+        follow.update((i, j) for i in l1 for j in f2)
+        return f1 | f2 if n1 else f1, l1 | l2 if n2 else l2, n1 and n2
+
+    first, last, empty_word = walk(mark(r).tree)
+    return PositionSets(first, last, frozenset(follow), frozenset(letters)), letters, empty_word
 
 
 @pytest.fixture(scope="session")

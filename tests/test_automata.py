@@ -296,3 +296,67 @@ class TestMeasuresSerialization:
             Automaton.make([0], {"a"}, 1, [], [])
         with pytest.raises(ValueError):
             Automaton.make([0], {"a"}, 0, [], [(0, "b", 0)])
+
+    # The exact messages, recorded before the bulk serialization paths went in
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((2, [], []), "initial state 2 not a state"),
+            ((0, [3], []), "final states must be states"),
+            ((0, [1], [(0, "a", 1), (1, "a", 5)]), "transition (1,'a',5) leaves the state set"),
+            ((0, [1], [(7, "a", 1)]), "transition (7,'a',1) leaves the state set"),
+            ((0, [1], [(0, "b", 1)]), "transition label 'b' not in the alphabet"),
+            ((0, [1], [(0, "a")]), "not enough values to unpack (expected 3, got 2)"),
+            ((0, [1], [(0, "a", 1, 1)]), "too many values to unpack (expected 3)"),
+        ],
+    )
+    def test_validation_messages(self, args, message):
+        with pytest.raises(ValueError) as err:
+            Automaton.make([0, 1], ["a"], *args)
+        assert str(err.value) == message
+
+    GOOD = {"states": [0, 1], "alphabet": ["a"], "initial": 0, "finals": [1], "transitions": [[0, "a", 1], [1, "", 0]]}
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            *[
+                ({name: 5}, f"automaton field {name!r} must be a list")
+                for name in ("states", "alphabet", "finals", "transitions")
+            ],
+            ({"states": [0, 1.5]}, "automaton field 'states': state 1.5 is not an int or a string"),
+            ({"initial": 1.0}, "automaton field 'initial': state 1.0 is not an int or a string"),
+            ({"initial": None}, "automaton field 'initial': state None is not an int or a string"),
+            ({"finals": [None]}, "automaton field 'finals': state None is not an int or a string"),
+            ({"alphabet": ["a", 3]}, "automaton field 'alphabet': symbol 3 is not a string"),
+            *[
+                ({"transitions": [[0, "a", 1], t]}, f"automaton field 'transitions': {t!r} is not a [state, label, state] triple")
+                for t in ([0, "a"], [0, "a", 1, 1], [0, 3, 1], [0, None, 1], [1.5, "a", 1], (0, "a", 1), "abc")
+            ],
+            ({"transitions": [[0, "b", 1]]}, "transition label 'b' not in the alphabet"),
+            ({"transitions": [[0, "a", 9]]}, "transition (0,'a',9) leaves the state set"),
+        ],
+    )
+    def test_from_dict_messages(self, change, message):
+        with pytest.raises(ValueError) as err:
+            from_dict({**self.GOOD, **change})
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("name", sorted(GOOD))
+    def test_from_dict_missing_field(self, name):
+        with pytest.raises(ValueError) as err:
+            from_dict({k: v for k, v in self.GOOD.items() if k != name})
+        assert str(err.value) == f"automaton field {name!r} is missing"
+
+    def test_from_dict_takes_bool_states_as_ints(self):
+        # a bool is an int to the shape check, and True equals the state 1
+        aut = from_dict({**self.GOOD, "states": [0, 1, True], "transitions": [[True, "a", 1]]})
+        assert aut.states == {0, 1} and aut.transitions == {(1, "a", 1)}
+        assert from_dict({**self.GOOD, "initial": True}).initial is True
+
+    def test_non_data_is_rejected(self):
+        with pytest.raises(ValueError) as err:
+            from_dict([1])
+        assert str(err.value) == "automaton must be a JSON object, not list"
+        with pytest.raises(TypeError):
+            Automaton.make([0, 1], ["a"], 0, [1], [5])

@@ -7,6 +7,7 @@ from refa.automata import Automaton, accepts, equivalent, fa_measures, remove_la
 from refa.constructions import (
     ConstructionError,
     _AciTerms,
+    _position_sets,
     _Terms,
     construct_brzozowski,
     construct_follow,
@@ -46,6 +47,7 @@ from conftest import (
     rebuild,
     reference_brzozowski,
     reference_cat,
+    reference_position_sets,
     words_upto,
 )
 
@@ -177,6 +179,22 @@ class TestPositionSets:
         assert sets.first == frozenset({1, 2})
         assert sets.last == frozenset({1, 2})
         assert sets.follow == frozenset({(1, 2)})
+
+    def test_equal_to_the_reference(self):
+        # the sets merged in place equal new frozensets built at every node
+        rng = random.Random(41)
+        trees = [random_expr(1 + i % 15, ["a", "b"], 900 + i) for i in range(150)]
+        trees += [lambda_heavy_tree(rng, 6) for _ in range(150)]
+        for r in trees:
+            assert _position_sets(mark(r).tree) == reference_position_sets(r), render(r)
+
+    def test_left_union_chain(self):
+        # 10^4 unions, each merging one position into the set built so far
+        r = EPSILON
+        for i in range(1, 10**4 + 1):
+            r = Union(r, Sym(f"a{i}"))
+        aut = construct_position(r)
+        assert (len(aut.states), len(aut.transitions), aut.finals) == (10**4 + 1, 10**4, aut.states)
 
     def test_requires_marked_expression(self):
         from refa.expressions import MarkedRegEx

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from refa.expressions import (
@@ -25,7 +27,7 @@ from refa.automata import accepts, equivalent
 
 from refa.families import buffer_regex
 
-from conftest import corpus, lang
+from conftest import corpus, lang, reference_parse
 
 # The message and offset of malformed inputs, recorded from the recursive
 # descent parser that the one-loop parser replaced; they must not change.
@@ -85,6 +87,17 @@ SYNTAX_ERRORS = [
 ]
 
 
+def _positions(tree):
+    """The position indices of the symbol leaves, left to right."""
+    if isinstance(tree, Sym):
+        return [tree.pos]
+    if isinstance(tree, (Union, Concat)):
+        return _positions(tree.left) + _positions(tree.right)
+    if isinstance(tree, (Star, Option)):
+        return _positions(tree.inner)
+    return []
+
+
 class TestParse:
     def test_star_of_concat(self):
         assert parse("(ab)*") == Star(Concat(Sym("a"), Sym("b")))
@@ -135,6 +148,30 @@ class TestParse:
             with pytest.raises(RegexSyntaxError) as err:
                 parse(text)
             assert (str(err.value), err.value.offset) == (message, offset), text
+
+    def test_shared_leaves_count_as_occurrences(self):
+        # one Sym per name and parse, visited once per occurrence by every walk
+        r = parse("a+aa")
+        assert r.left is r.right.left is r.right.right
+        assert measures(r).awidth == 3
+        assert _positions(mark(parse("a(a+b)*ab+b")).tree) == [1, 2, 3, 4, 5, 6]
+        assert len(construct_position(parse("a(a+b)*a")).states) == 5
+
+    def test_equals_the_reference_parser(self):
+        # rendered trees, and the same texts with spaces put anywhere, even
+        # inside a symbol name, where both parsers must fail alike
+        def outcome(parser, text):
+            try:
+                return parser(text)
+            except RegexSyntaxError as err:
+                return str(err), err.offset
+
+        rng = random.Random(29)
+        for seed in range(500):
+            text = render(random_expr(1 + seed % 12, ["a", "b", "a1", "a12"], seed))
+            assert parse(text) == reference_parse(text)
+            spaced = "".join(c + " " * (rng.random() < 0.2) for c in text)
+            assert outcome(parse, spaced) == outcome(reference_parse, spaced), spaced
 
     def test_parses_any_depth(self):
         # open groups are frames on an explicit stack: 10^4 levels, far past

@@ -3,7 +3,8 @@
 * `to_json` writes exactly what ``json.dumps(to_dict(a), indent=2)`` writes,
   on automata with int and string states (quotes, backslashes, control and
   non-ASCII characters), λ labels, and empty alphabets, finals and
-  transitions.
+  transitions; and both keep the order of the keyed sort they replaced, on
+  int, string, mixed and bool states.
 * The derivatives that one term table, shared across calls as in
   `construct_brzozowski`, builds in normal form for every iterated
   derivative of a tree equal the raw derivatives normalised afterwards.
@@ -29,15 +30,25 @@ from refa.constructions import _AciTerms
 from refa.digraphs import Digraph, cycle_rank, sccs
 from refa.expressions import random_expr, render
 
-from conftest import lambda_heavy_tree, naive_cycle_rank, rebuild, reference_aci, reference_derivative
+from conftest import (
+    lambda_heavy_tree,
+    naive_cycle_rank,
+    rebuild,
+    reference_aci,
+    reference_derivative,
+    reference_to_dict,
+)
 
 NAMES = st.text(alphabet=st.sampled_from('ab"\\/\n\t\x00\x7fé€ 𝄞'), max_size=4) | st.text(max_size=4)
-STATES = st.integers(-(10**12), 10**12) | NAMES
+INTS = st.integers(-(10**12), 10**12)
+STATES = INTS | NAMES
+# bools alone, and mixed with the ints they equal
+STATE_KINDS = {"int": INTS, "str": NAMES, "mixed": STATES, "bool": st.booleans() | st.integers(-2, 2)}
 
 
 @st.composite
-def automata(draw) -> Automaton:
-    states = draw(st.lists(STATES, min_size=1, max_size=8, unique=True))
+def automata(draw, states=STATES) -> Automaton:
+    states = draw(st.lists(states, min_size=1, max_size=8, unique=True))
     alphabet = draw(st.lists(NAMES, max_size=4, unique=True))
     state = st.sampled_from(states)
     arc = st.tuples(state, st.sampled_from([None, *alphabet]), state)
@@ -54,6 +65,17 @@ def automata(draw) -> Automaton:
 @given(automata())
 def test_to_json_is_json_dumps_with_indent(aut):
     assert to_json(aut) == json.dumps(to_dict(aut), indent=2) + "\n"
+
+
+@pytest.mark.parametrize("kind", sorted(STATE_KINDS))
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_serialized_order_is_the_keyed_sort(kind, data):
+    # compared as JSON text, where a bool state and the int it equals differ
+    aut = data.draw(automata(STATE_KINDS[kind]))
+    reference = json.dumps(reference_to_dict(aut), indent=2)
+    assert json.dumps(to_dict(aut), indent=2) == reference
+    assert to_json(aut) == reference + "\n"
 
 
 TREES = st.builds(
