@@ -135,6 +135,27 @@ def _reach(step: Callable[[State], Iterable[State]], starts: Iterable[State]) ->
     return seen
 
 
+def _explore(start, moves: Callable, key: Callable | None = None) -> tuple[list, list[tuple]]:
+    """The states reachable from `start` in the order a breadth-first search
+    first reaches them, which numbers them 0, 1, ..., and the (i, label, j)
+    triples between those numbers.  `moves(state)`, called once per state
+    in number order, yields (label, successor) pairs in the order that
+    numbers new successors.  States are told apart by `key(state)`, or by
+    themselves when `key` is None."""
+    states = [start]
+    ids = {start if key is None else key(start): 0}
+    triples = []
+    for i, state in enumerate(states):
+        for label, succ in moves(state):
+            k = succ if key is None else key(succ)
+            j = ids.get(k)
+            if j is None:
+                j = ids[k] = len(states)
+                states.append(succ)
+            triples.append((i, label, j))
+    return states, triples
+
+
 def _closure(index: dict, starts: Iterable[State]) -> set[State]:
     """The λ-closure of `starts` along an :func:`_index`."""
     return _reach(lambda p: index[p].get(None, ()), starts)
@@ -184,26 +205,18 @@ def subset_construction(aut: Automaton) -> Automaton:
 
     The result is a complete DFA over the same alphabet whose states are the
     reachable subsets only (the empty subset appears as the sink when some
-    move is undefined).  Subsets are renamed 0,1,2,... in discovery order.
+    move is undefined), numbered by :func:`_explore` over sorted letters.
     """
     if not aut.is_lambda_free():
         raise ValueError("subset construction expects a λ-free automaton")
     index = _index(aut)
     letters = sorted(aut.alphabet)
-    start = frozenset([aut.initial])
-    ids: dict[frozenset, int] = {start: 0}
-    queue = deque([start])
-    transitions = []
-    while queue:
-        subset = queue.popleft()
-        for a in letters:
-            target = frozenset(q for p in subset for q in index[p].get(a, ()))
-            if target not in ids:
-                ids[target] = len(ids)
-                queue.append(target)
-            transitions.append((ids[subset], a, ids[target]))
-    finals = frozenset(i for subset, i in ids.items() if subset & aut.finals)
-    return Automaton.make(range(len(ids)), aut.alphabet, 0, finals, transitions)
+    subsets, transitions = _explore(
+        frozenset([aut.initial]),
+        lambda subset: [(a, frozenset(q for p in subset for q in index[p].get(a, ()))) for a in letters],
+    )
+    finals = [i for i, subset in enumerate(subsets) if not subset.isdisjoint(aut.finals)]
+    return Automaton.make(range(len(subsets)), aut.alphabet, 0, finals, transitions)
 
 
 def _complete(aut: Automaton) -> Automaton:
@@ -212,13 +225,7 @@ def _complete(aut: Automaton) -> Automaton:
     missing = [(p, a) for p in aut.states for a in aut.alphabet if (p, a) not in defined]
     if not missing:
         return aut
-    sink: State = 0
-    if all(isinstance(s, int) for s in aut.states):
-        sink = max(aut.states) + 1  # type: ignore[arg-type]
-    else:
-        sink = "sink"
-        while sink in aut.states:
-            sink += "_"
+    sink = _fresh_state(aut.states)
     transitions = set(aut.transitions)
     transitions.update((p, a, sink) for p, a in missing)
     transitions.update((sink, a, sink) for a in aut.alphabet)
@@ -228,7 +235,8 @@ def _complete(aut: Automaton) -> Automaton:
 
 
 def minimize(aut: Automaton, mode: str = "complete") -> Automaton:
-    """Minimal DFA by partition refinement, canonically renumbered.
+    """Minimal DFA by partition refinement, canonically renumbered by
+    :func:`_explore` over the classes, letters in sorted order.
 
     ``complete`` returns the unique minimal complete DFA.  ``partial``
     additionally deletes the dead state (no final reachable from it) unless
@@ -256,32 +264,21 @@ def minimize(aut: Automaton, mode: str = "complete") -> Automaton:
         if stable:
             break
 
-    # canonical renumbering: BFS over classes from the initial class
-    class_succ = {block[p]: [block[q] for q in succ[p]] for p in reachable}
-    order: dict[int, int] = {block[aut.initial]: 0}
-    queue = deque([block[aut.initial]])
-    while queue:
-        for nb in class_succ[queue.popleft()]:
-            if nb not in order:
-                order[nb] = len(order)
-                queue.append(nb)
-    finals = frozenset(order[block[p]] for p in aut.finals if p in block)
-    # partial: the dead state goes, with its transitions; it is the non-final
-    # class every letter leads back to (a minimal DFA has at most one).  The
-    # initial state survives even when dead, to keep the automaton well-formed
-    dead = {
-        order[b]
-        for b, targets in class_succ.items()
-        if mode == "partial" and order[b] not in finals and all(t == b for t in targets)
-    }
-    transitions = frozenset(
-        (order[b], a, order[t])
-        for b in order
-        for a, t in zip(letters, class_succ[b])
-        if order[b] not in dead and order[t] not in dead
+    member = {block[p]: p for p in reachable}  # one state of each class
+    classes, transitions = _explore(
+        block[aut.initial], lambda b: zip(letters, map(block.__getitem__, succ[member[b]]))
     )
-    states = (frozenset(order.values()) - dead) | {0}
-    return Automaton(states, aut.alphabet, 0, finals, transitions)
+    order = {b: i for i, b in enumerate(classes)}
+    finals = frozenset(order[block[p]] for p in aut.finals if p in block)
+    states = frozenset(range(len(classes)))
+    if mode == "partial":
+        # the dead state goes, with its transitions: the non-final class with
+        # no arc to another class (a minimal DFA has at most one).  The initial
+        # state survives even when dead, to keep the automaton well-formed
+        dead = states - finals - {i for i, _, j in transitions if i != j}
+        transitions = [t for t in transitions if t[0] not in dead and t[2] not in dead]
+        states = (states - dead) | {0}
+    return Automaton(states, aut.alphabet, 0, finals, frozenset(transitions))
 
 
 def distinguishing_word(a: Automaton, b: Automaton) -> list[str] | None:
@@ -290,7 +287,9 @@ def distinguishing_word(a: Automaton, b: Automaton) -> list[str] | None:
     A breadth-first search over the product of the two subset automata,
     built as its pairs of subsets are reached: the letters of the union
     alphabet are tried in sorted order, so the first pair that disagrees on
-    acceptance is reached by the least such word.
+    acceptance is reached by the least such word.  It keeps its own loop
+    rather than :func:`_explore`'s, because it stops at that pair and walks
+    parent links back to the start.
     """
     a, b = remove_lambda(a), remove_lambda(b)
     index_a, index_b = _index(a), _index(b)

@@ -18,8 +18,9 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
+from itertools import count
 
-from .automata import Automaton, _reach
+from .automata import Automaton, _explore, _reach
 from .expressions import (
     EMPTY,
     EPSILON,
@@ -130,9 +131,9 @@ class _InductiveNfaBuilder:
         return i, f
 
     def automaton(self, frag: tuple[int, int], alphabet) -> Automaton:
-        """The automaton from frag[0] to frag[1], numbered 0,1,... in BFS
-        order over each state's arcs sorted by (label, target), λ first;
-        unreachable states follow in increasing order."""
+        """The automaton from frag[0] to frag[1], numbered by :func:`_explore`
+        over each state's arcs sorted by (label, target), λ first; unreachable
+        states follow in increasing order, with their arcs."""
         # a merge's target was a surviving state when it was recorded, so any
         # later merge of that target comes later in the map: resolving the
         # map backwards finds every target already resolved
@@ -143,16 +144,11 @@ class _InductiveNfaBuilder:
         for p, a, q in self.arcs:  # a λ label is "" here, so that it sorts first
             rows.setdefault(alias.get(p, p), []).append((a or "", alias.get(q, q)))
             rows.setdefault(alias.get(q, q), [])
-        order, queue = {frag[0]: 0}, [frag[0]]
-        for p in queue:
-            for _, q in sorted(rows[p]):
-                if q not in order:
-                    order[q] = len(queue)
-                    queue.append(q)
-        for p in sorted(rows):
-            if p not in order:
-                order[p] = len(order)
-        arcs = ((order[p], a or None, order[q]) for p, row in rows.items() for a, q in row)
+        reached, arcs = _explore(frag[0], lambda p: sorted(rows[p]))
+        unreached = sorted(set(rows).difference(reached))
+        order = {p: i for i, p in enumerate(reached + unreached)}
+        arcs += [(order[p], a, order[q]) for p in unreached for a, q in rows[p]]
+        arcs = ((p, a or None, q) for p, a, q in arcs)
         return Automaton.make(order.values(), alphabet, 0, [order[frag[1]]], arcs)
 
 
@@ -265,27 +261,25 @@ def construct_of(r: RegEx) -> Automaton:
 
 
 def construct_follow(r: RegEx) -> Automaton:
-    """Follow automaton: λ-free, at most as many states as positions.  One
-    BFS on the builder's arc index numbers the reachable states, each with
-    the symbol arcs out of its λ-closure in (label, target) order."""
+    """Follow automaton: λ-free, at most as many states as positions.  Its
+    states are numbered by :func:`_explore` on the builder's arc index, each
+    with the symbol arcs out of its λ-closure in (label, target) order."""
     builder = _FollowBuilder()
     frag = builder.build(r)
     # a λ-arc leaving the start state is contracted once construction is done
     init, fin = builder._contract(frag, frag[0], enclosed=False)
     out, letters = builder.out, builder.letters
     del builder  # the in-arc index is freed before the λ-closures are taken
-    order, queue = {init: 0}, [init]
-    finals, transitions = [], []
-    for i, p in enumerate(queue):
+    accepting = []  # per state in number order: does its λ-closure hold fin
+
+    def moves(p: int) -> list[tuple[str, int]]:
         closure = _reach(lambda c: [q for _, a, q in out.get(c, ()) if a is None], [p])
-        if fin in closure:
-            finals.append(i)
-        for a, q in sorted({(a, q) for c in closure for _, a, q in out.get(c, ()) if a is not None}):
-            if q not in order:
-                order[q] = len(queue)
-                queue.append(q)
-            transitions.append((i, a, order[q]))
-    return Automaton.make(range(len(queue)), letters, 0, finals, transitions)
+        accepting.append(fin in closure)
+        return sorted({(a, q) for c in closure for _, a, q in out.get(c, ()) if a is not None})
+
+    states, transitions = _explore(init, moves)
+    finals = [i for i, f in enumerate(accepting) if f]
+    return Automaton.make(range(len(states)), letters, 0, finals, transitions)
 
 
 # ---------------------------------------------------------------------------
@@ -473,19 +467,14 @@ def partial_derivatives(r: RegEx, a: str) -> frozenset[RegEx]:
 def construct_pd(r: RegEx) -> Automaton:
     """Partial derivative automaton; states are the iterated derived terms,
     held once each in one term table (see `_Terms`) and keyed by identity.
-    They are numbered in BFS order, successors by letter, then by text."""
+    They are numbered by :func:`_explore`, successors by letter, then by text."""
     terms = _Terms()
-    states = [terms.intern(r)]
-    ids = {id(states[0]): 0}
-    transitions = set()
-    for i, term in enumerate(states):
+
+    def moves(term: RegEx) -> list[tuple[str, RegEx]]:
         form = terms.form(term)
-        for a in sorted(form):
-            for d in sorted(form[a].values(), key=_render):
-                if id(d) not in ids:
-                    ids[id(d)] = len(states)
-                    states.append(d)
-                transitions.add((i, a, ids[id(d)]))
+        return [(a, d) for a in sorted(form) for d in sorted(form[a].values(), key=_render)]
+
+    states, transitions = _explore(terms.intern(r), moves, id)
     finals = {i for i, term in enumerate(states) if nullable(term)}
     return Automaton.make(range(len(states)), symbols_of(r), 0, finals, transitions)
 
@@ -598,22 +587,19 @@ def construct_brzozowski(r: RegEx, cap: int = 10**6) -> Automaton:
 
     The states are the iterated derivatives in normal form, held once each
     in one term table (see `_AciTerms`) and keyed by identity; they are
-    numbered in BFS order, successors by letter.  Raises
+    numbered by :func:`_explore`, successors by letter.  Raises
     :class:`ConstructionError` when more than `cap` states appear.
     """
     letters = sorted(symbols_of(r))
     terms = _AciTerms()
-    states = [terms.intern(r)]
-    ids = {id(states[0]): 0}
-    transitions = set()
-    for i, term in enumerate(states):
-        for a in letters:
-            d = terms.derive(term, a)
-            if id(d) not in ids:
-                if len(ids) >= cap:
-                    raise ConstructionError(f"derivative DFA exceeds {cap} states")
-                ids[id(d)] = len(states)
-                states.append(d)
-            transitions.add((i, a, ids[id(d)]))
+    explored = count()
+
+    def moves(term: RegEx) -> list[tuple[str, RegEx]]:
+        # the state numbered cap exists exactly when more than cap states do
+        if next(explored) == cap:
+            raise ConstructionError(f"derivative DFA exceeds {cap} states")
+        return [(a, terms.derive(term, a)) for a in letters]
+
+    states, transitions = _explore(terms.intern(r), moves, id)
     finals = {i for i, term in enumerate(states) if nullable(term)}
     return Automaton.make(range(len(states)), letters, 0, finals, transitions)

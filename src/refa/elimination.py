@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .automata import Automaton, State, _reach, _state_key
+from .automata import Automaton, State, _reach, _sorted_triples, _state_key
 from .digraphs import cycles_through, independent_set, underlying_digraph
 from .expressions import (
     EMPTY,
@@ -199,9 +199,9 @@ class ExtendedAutomaton:
 def augment(aut: Automaton) -> ExtendedAutomaton:
     """Embed an automaton between a fresh source and sink.
 
-    Parallel transitions fold into unions (λ first, then symbols sorted);
-    the source reaches the old initial state and every old final state
-    reaches the sink by λ-labels.
+    Parallel transitions fold into unions in serialized order (λ first,
+    then symbols sorted); the source reaches the old initial state and every
+    old final state reaches the sink by λ-labels.
     """
     states = frozenset(aut.states) | {SOURCE, SINK}
     out: dict = {s: {} for s in states}
@@ -211,10 +211,8 @@ def augment(aut: Automaton) -> ExtendedAutomaton:
         old = out[p].get(q)
         out[p][q] = into[q][p] = expr if old is None else Union(old, expr)
 
-    for p, a, q in sorted(
-        aut.transitions, key=lambda t: (_state_key(t[0]), t[1] is not None, t[1] or "", _state_key(t[2]))
-    ):
-        add(p, q, EPSILON if a is None else Sym(a))
+    for p, a, q in _sorted_triples(aut)[0]:  # "" is λ
+        add(p, q, Sym(a) if a else EPSILON)
     add(SOURCE, aut.initial, EPSILON)
     for f in sorted(aut.finals, key=_state_key):
         add(f, SINK, EPSILON)
@@ -398,11 +396,11 @@ def arden_solve(aut: Automaton, simplify_steps: bool = True) -> RegEx:
         raise ValueError("arden_solve expects a λ-free automaton (remove λ first)")
     post = simplify if simplify_steps else (lambda e: e)
 
-    coeffs: dict[State, dict[State, RegEx]] = {q: {} for q in aut.states}
-    consts: dict[State, RegEx] = {q: EPSILON if q in aut.finals else EMPTY for q in aut.states}
-    for p, a, q in sorted(aut.transitions, key=lambda t: (_state_key(t[0]), t[1], _state_key(t[2]))):
-        old = coeffs[p].get(q)
-        coeffs[p][q] = Sym(a) if old is None else Union(old, Sym(a))
+    ext = augment(aut)
+    coeffs: dict[State, dict[State, RegEx]] = {
+        q: {k: e for k, e in ext.out[q].items() if k is not SINK} for q in aut.states
+    }
+    consts: dict[State, RegEx] = {q: ext.label(q, SINK) for q in aut.states}
 
     order = [q for q in sorted(aut.states, key=_state_key, reverse=True) if q != aut.initial]
     order.append(aut.initial)
@@ -445,13 +443,8 @@ def arden_solve(aut: Automaton, simplify_steps: bool = True) -> RegEx:
 def _mny_matrix(aut: Automaton, ranking: Sequence[State], post) -> dict:
     """The expression matrix after one round per state of `ranking`."""
     states = sorted(aut.states, key=_state_key)
-    matrix: dict[tuple, RegEx] = {}
-    for p, a, q in sorted(aut.transitions, key=lambda t: (_state_key(t[0]), t[1], _state_key(t[2]))):
-        old = matrix.get((p, q))
-        matrix[(p, q)] = Sym(a) if old is None else Union(old, Sym(a))
-    for p in states:
-        for q in states:
-            matrix.setdefault((p, q), EMPTY)
+    ext = augment(aut)
+    matrix: dict[tuple, RegEx] = {(p, q): ext.label(p, q) for p in states for q in states}
 
     for i in ranking:
         star = Star(matrix[(i, i)])

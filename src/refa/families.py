@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
-from .automata import Automaton
+from .automata import Automaton, _explore
 from .expressions import EPSILON, Concat, RegEx, Star, Sym, Union, _rewrite_symbols
 
 __all__ = [
@@ -149,7 +149,8 @@ def torus_dfa(m: int, n: int) -> Automaton:
 
 
 def random_dfa(n: int, alphabet_size: int, seed: int) -> Automaton:
-    """Uniform random complete DFA, restricted to its accessible part.
+    """Uniform random complete DFA, restricted to its accessible part and
+    numbered by :func:`_explore` over its letters.
 
     Transition targets are uniform, each state is final with probability
     one half (at least one final enforced); deterministic per seed.
@@ -166,23 +167,12 @@ def random_dfa(n: int, alphabet_size: int, seed: int) -> Automaton:
     if not finals:
         finals = {rng.randrange(n)}
 
-    order = {0: 0}
-    queue = [0]
-    while queue:
-        q = queue.pop(0)
-        for a in letters:
-            t = delta[(q, a)]
-            if t not in order:
-                order[t] = len(order)
-                queue.append(t)
-    transitions = [
-        (order[q], a, order[delta[(q, a)]]) for q in order for a in letters
-    ]
+    reached, transitions = _explore(0, lambda q: [(a, delta[(q, a)]) for a in letters])
     return Automaton.make(
-        range(len(order)),
+        range(len(reached)),
         letters,
         0,
-        {order[q] for q in finals if q in order},
+        [i for i, q in enumerate(reached) if q in finals],
         transitions,
     )
 

@@ -12,7 +12,10 @@ are normalised afterwards, with states compared structurally.
 `reference_to_dict` sorts by the keyed state order alone, `reference_parse`
 makes a new `Sym` for every occurrence, and `reference_position_sets` builds
 new frozensets at every node: the simple forms the package's faster ones
-must agree with.
+must agree with.  `reference_subset_construction` and `reference_minimize`
+number states with a BFS loop of their own, as the package did before one
+explorer numbered every automaton it builds by search; `relabel` renames
+the states of an automaton, to names that `state_names` draws.
 """
 
 import random
@@ -22,7 +25,16 @@ from itertools import product
 
 import pytest
 
-from refa.automata import Automaton, _state_key, _widen, minimize, remove_lambda, subset_construction
+from refa.automata import (
+    Automaton,
+    _index,
+    _reach,
+    _state_key,
+    _widen,
+    minimize,
+    remove_lambda,
+    subset_construction,
+)
 from refa.constructions import PositionSets, construct_position, position_sets
 from refa.expressions import (
     EMPTY,
@@ -434,3 +446,109 @@ def reference_position_sets(r: RegEx) -> tuple[PositionSets, dict[int, str], boo
 @pytest.fixture(scope="session")
 def small_corpus():
     return corpus(150, seed=2400, max_awidth=8)
+
+
+# -- reference discovery-order loops -------------------------------------------
+
+
+def reference_subset_construction(aut: Automaton) -> Automaton:
+    """Power-set determinization with its own BFS loop over sorted letters."""
+    index = _index(aut)
+    letters = sorted(aut.alphabet)
+    start = frozenset([aut.initial])
+    ids = {start: 0}
+    queue = deque([start])
+    transitions = []
+    while queue:
+        subset = queue.popleft()
+        for a in letters:
+            target = frozenset(q for p in subset for q in index[p].get(a, ()))
+            if target not in ids:
+                ids[target] = len(ids)
+                queue.append(target)
+            transitions.append((ids[subset], a, ids[target]))
+    finals = frozenset(i for subset, i in ids.items() if subset & aut.finals)
+    return Automaton.make(range(len(ids)), aut.alphabet, 0, finals, transitions)
+
+
+def reference_complete(aut: Automaton) -> Automaton:
+    """Add a sink, named "sink" (plus underscores) among string states."""
+    defined = {(p, a) for p, a, _ in aut.transitions}
+    missing = [(p, a) for p in aut.states for a in aut.alphabet if (p, a) not in defined]
+    if not missing:
+        return aut
+    if all(isinstance(s, int) for s in aut.states):
+        sink = max(aut.states) + 1
+    else:
+        sink = "sink"
+        while sink in aut.states:
+            sink += "_"
+    transitions = set(aut.transitions)
+    transitions.update((p, a, sink) for p, a in missing)
+    transitions.update((sink, a, sink) for a in aut.alphabet)
+    return Automaton(aut.states | {sink}, aut.alphabet, aut.initial, aut.finals, frozenset(transitions))
+
+
+def reference_minimize(aut: Automaton, mode: str) -> Automaton:
+    """Partition refinement, then a BFS loop of its own over the classes."""
+    aut = reference_complete(aut)
+    letters = sorted(aut.alphabet)
+    index = _index(aut)
+    succ = {p: [row[a][0] for a in letters] for p, row in index.items()}
+    reachable = sorted(_reach(succ.__getitem__, [aut.initial]), key=_state_key)
+    block = {p: int(p in aut.finals) for p in reachable}
+    while True:
+        renumber = {}
+        refined = {
+            p: renumber.setdefault((block[p], tuple(block[q] for q in succ[p])), len(renumber))
+            for p in reachable
+        }
+        stable = len(renumber) == len(set(block.values()))
+        block = refined
+        if stable:
+            break
+    class_succ = {block[p]: [block[q] for q in succ[p]] for p in reachable}
+    order = {block[aut.initial]: 0}
+    queue = deque([block[aut.initial]])
+    while queue:
+        for nb in class_succ[queue.popleft()]:
+            if nb not in order:
+                order[nb] = len(order)
+                queue.append(nb)
+    finals = frozenset(order[block[p]] for p in aut.finals if p in block)
+    dead = {
+        order[b]
+        for b, targets in class_succ.items()
+        if mode == "partial" and order[b] not in finals and all(t == b for t in targets)
+    }
+    transitions = frozenset(
+        (order[b], a, order[t])
+        for b in order
+        for a, t in zip(letters, class_succ[b])
+        if order[b] not in dead and order[t] not in dead
+    )
+    states = (frozenset(order.values()) - dead) | {0}
+    return Automaton(states, aut.alphabet, 0, finals, transitions)
+
+
+def relabel(aut: Automaton, names: list) -> Automaton:
+    """`aut` with its states, in `_state_key` order, renamed to `names`."""
+    rename = dict(zip(sorted(aut.states, key=_state_key), names))
+    return Automaton.make(
+        rename.values(),
+        aut.alphabet,
+        rename[aut.initial],
+        [rename[f] for f in aut.finals],
+        [(rename[p], a, rename[q]) for p, a, q in aut.transitions],
+    )
+
+
+def state_names(naming: str, rng: random.Random, n: int) -> list:
+    """n distinct state names in random order: ints, strings that include
+    the names a sink would take, or a mix of both ("int", "str", "mixed")."""
+    if naming == "int":
+        return rng.sample(range(-n, 10 * n), n)
+    strings = ["q" + "'" * i for i in range(n)] + ["sink" + "_" * i for i in range(n)]
+    if naming == "str":
+        return rng.sample(strings, n)
+    return rng.sample([*range(n), *strings], n)

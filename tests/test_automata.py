@@ -22,6 +22,8 @@ from refa.automata import (
     to_dot,
 )
 from refa.constructions import (
+    CONSTRUCTION_NAMES,
+    construct,
     construct_brzozowski,
     construct_follow,
     construct_of,
@@ -31,7 +33,18 @@ from refa.constructions import (
 from refa.expressions import parse, random_expr, render
 from refa.families import buffer_dfa, buffer_regex, torus_dfa
 
-from conftest import canonical, corpus, lang, path_pairs, words_upto
+from conftest import (
+    canonical,
+    corpus,
+    lambda_heavy_tree,
+    lang,
+    path_pairs,
+    reference_minimize,
+    reference_subset_construction,
+    relabel,
+    state_names,
+    words_upto,
+)
 
 
 class TestAccepts:
@@ -173,6 +186,27 @@ class TestMinimize:
         for r in corpus(30, seed=92, max_awidth=7):
             dfa = subset_construction(construct_position(r))
             assert len(minimize(dfa).states) <= len(dfa.states)
+
+
+class TestExplorerReference:
+    """subset_construction and minimize number states as the reference BFS
+    loops in conftest do, on NFAs from every route with renamed states."""
+
+    @pytest.mark.parametrize("naming", ["int", "str", "mixed"])
+    def test_equal_to_the_reference_loops(self, naming):
+        rng = random.Random(6100)
+        trees = [lambda_heavy_tree(random.Random(6200 + i), 5) for i in range(40)]  # ∅ leaves too
+        for r in corpus(60, seed=6100, max_awidth=8) + trees:
+            for route in CONSTRUCTION_NAMES:
+                nfa = remove_lambda(construct(route, r))
+                nfa = relabel(nfa, state_names(naming, rng, len(nfa.states)))
+                dfa = subset_construction(nfa)
+                assert dfa == reference_subset_construction(nfa), (route, render(r))
+                partial = minimize(dfa, "partial")
+                for aut in (dfa, partial):
+                    aut = relabel(aut, state_names(naming, rng, len(aut.states)))
+                    for mode in ("complete", "partial"):
+                        assert minimize(aut, mode) == reference_minimize(aut, mode), (route, render(r))
 
 
 class TestEquivalence:

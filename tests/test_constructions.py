@@ -394,6 +394,11 @@ class TestBrzozowski:
     def test_cap(self):
         with pytest.raises(ConstructionError):
             construct_brzozowski(buffer_regex(4), cap=2)
+        # the error comes exactly when more than cap states appear
+        n = len(construct_brzozowski(buffer_regex(4)).states)
+        assert len(construct_brzozowski(buffer_regex(4), cap=n).states) == n
+        with pytest.raises(ConstructionError, match=f"^derivative DFA exceeds {n - 1} states$"):
+            construct_brzozowski(buffer_regex(4), cap=n - 1)
 
     def test_agrees_with_subset_route(self):
         for r in corpus(40, seed=802, max_awidth=7):

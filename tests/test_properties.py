@@ -8,6 +8,9 @@
 * The derivatives that one term table, shared across calls as in
   `construct_brzozowski`, builds in normal form for every iterated
   derivative of a tree equal the raw derivatives normalised afterwards.
+* `minimize` is canonical under renaming: a random DFA, complete or
+  partial, with its states renamed by a seeded bijection onto ints or
+  strings minimizes to the same automaton, in both modes.
 * On digraphs of up to 7 vertices, `cycle_rank` equals the unmemoized
   deletion recursion, deleting any one vertex lowers it by at most one and
   never raises it (the floor its search relies on), and `sccs` agrees with
@@ -25,10 +28,11 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from refa.automata import Automaton, to_dict, to_json
+from refa.automata import Automaton, minimize, to_dict, to_json
 from refa.constructions import _AciTerms
 from refa.digraphs import Digraph, cycle_rank, sccs
 from refa.expressions import random_expr, render
+from refa.families import random_dfa
 
 from conftest import (
     lambda_heavy_tree,
@@ -37,6 +41,8 @@ from conftest import (
     reference_aci,
     reference_derivative,
     reference_to_dict,
+    relabel,
+    state_names,
 )
 
 NAMES = st.text(alphabet=st.sampled_from('ab"\\/\n\t\x00\x7fé€ 𝄞'), max_size=4) | st.text(max_size=4)
@@ -100,6 +106,24 @@ def test_shared_memo_derivatives_equal_unmemoised_ones(tree):
             if id(d) not in seen:
                 seen.add(id(d))
                 queue.append(d)
+
+
+@pytest.mark.parametrize("naming", ["int", "str"])
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(1, 12),
+    letters=st.integers(1, 3),
+    seed=st.integers(0, 10**6),
+    partial=st.booleans(),
+    renaming=st.integers(0, 10**6),
+)
+def test_minimize_is_canonical_under_renaming(naming, n, letters, seed, partial, renaming):
+    aut = random_dfa(n, letters, seed)
+    if partial:
+        aut = minimize(aut, "partial")
+    renamed = relabel(aut, state_names(naming, random.Random(renaming), len(aut.states)))
+    for mode in ("complete", "partial"):
+        assert minimize(renamed, mode) == minimize(aut, mode)
 
 
 @st.composite
