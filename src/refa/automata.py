@@ -62,6 +62,8 @@ class Automaton:
             raise ValueError(f"initial state {self.initial!r} not a state")
         if not self.finals <= self.states:
             raise ValueError("final states must be states")
+        if "" in self.alphabet:
+            raise ValueError('"" is not a symbol: the JSON format writes λ as ""')
         for p, a, q in self.transitions:
             if p not in self.states or q not in self.states:
                 raise ValueError(f"transition ({p!r},{a!r},{q!r}) leaves the state set")

@@ -92,13 +92,17 @@ class _InductiveNfaBuilder:
         self.alias[old] = new
 
     def build(self, r: RegEx) -> tuple[int, int]:
-        """The fragment of r, built in post-order from its kids' fragments."""
+        """The fragment of r, built in post-order; a leaf's arc is written where it lands."""
         frags: list[tuple[int, int]] = []
+        held = None  # the unwritten arc of the leaf on top of the stack, if any
         for node in _postorder(r):
             cls = type(node)
+            leaf_arc, held = held, None
+            if leaf_arc and cls is not Union and cls is not Concat:
+                self.arc(*leaf_arc)
             if cls is Union or cls is Concat:
                 b = frags.pop()
-                frags[-1] = (self._union if cls is Union else self._concat)(frags[-1], b)
+                frags[-1] = (self._union if cls is Union else self._concat)(frags[-1], b, leaf_arc)
             elif cls is Star:
                 frags[-1] = self._star(frags[-1])
             elif cls is Option:
@@ -109,17 +113,25 @@ class _InductiveNfaBuilder:
                 if cls is Sym:
                     self.letters.add(node.name)
                 if cls is not Empty:
-                    self.arc(i, None if cls is Epsilon else node.name, f)
+                    held = (i, None if cls is Epsilon else node.name, f)
                 frags.append((i, f))
+        if held:
+            self.arc(*held)
         return frags[0]
 
-    def _union(self, a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
-        self.merge(b[0], a[0])
-        self.merge(b[1], a[1])
+    def _union(self, a: tuple[int, int], b: tuple[int, int], leaf_arc: tuple | None) -> tuple[int, int]:
+        if leaf_arc:
+            self.arc(a[0], leaf_arc[1], a[1])
+        else:
+            self.merge(b[0], a[0])
+            self.merge(b[1], a[1])
         return a
 
-    def _concat(self, a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
-        self.merge(b[0], a[1])
+    def _concat(self, a: tuple[int, int], b: tuple[int, int], leaf_arc: tuple | None) -> tuple[int, int]:
+        if leaf_arc:
+            self.arc(a[1], leaf_arc[1], b[1])
+        else:
+            self.merge(b[0], a[1])
         return a[0], b[1]
 
     def _star(self, a: tuple[int, int]) -> tuple[int, int]:
@@ -155,9 +167,10 @@ class _InductiveNfaBuilder:
 class _FollowBuilder(_InductiveNfaBuilder):
     """The same recursion with eager λ-merging, over an indexed arc store.
 
-    `out[p]` and `inn[q]` hold the arcs leaving p and entering q, so merging
-    a state costs its degree, and an arc is the only one out of its source
-    when `out[p] == {arc}`.
+    `out[p]` and `inn[q]` hold the arcs leaving p and entering q, every arc
+    in both: an arc is the only one into q when `inn[q]` has size 1, and a
+    merge re-points each arc of the merged state in place in the other
+    endpoint's set, at the cost of its degree.  Leaf arcs land as in `build`.
     """
 
     def __init__(self):
@@ -175,22 +188,24 @@ class _FollowBuilder(_InductiveNfaBuilder):
         self.inn[arc[2]].discard(arc)
 
     def merge(self, old: int, new: int):
-        moved = self.out.pop(old, set()) | self.inn.pop(old, set())
-        for p, a, q in moved:
-            if p != old:
-                self.out[p].discard((p, a, q))
-            if q != old:
-                self.inn[q].discard((p, a, q))
-        for p, a, q in moved:
-            self.arc(new if p == old else p, a, new if q == old else q)
+        out, inn = self.out, self.inn
+        for arc in out.pop(old, ()):
+            inn[arc[2]].discard(arc)  # old's self-loop leaves inn[old] too: it moves once
+            moved = (new, arc[1], new if arc[2] == old else arc[2])
+            out[new].add(moved)
+            inn[moved[2]].add(moved)
+        for arc in inn.pop(old, ()):
+            moved = (arc[0], arc[1], new)
+            out[arc[0]].discard(arc)
+            out[arc[0]].add(moved)
+            inn[new].add(moved)
 
-    def _concat(self, a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
-        return self._contract(super()._concat(a, b), a[1], enclosed=True)
+    def _concat(self, a: tuple[int, int], b: tuple[int, int], leaf_arc: tuple | None) -> tuple[int, int]:
+        return self._contract(super()._concat(a, b, leaf_arc), a[1], enclosed=True)
 
     def _star(self, a: tuple[int, int]) -> tuple[int, int]:
         frag = super()._star(a)
-        # the new entry and exit lie on no λ-cycle through the looped state
-        self._collapse_lambda_cycle(a[0])
+        self._collapse_lambda_cycle(a[0], frag[0])
         return frag
 
     # -- λ merging ----------------------------------------------------------
@@ -214,8 +229,8 @@ class _FollowBuilder(_InductiveNfaBuilder):
             arcs = self.out[m] | self.inn[m] if enclosed else self.out[m]
             for arc in sorted([t for t in arcs if t[1] is None and t[0] != t[2]], key=repr):
                 p, _, q = arc
-                in_unique = self.inn[q] == {arc}
-                out_unique = self.out[p] == {arc}
+                in_unique = len(self.inn[q]) == 1
+                out_unique = len(self.out[p]) == 1
                 # forward merge needs a non-accepting source: a final p keeps
                 # words alive that q alone would not accept
                 if not (in_unique or (out_unique and p != fin)):
@@ -240,18 +255,19 @@ class _FollowBuilder(_InductiveNfaBuilder):
             else:
                 return init, fin
 
-    def _collapse_lambda_cycle(self, m: int):
+    def _collapse_lambda_cycle(self, m: int, entry: int):
+        """Merge the λ-cycles through m into m; the star's new entry lies on none."""
+        if all(a is not None or p == m or p == entry for p, a, _ in self.inn[m]):
+            self._drop((m, None, m))
+            return
         forward = _reach(lambda p: [q for _, a, q in self.out.get(p, ()) if a is None], [m])
         backward = _reach(lambda q: [p for p, a, _ in self.inn.get(q, ()) if a is None], [m])
         cycle = forward & backward
-        if len(cycle) == 1 and (m, None, m) not in self.out[m]:
-            return
         for c in cycle:
             for arc in [t for t in self.out[c] if t[1] is None and t[2] in cycle]:
                 self._drop(arc)
         for c in cycle - {m}:
             self.merge(c, m)
-
 
 
 def construct_of(r: RegEx) -> Automaton:
@@ -273,9 +289,16 @@ def construct_follow(r: RegEx) -> Automaton:
     accepting = []  # per state in number order: does its λ-closure hold fin
 
     def moves(p: int) -> list[tuple[str, int]]:
-        closure = _reach(lambda c: [q for _, a, q in out.get(c, ()) if a is None], [p])
+        closure, todo, pairs = {p}, [p], set()
+        while todo:  # one walk over the arcs out of p's λ-closure
+            for _, a, q in out.get(todo.pop(), ()):
+                if a is not None:
+                    pairs.add((a, q))
+                elif q not in closure:
+                    closure.add(q)
+                    todo.append(q)
         accepting.append(fin in closure)
-        return sorted({(a, q) for c in closure for _, a, q in out.get(c, ()) if a is not None})
+        return sorted(pairs)
 
     states, transitions = _explore(init, moves)
     finals = [i for i, f in enumerate(accepting) if f]

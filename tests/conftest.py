@@ -16,10 +16,14 @@ must agree with.  `reference_subset_construction` and `reference_minimize`
 number states with a BFS loop of their own, as the package did before one
 explorer numbered every automaton it builds by search; `relabel` renames
 the states of an automaton, to names that `state_names` draws.
+`reference_construct_of` and `reference_construct_follow` build with
+`ReferenceInductiveBuilder` and `ReferenceFollowBuilder`, which write every
+leaf's arc at once and move arcs by merges, build a union of each merged
+state's arcs, and test an arc's uniqueness by set equality.
 """
 
 import random
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import astuple
 from itertools import product
 
@@ -27,6 +31,7 @@ import pytest
 
 from refa.automata import (
     Automaton,
+    _explore,
     _index,
     _reach,
     _state_key,
@@ -48,6 +53,7 @@ from refa.expressions import (
     Star,
     Sym,
     Union,
+    _postorder,
     mark,
     nullable,
     random_expr,
@@ -128,11 +134,14 @@ def words_upto(alphabet, maxlen):
 
 
 def corpus(count, seed, max_awidth=10, alphabets=(("a", "b"), ("a", "b", "c", "d"))):
-    """Deterministic random expression corpus."""
+    """Deterministic random expression corpus; its first max_awidth
+    expressions have widths 1..max_awidth, in an order spread by a stride of
+    7, or of 1 where 7 divides max_awidth and a stride of 7 would skip widths."""
+    stride = 1 if max_awidth % 7 == 0 else 7
     out = []
     for i in range(count):
         alpha = list(alphabets[i % len(alphabets)])
-        aw = 1 + (i * 7) % max_awidth
+        aw = 1 + (i * stride) % max_awidth
         out.append(random_expr(aw, alpha, seed=seed + i))
     return out
 
@@ -552,3 +561,180 @@ def state_names(naming: str, rng: random.Random, n: int) -> list:
     if naming == "str":
         return rng.sample(strings, n)
     return rng.sample([*range(n), *strings], n)
+
+
+# -- reference inductive builders ---------------------------------------------
+
+
+class ReferenceInductiveBuilder:
+    """The inductive λ-NFA: every leaf's arc is written when the leaf is
+    built, and a merge is an entry in a union-find alias map."""
+
+    def __init__(self):
+        self.n = 0
+        self.arcs = []
+        self.alias = {}
+        self.letters = set()
+
+    def fresh(self):
+        self.n += 1
+        return self.n - 1
+
+    def arc(self, p, a, q):
+        self.arcs.append((p, a, q))
+
+    def merge(self, old, new):
+        self.alias[old] = new
+
+    def build(self, r):
+        frags = []
+        for node in _postorder(r):
+            cls = type(node)
+            if cls is Union or cls is Concat:
+                b = frags.pop()
+                frags[-1] = (self._union if cls is Union else self._concat)(frags[-1], b)
+            elif cls is Star:
+                frags[-1] = self._star(frags[-1])
+            elif cls is Option:
+                i, f = frags[-1]
+                self.arc(i, None, f)
+            else:
+                i, f = self.fresh(), self.fresh()
+                if cls is Sym:
+                    self.letters.add(node.name)
+                if cls is not Empty:
+                    self.arc(i, None if cls is Epsilon else node.name, f)
+                frags.append((i, f))
+        return frags[0]
+
+    def _union(self, a, b):
+        self.merge(b[0], a[0])
+        self.merge(b[1], a[1])
+        return a
+
+    def _concat(self, a, b):
+        self.merge(b[0], a[1])
+        return a[0], b[1]
+
+    def _star(self, a):
+        m = a[0]
+        self.merge(a[1], m)
+        i, f = self.fresh(), self.fresh()
+        self.arc(i, None, m)
+        self.arc(m, None, f)
+        return i, f
+
+    def automaton(self, frag, alphabet):
+        alias = self.alias
+        for p in reversed(alias):
+            alias[p] = alias.get(alias[p], alias[p])
+        rows = {frag[0]: [], frag[1]: []}
+        for p, a, q in self.arcs:
+            rows.setdefault(alias.get(p, p), []).append((a or "", alias.get(q, q)))
+            rows.setdefault(alias.get(q, q), [])
+        reached, arcs = _explore(frag[0], lambda p: sorted(rows[p]))
+        unreached = sorted(set(rows).difference(reached))
+        order = {p: i for i, p in enumerate(reached + unreached)}
+        arcs += [(order[p], a, order[q]) for p in unreached for a, q in rows[p]]
+        arcs = ((p, a or None, q) for p, a, q in arcs)
+        return Automaton.make(order.values(), alphabet, 0, [order[frag[1]]], arcs)
+
+
+class ReferenceFollowBuilder(ReferenceInductiveBuilder):
+    """Eager λ-merging over per-state out- and in-arc sets: a merge moves
+    the union of the state's arcs through `arc`, λ-arcs are contracted in
+    `repr` order, and an arc is unique when its set equals {arc}."""
+
+    def __init__(self):
+        super().__init__()
+        self.out = defaultdict(set)
+        self.inn = defaultdict(set)
+
+    def arc(self, p, a, q):
+        arc = (p, a, q)
+        self.out[p].add(arc)
+        self.inn[q].add(arc)
+
+    def _drop(self, arc):
+        self.out[arc[0]].discard(arc)
+        self.inn[arc[2]].discard(arc)
+
+    def merge(self, old, new):
+        moved = self.out.pop(old, set()) | self.inn.pop(old, set())
+        for p, a, q in moved:
+            if p != old:
+                self.out[p].discard((p, a, q))
+            if q != old:
+                self.inn[q].discard((p, a, q))
+        for p, a, q in moved:
+            self.arc(new if p == old else p, a, new if q == old else q)
+
+    def _concat(self, a, b):
+        return self._contract(super()._concat(a, b), a[1], enclosed=True)
+
+    def _star(self, a):
+        frag = super()._star(a)
+        self._collapse_lambda_cycle(a[0])
+        return frag
+
+    def _contract(self, frag, m, enclosed):
+        init, fin = frag
+        while True:
+            arcs = self.out[m] | self.inn[m] if enclosed else self.out[m]
+            for arc in sorted([t for t in arcs if t[1] is None and t[0] != t[2]], key=repr):
+                p, _, q = arc
+                in_unique = self.inn[q] == {arc}
+                out_unique = self.out[p] == {arc}
+                if not (in_unique or (out_unique and p != fin)):
+                    continue
+                if enclosed and (
+                    (p == init and not in_unique)
+                    or (q == fin and not out_unique)
+                    or (p == init and q == fin)
+                ):
+                    continue
+                keep = m if enclosed else q
+                gone = p + q - keep
+                self._drop(arc)
+                self.merge(gone, keep)
+                init = keep if init == gone else init
+                fin = keep if fin == gone else fin
+                m = keep
+                break
+            else:
+                return init, fin
+
+    def _collapse_lambda_cycle(self, m):
+        forward = _reach(lambda p: [q for _, a, q in self.out.get(p, ()) if a is None], [m])
+        backward = _reach(lambda q: [p for p, a, _ in self.inn.get(q, ()) if a is None], [m])
+        cycle = forward & backward
+        if len(cycle) == 1 and (m, None, m) not in self.out[m]:
+            return
+        for c in cycle:
+            for arc in [t for t in self.out[c] if t[1] is None and t[2] in cycle]:
+                self._drop(arc)
+        for c in cycle - {m}:
+            self.merge(c, m)
+
+
+def reference_construct_of(r: RegEx) -> Automaton:
+    builder = ReferenceInductiveBuilder()
+    return builder.automaton(builder.build(r), builder.letters)
+
+
+def reference_construct_follow(r: RegEx) -> Automaton:
+    """The follow automaton, with a search for every state's λ-closure."""
+    builder = ReferenceFollowBuilder()
+    frag = builder.build(r)
+    init, fin = builder._contract(frag, frag[0], enclosed=False)
+    out = builder.out
+    accepting = []
+
+    def moves(p):
+        closure = _reach(lambda c: [q for _, a, q in out.get(c, ()) if a is None], [p])
+        accepting.append(fin in closure)
+        return sorted({(a, q) for c in closure for _, a, q in out.get(c, ()) if a is not None})
+
+    states, transitions = _explore(init, moves)
+    finals = [i for i, f in enumerate(accepting) if f]
+    return Automaton.make(range(len(states)), builder.letters, 0, finals, transitions)

@@ -369,6 +369,7 @@ class TestMeasuresSerialization:
             ],
             ({"transitions": [[0, "b", 1]]}, "transition label 'b' not in the alphabet"),
             ({"transitions": [[0, "a", 9]]}, "transition (0,'a',9) leaves the state set"),
+            ({"alphabet": ["a", ""]}, '"" is not a symbol: the JSON format writes λ as ""'),
         ],
     )
     def test_from_dict_messages(self, change, message):
@@ -394,3 +395,10 @@ class TestMeasuresSerialization:
         assert str(err.value) == "automaton must be a JSON object, not list"
         with pytest.raises(TypeError):
             Automaton.make([0, 1], ["a"], 0, [1], [5])
+
+    def test_empty_symbol_is_rejected(self):
+        # "" is λ in JSON, so a "" symbol would come back from a round trip
+        # as a λ-arc and change the language
+        with pytest.raises(ValueError) as err:
+            Automaton.make([0, 1], [""], 0, [1], [(0, "", 1)])
+        assert str(err.value) == '"" is not a symbol: the JSON format writes λ as ""'

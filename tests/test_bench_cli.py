@@ -197,8 +197,14 @@ class TestCli:
              ["toregex", "{bad}"], "'states'"),
             ('{"states": [0], "alphabet": ["a"], "initial": 0, "finals": [], "transitions": [[0, "a"]]}',
              ["rank", "{bad}"], "'transitions'"),
+            *[
+                ('{"states": [0, 1], "alphabet": [""], "initial": 0, "finals": [1], "transitions": [[0, "", 1]]}',
+                 argv, '"" is not a symbol')
+                for argv in (["rank", "{bad}"], ["toregex", "{bad}"], ["equiv", "{bad}", "{good}"])
+            ],
         ],
-        ids=["equiv-list", "rank-states", "toregex-states", "rank-pair"],
+        ids=["equiv-list", "rank-states", "toregex-states", "rank-pair", "rank-empty-symbol",
+             "toregex-empty-symbol", "equiv-empty-symbol"],
     )
     def test_malformed_automaton_one_line_error(self, tmp_path, capsys, document, argv, field):
         bad = tmp_path / "bad.json"

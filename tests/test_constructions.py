@@ -3,7 +3,7 @@ from collections import deque
 
 import pytest
 
-from refa.automata import Automaton, accepts, equivalent, fa_measures, remove_lambda, subset_construction, to_dict
+from refa.automata import Automaton, accepts, equivalent, fa_measures, remove_lambda, subset_construction, to_dict, to_json
 from refa.constructions import (
     ConstructionError,
     _AciTerms,
@@ -47,6 +47,8 @@ from conftest import (
     rebuild,
     reference_brzozowski,
     reference_cat,
+    reference_construct_follow,
+    reference_construct_of,
     reference_position_sets,
     words_upto,
 )
@@ -120,6 +122,29 @@ class TestFollow:
             follow = construct_follow(r)
             assert equivalent(follow, construct_of(r)), render(r)
             assert equivalent(follow, construct_position(r)), render(r)
+
+    def test_equals_the_reference_builder(self):
+        # the builder re-points arcs in place, tests uniqueness by set size
+        # and writes a right-operand leaf's arc where it lands; not one
+        # state id may move
+        from refa.elimination import STRATEGIES, state_elimination
+        from refa.families import buffer_dfa, hypercube_dfa, random_dfa, torus_dfa
+
+        fixed = [parse(t) for t in ("&&+a", "a+&&", "(&&+a)b", "(&&+a)*", "&#+a", "(#a)*", "((&)*a)*")]
+        trees = [lambda_heavy_tree(random.Random(seed), 5) for seed in range(600)]
+        families = [options_regex(n) for n in (1, 2, 7, 48)] + [buffer_regex(n) for n in (1, 2, 9, 200)]
+        labels = [
+            state_elimination(aut, order, simplify_steps)
+            for aut in (torus_dfa(2, 3), buffer_dfa(6), hypercube_dfa(3), random_dfa(5, 2, 3), random_dfa(6, 3, 8))
+            for order in STRATEGIES
+            for simplify_steps in (True, False)
+        ]
+        # but not the id and cycles labels of hypercube_dfa(3), 23 456 symbols
+        # wide, whose checks take seconds
+        labels = [r for r in labels if measures(r).awidth < 10**4]
+        for r in fixed + corpus(200, seed=1500) + trees + families + labels:
+            assert to_json(construct_follow(r)) == to_json(reference_construct_follow(r)), render(r)
+            assert to_json(construct_of(r)) == to_json(reference_construct_of(r)), render(r)
 
     def test_against_quotient_oracle(self):
         # the quotient by equal follow sets is the coarsest valid merge; the

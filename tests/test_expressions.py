@@ -315,6 +315,11 @@ class TestRandomExpr:
         for i in range(50):
             assert measures(random_expr(1 + i % 9, ["a", "b"], seed=i)).awidth == 1 + i % 9
 
+    def test_corpus_covers_every_width(self):
+        # a stride of 7 gave every expression width 1 when max_awidth was 7
+        for k in (1, 6, 7, 8, 10, 14):
+            assert sorted(measures(r).awidth for r in corpus(k, seed=3, max_awidth=k)) == list(range(1, k + 1))
+
     def test_nullable_matches_lambda_acceptance(self):
         from refa.constructions import (
             construct_brzozowski,
