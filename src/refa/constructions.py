@@ -576,11 +576,6 @@ class _AciTerms(_Terms):
         return d
 
 
-def _aci(r: RegEx) -> RegEx:
-    """The normal form of r (see `_AciTerms`)."""
-    return _AciTerms().intern(r)
-
-
 def derivative(r: RegEx, a: str) -> RegEx:
     """Brzozowski derivative in normal form (see `_AciTerms`), from a term
     table of its own."""

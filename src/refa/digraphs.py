@@ -92,30 +92,51 @@ def _reach(start: int, adj: list[int], within: int) -> int:
     return seen
 
 
-def _components(mask: int, succ: list[int], pred: list[int]):
+def _components(mask: int, succ: list[int], pred: list[int], cyclic: bool = False) -> list[int]:
     """Strongly connected components of `mask`, in reverse topological order.
 
-    A component is forward reach intersected with backward reach.  Starting
-    at the lowest remaining vertex, the search moves downstream until the
-    forward reach is the component itself, so every component emitted is a
-    sink among the vertices left.
+    One forward-backward split per part (Fleischer, Hendrickson & Pinar):
+    the lowest vertex's forward reach F and backward reach B meet in its
+    component C, and F-C, B-C and the rest of the part each hold whole
+    components, split in turn.  No arc leaves F, and none enters B from
+    outside it, so emitting F-C, C, the rest, then B-C keeps every arc
+    pointing at an earlier component.  A lowest vertex with no out-arc in
+    the part is a sink, emitted first; one with no in-arc is a source,
+    emitted last; neither needs a reach, so a chain is split in linear time.
+    With `cyclic`, a vertex that is a component alone without a self-loop
+    is left out.
     """
-    while mask:
-        v = mask & -mask
-        while True:
-            forward = _reach(v, succ, mask)
-            comp = _reach(v, pred, forward)
-            if comp == forward:
-                break
-            rest = forward & ~comp
-            v = rest & -rest
-        yield comp
-        mask &= ~comp
-
-
-def _cyclic(comp: int, succ: list[int]) -> bool:
-    """A component holds a cycle: two or more vertices, or a self-loop."""
-    return bool(comp & (comp - 1)) or bool(succ[comp.bit_length() - 1] & comp)
+    out, todo = [], [mask] if mask else []
+    while todo:
+        part = todo.pop()
+        if part < 0:  # ~comp: a finished component, queued in emit order
+            out.append(~part)
+            continue
+        v = part & -part
+        i = v.bit_length() - 1
+        if not succ[i] & part:
+            if not cyclic:
+                out.append(v)
+            if part != v:
+                todo.append(part ^ v)
+            continue
+        if not pred[i] & part:
+            if not cyclic:
+                todo.append(~v)
+            todo.append(part ^ v)
+            continue
+        forward = _reach(v, succ, part)
+        backward = _reach(v, pred, part)
+        comp = forward & backward
+        # pushed in reverse, so popped as F-C, C, the rest, B-C
+        for rest in (backward ^ comp, part & ~(forward | backward)):
+            if rest:
+                todo.append(rest)
+        if comp != v or not cyclic or succ[i] & v:
+            todo.append(~comp)
+        if forward != comp:
+            todo.append(forward ^ comp)
+    return out
 
 
 def _bits(mask: int):
@@ -139,6 +160,18 @@ def cycle_rank(dg: Digraph, budget: int = 18) -> int:
 
     A subgraph's rank never exceeds the digraph's (the monotone floor), so each
     child's value, exact or a bound, raises a floor that can end the search early.
+    Two rules make the search cheaper and keep its value:
+
+    - components come from forward-backward splits (see
+      :func:`_components`): two reaches find the lowest vertex's component
+      and cut the rest into three parts that never meet again, and a
+      source or a sink needs none;
+    - dominated deletions are skipped.  Call u full when it has two or more
+      in-neighbours and two or more out-neighbours besides itself.  When v's
+      only other in-neighbour, or only other out-neighbour, is a full u,
+      rank(mask - u) <= rank(mask - v): without u, v is a source or a sink
+      or, with a self-loop, a component of rank 1, and mask - v keeps a
+      cycle through u.  A full vertex is never skipped, so u is tried.
 
     Refuses digraphs above `budget` vertices: the recursion is exponential
     in the worst case, so callers beyond that should fall back to
@@ -152,30 +185,54 @@ def cycle_rank(dg: Digraph, budget: int = 18) -> int:
     exact: dict[int, int] = {}  # vertex mask -> its cycle rank
     lower: dict[int, int] = {}  # vertex mask -> a proven lower bound on it
 
-    def rank(mask: int, limit: int) -> int:
-        """Exact when below `limit`; otherwise a lower bound of at least `limit`."""
+    def full(u: int, mask: int) -> bool:
+        """Vertex bit u has two or more in- and out-neighbours in `mask` besides itself."""
+        j = u.bit_length() - 1
+        ins, outs = pred[j] & mask & ~u, succ[j] & mask & ~u
+        return bool(ins & (ins - 1) and outs & (outs - 1))
+
+    def rank(mask: int, limit: int, strong: bool = False) -> int:
+        """Exact when below `limit`; otherwise a lower bound of at least `limit`.
+
+        `strong` says that `mask` is known to be one strongly connected
+        component of two or more vertices.
+        """
         known = exact.get(mask)
         if known is not None:
             return known
         floor = lower.get(mask, 0)
         if floor >= limit:
             return floor
-        comps = [c for c in _components(mask, succ, pred) if _cyclic(c, succ)]
-        if comps == [mask]:
+        if not strong:
+            comps = _components(mask, succ, pred, cyclic=True)
+            strong = comps == [mask] and mask & (mask - 1)
+        if strong:
             # delete one vertex; later children only need to beat the best so far
             floor = max(floor, 1)
             sub = limit
             for v in _bits(mask):
-                child = rank(mask ^ v, min(sub, limit - 1))
-                sub, floor = min(sub, child), max(floor, child)
+                # skip v when its sole other in- or out-neighbour is full
+                i, rest = v.bit_length() - 1, mask ^ v
+                near = pred[i] & rest
+                if not near & (near - 1) and full(near, mask):
+                    continue
+                near = succ[i] & rest
+                if not near & (near - 1) and full(near, mask):
+                    continue
+                child = rank(rest, sub if sub < limit else limit - 1)
+                if child < sub:
+                    sub = child
+                if child > floor:
+                    floor = child
                 if floor >= limit or sub + 1 <= floor:
                     break
             # sub + 1 bounds the rank only once every child is in
             result = floor if floor >= limit else sub + 1
         else:
+            # a looped vertex alone has rank 1
             result = 0
             for comp in comps:
-                result = max(result, rank(comp, limit))
+                result = max(result, rank(comp, limit, True) if comp & (comp - 1) else 1)
                 if result >= limit:
                     break
         if result < limit:
@@ -201,7 +258,7 @@ def cycle_rank_upper(dg: Digraph) -> int:
         mask, depth = stack.pop()
         best = max(best, depth)
         stack += [(comp ^ min(_bits(comp), key=lambda b: degree_key(b, comp)), depth + 1)
-                  for comp in _components(mask, succ, pred) if _cyclic(comp, succ)]
+                  for comp in _components(mask, succ, pred, cyclic=True)]
     return best
 
 

@@ -1,10 +1,13 @@
 """Shared test oracles, all deliberately independent of the package internals.
 
 `lang` enumerates the bounded-length language straight off the AST;
-`naive_cycle_rank` recomputes the deletion recursion without memoization on
-a Kosaraju SCC split; `follow_quotient` rebuilds the follow automaton as
-the position-automaton quotient that merges states with equal follow sets
-and equal finality; `path_pairs` is Warshall's transitive closure;
+`naive_cycle_rank` recomputes the deletion recursion on a Kosaraju SCC
+split, memoized only on the vertex set within one call;
+`reference_cycle_rank` and `reference_cycle_rank_upper` are the bitmask
+searches before dominated deletions were skipped and components split
+forward-backward; `follow_quotient` rebuilds the follow
+automaton as the position-automaton quotient that merges states with equal
+follow sets and equal finality; `path_pairs` is Warshall's transitive closure;
 `rebuild` copies a tree into new nodes that hold no stored value;
 `canonical` is the complete minimal DFA of an automaton over an alphabet;
 `reference_brzozowski` builds the derivative DFA from raw derivatives that
@@ -19,7 +22,8 @@ the states of an automaton, to names that `state_names` draws.
 `reference_construct_of` and `reference_construct_follow` build with
 `ReferenceInductiveBuilder` and `ReferenceFollowBuilder`, which write every
 leaf's arc at once and move arcs by merges, build a union of each merged
-state's arcs, and test an arc's uniqueness by set equality.
+state's arcs, and test an arc's uniqueness by set equality.  `_aci` is the
+normal form of one `_AciTerms` table, which only the memo tests ask for.
 """
 
 import random
@@ -40,7 +44,7 @@ from refa.automata import (
     remove_lambda,
     subset_construction,
 )
-from refa.constructions import PositionSets, construct_position, position_sets
+from refa.constructions import PositionSets, _AciTerms, construct_position, position_sets
 from refa.expressions import (
     EMPTY,
     EPSILON,
@@ -195,18 +199,132 @@ def _kosaraju(vertices, arcs):
 
 
 def naive_cycle_rank(vertices, arcs) -> int:
-    """Unmemoized deletion recursion; only usable on small digraphs."""
-    vertices = frozenset(vertices)
-    arcs = {(u, v) for u, v in arcs if u in vertices and v in vertices}
-    best = 0
-    for comp in _kosaraju(vertices, arcs):
-        comp_arcs = {(u, v) for u, v in arcs if u in comp and v in comp}
-        if len(comp) == 1 and not comp_arcs:
-            continue
-        sub = min(
-            naive_cycle_rank(comp - {v}, comp_arcs) for v in comp
-        )
-        best = max(best, 1 + sub)
+    """The deletion recursion on a Kosaraju split, memoized on the vertex set
+    within one call (the arcs are fixed there); only usable on small digraphs."""
+    arcs = frozenset(arcs)
+    memo = {}
+
+    def rank(vertices):
+        if vertices not in memo:
+            inner = {(u, v) for u, v in arcs if u in vertices and v in vertices}
+            best = 0
+            for comp in _kosaraju(vertices, inner):
+                if len(comp) == 1 and not any((v, v) in inner for v in comp):
+                    continue
+                best = max(best, 1 + min(rank(comp - {v}) for v in comp))
+            memo[vertices] = best
+        return memo[vertices]
+
+    return rank(frozenset(vertices))
+
+
+# -- the cycle rank search as it was before its pruning rules ----------------
+
+
+def _reference_index(dg):
+    order = sorted(dg.vertices, key=_state_key)
+    pos = {v: i for i, v in enumerate(order)}
+    succ = [0] * len(order)
+    pred = [0] * len(order)
+    for u, v in dg.arcs:
+        succ[pos[u]] |= 1 << pos[v]
+        pred[pos[v]] |= 1 << pos[u]
+    return order, succ, pred
+
+
+def _reference_reach(start, adj, within):
+    seen = frontier = start
+    while frontier:
+        step = 0
+        while frontier:
+            low = frontier & -frontier
+            step |= adj[low.bit_length() - 1]
+            frontier ^= low
+        frontier = step & within & ~seen
+        seen |= frontier
+    return seen
+
+
+def _reference_components(mask, succ, pred):
+    """Components in reverse topological order, restarting downstream of the
+    lowest vertex until its forward reach is its component."""
+    while mask:
+        v = mask & -mask
+        while True:
+            forward = _reference_reach(v, succ, mask)
+            comp = _reference_reach(v, pred, forward)
+            if comp == forward:
+                break
+            rest = forward & ~comp
+            v = rest & -rest
+        yield comp
+        mask &= ~comp
+
+
+def _reference_cyclic(comp, succ):
+    return bool(comp & (comp - 1)) or bool(succ[comp.bit_length() - 1] & comp)
+
+
+def _reference_bits(mask):
+    while mask:
+        low = mask & -mask
+        yield low
+        mask ^= low
+
+
+def reference_cycle_rank(dg):
+    """Memoized deletion recursion with branch-and-bound and the monotone
+    floor, trying every vertex of every component; no budget."""
+    order, succ, pred = _reference_index(dg)
+    exact, lower = {}, {}
+
+    def rank(mask, limit):
+        known = exact.get(mask)
+        if known is not None:
+            return known
+        floor = lower.get(mask, 0)
+        if floor >= limit:
+            return floor
+        comps = [c for c in _reference_components(mask, succ, pred) if _reference_cyclic(c, succ)]
+        if comps == [mask]:
+            floor = max(floor, 1)
+            sub = limit
+            for v in _reference_bits(mask):
+                child = rank(mask ^ v, min(sub, limit - 1))
+                sub, floor = min(sub, child), max(floor, child)
+                if floor >= limit or sub + 1 <= floor:
+                    break
+            result = floor if floor >= limit else sub + 1
+        else:
+            result = 0
+            for comp in comps:
+                result = max(result, rank(comp, limit))
+                if result >= limit:
+                    break
+        if result < limit:
+            exact[mask] = result
+        else:
+            lower[mask] = result
+        return result
+
+    return rank((1 << len(order)) - 1, len(order) + 1)
+
+
+def reference_cycle_rank_upper(dg):
+    """The greedy bound on the restart-downstream component split."""
+    order, succ, pred = _reference_index(dg)
+    names = [repr(v) for v in order]
+
+    def degree_key(b, comp):
+        i = b.bit_length() - 1
+        return (-((succ[i] & comp).bit_count() + (pred[i] & comp).bit_count()), names[i])
+
+    best, stack = 0, [((1 << len(order)) - 1, 0)]
+    while stack:
+        mask, depth = stack.pop()
+        best = max(best, depth)
+        stack += [(comp ^ min(_reference_bits(comp), key=lambda b: degree_key(b, comp)), depth + 1)
+                  for comp in _reference_components(mask, succ, pred) if _reference_cyclic(comp, succ)]
     return best
 
 
@@ -239,6 +357,11 @@ def follow_quotient(r: RegEx) -> Automaton:
 
 
 # -- reference derivative automaton ------------------------------------------
+
+
+def _aci(r: RegEx) -> RegEx:
+    """The normal form of r, from a term table of its own."""
+    return _AciTerms().intern(r)
 
 
 def reference_cat(left, right):

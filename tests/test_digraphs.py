@@ -23,7 +23,7 @@ from refa.digraphs import (
 from refa.expressions import measures, parse
 from refa.families import buffer_dfa, hypercube_dfa, torus_dfa
 
-from conftest import _kosaraju, corpus, naive_cycle_rank
+from conftest import _kosaraju, corpus, naive_cycle_rank, reference_cycle_rank, reference_cycle_rank_upper
 
 
 def cycle(n):
@@ -42,6 +42,25 @@ def random_digraph(n, density, seed):
         (u, v) for u in range(n) for v in range(n) if rng.random() < density
     ]
     return Digraph.make(range(n), arcs)
+
+
+def chained_digraph(n, density, seed):
+    """A random digraph on n vertices, self-loops included, with about a
+    third of its arcs subdivided by a one-in/one-out chain of 1-3 vertices."""
+    rng = random.Random(seed)
+    arcs, extra = [], n
+    for u in range(n):
+        for v in range(n):
+            if rng.random() >= density:
+                continue
+            if u == v or rng.random() >= 1 / 3:
+                arcs.append((u, v))
+                continue
+            chain = list(range(extra, extra + rng.randint(1, 3)))
+            extra += len(chain)
+            path = [u, *chain, v]
+            arcs += zip(path, path[1:])
+    return Digraph.make(range(extra), arcs)
 
 
 class TestDigraphExtraction:
@@ -95,6 +114,22 @@ class TestSccs:
             assert sorted(map(sorted, comps)) == sorted(map(sorted, _kosaraju(dg.vertices, dg.arcs)))
             where = {v: k for k, comp in enumerate(comps) for v in comp}
             assert all(where[u] >= where[v] for u, v in dg.arcs)
+
+    def test_chains_and_symmetric_reverse_topological(self):
+        # sources and sinks split off without a reach
+        for i in range(40):
+            dg = chained_digraph(7, 0.2, seed=900 + i)
+            for g in (dg, symmetrize(dg)):
+                comps = sccs(g)
+                assert sorted(map(sorted, comps)) == sorted(map(sorted, _kosaraju(g.vertices, g.arcs)))
+                where = {v: k for k, comp in enumerate(comps) for v in comp}
+                assert all(where[u] >= where[v] for u, v in g.arcs)
+
+    def test_long_chains_either_way(self):
+        forward = Digraph.make(range(3000), [(i, i + 1) for i in range(2999)])
+        backward = Digraph.make(range(3000), [(i + 1, i) for i in range(2999)])
+        assert sccs(forward) == [frozenset({i}) for i in reversed(range(3000))]
+        assert sccs(backward) == [frozenset({i}) for i in range(3000)]
 
 
 class TestCycleRank:
@@ -214,6 +249,75 @@ class TestCycleRankUpper:
         with pytest.raises(CycleRankBudgetError):
             cycle_rank(dg)
         assert cycle_rank_upper(dg) == expected
+
+
+class TestCycleRankRules:
+    """Skipping dominated deletions and the forward-backward split keep the
+    value of the search that had neither."""
+
+    def test_construct_of_corpus(self):
+        for alphabets in ((("a", "b"),), (("a", "b", "c", "d"),)):
+            for r in corpus(150, seed=1100, alphabets=alphabets):
+                dg = underlying_digraph(construct_of(r))
+                budget = len(dg.vertices)
+                assert cycle_rank(dg, budget) == reference_cycle_rank(dg), r
+                assert cycle_rank_upper(dg) == reference_cycle_rank_upper(dg), r
+
+    def test_families(self):
+        auts = [torus_dfa(m, n) for m, n in ((2, 2), (2, 3), (2, 4), (3, 3), (3, 4))]
+        auts += [buffer_dfa(n) for n in (1, 2, 3, 5, 8, 12, 17)] + [hypercube_dfa(3)]
+        for aut in auts:
+            dg = underlying_digraph(aut)
+            assert cycle_rank(dg) == reference_cycle_rank(dg)
+            assert cycle_rank_upper(dg) == reference_cycle_rank_upper(dg)
+
+    def test_random_with_loops_and_chains(self):
+        for i in range(150):
+            dg = chained_digraph(4 + i % 5, (0.15, 0.25, 0.4)[i % 3], seed=1000 + i)
+            budget = len(dg.vertices)
+            assert cycle_rank(dg, budget) == reference_cycle_rank(dg), sorted(dg.arcs)
+            assert cycle_rank_upper(dg) == reference_cycle_rank_upper(dg), sorted(dg.arcs)
+
+    def test_random_symmetric(self):
+        for i in range(60):
+            dg = symmetrize(chained_digraph(3 + i % 4, (0.15, 0.25, 0.4)[i % 3], seed=1300 + i))
+            budget = len(dg.vertices)
+            assert cycle_rank(dg, budget) == reference_cycle_rank(dg), sorted(dg.arcs)
+            assert cycle_rank_upper(dg) == reference_cycle_rank_upper(dg), sorted(dg.arcs)
+
+    def test_naive_agreement_with_chains(self):
+        for i in range(30):
+            dg = chained_digraph(5, 0.3, seed=1200 + i)
+            assert cycle_rank(dg, 40) == naive_cycle_rank(dg.vertices, dg.arcs)
+
+    def test_looped_vertex_behind_a_full_one(self):
+        # 0 has three in- and out-neighbours besides itself; 1, 2 and 3 are
+        # looped, and 0 is their only other neighbour, so only 0 is deleted
+        arcs = [(0, 1), (1, 0), (0, 2), (2, 0), (0, 3), (3, 0), (1, 1), (2, 2), (3, 3)]
+        dg = Digraph.make(range(4), arcs)
+        assert cycle_rank(dg) == naive_cycle_rank(dg.vertices, dg.arcs) == 2
+
+    def test_looped_vertex_behind_a_vertex_with_one_way_out(self):
+        # 1's only other in-neighbour 0 has two in-neighbours but one
+        # out-neighbour, so it is not full: deleting 1 leaves no cycle,
+        # and deleting 0 leaves 1's loop, so 1 must be tried
+        arcs = [(0, 1), (1, 1), (1, 2), (1, 3), (2, 3), (2, 0), (3, 0)]
+        dg = Digraph.make(range(4), arcs)
+        assert cycle_rank(dg) == naive_cycle_rank(dg.vertices, dg.arcs) == 1
+
+    def test_cycles_keep_every_vertex(self):
+        # no vertex of a cycle is full, so none is skipped
+        for n in (2, 3, 5):
+            ring = [(i, (i + 1) % n) for i in range(n)]
+            assert cycle_rank(Digraph.make(range(n), ring)) == 1
+            looped = Digraph.make(range(n), ring + [(i, i) for i in range(n)])
+            assert cycle_rank(looped) == naive_cycle_rank(looped.vertices, looped.arcs) == 2
+
+    def test_nothing_left(self):
+        assert sccs(Digraph.make([], [])) == []
+        assert cycle_rank(Digraph.make([], [])) == 0
+        assert cycle_rank(Digraph.make([0], [])) == 0
+        assert cycle_rank_upper(Digraph.make([], [])) == 0
 
 
 class TestUndirectedCycleRank:

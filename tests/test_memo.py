@@ -15,7 +15,7 @@ from dataclasses import astuple
 
 import pytest
 
-from refa.constructions import _aci, construct_follow, construct_of, construct_position, derivative, partial_derivatives
+from refa.constructions import construct_follow, construct_of, construct_position, derivative, partial_derivatives
 from refa.elimination import _canon_key, simplify
 from refa.expressions import (
     EMPTY,
@@ -38,7 +38,7 @@ from refa.expressions import (
 )
 from refa.families import buffer_regex
 
-from conftest import lambda_heavy_tree, rebuild
+from conftest import _aci, lambda_heavy_tree, rebuild
 
 LETTERS = ("a", "b")
 
