@@ -63,6 +63,61 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache  # read off the built sub-parsers on the first call
+def _direct_table() -> dict[str, tuple[dict, list, dict]]:
+    """Per subcommand whose arguments each take one value or none: its
+    options by option string, its positionals and its starting values."""
+    sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    table = {}
+    for name, p in sub.choices.items():
+        actions = [a for a in p._actions if not isinstance(a, argparse._HelpAction)]
+        if not all(
+            isinstance(a, argparse._StoreConstAction) or type(a) is argparse._StoreAction and a.nargs is None
+            for a in actions
+        ):
+            continue  # gen: its params take several values
+        options = {s: a for a in actions for s in a.option_strings}
+        starts = {"command": name, **{a.dest: a.default for a in actions}}
+        table[name] = (options, [a for a in actions if not a.option_strings], starts)
+    return table
+
+
+def _read_direct(argv) -> argparse.Namespace | None:
+    """The namespace ``_build_parser().parse_args(argv)`` returns when argv
+    is plain and well formed, else None.  Plain: each token that starts with
+    ``-`` is one of the subcommand's option strings, not ``-h``/``--help``;
+    an option's value is the next token and does not start with ``-``."""
+    argv = sys.argv[1:] if argv is None else argv
+    entry = _direct_table().get(argv[0]) if argv else None
+    if entry is None:
+        return None
+    options, positionals, starts = entry
+    values, pending, tokens = dict(starts), iter(positionals), iter(argv[1:])
+    for token in tokens:
+        if token.startswith("-"):
+            action = options.get(token)
+            if action is None:
+                return None
+            if isinstance(action, argparse._StoreConstAction):
+                values[action.dest] = action.const
+                continue
+            token = next(tokens, "-")  # a missing value declines like a dash
+            if token.startswith("-"):
+                return None
+        else:
+            action = next(pending, None)
+            if action is None:  # one positional too many
+                return None
+        try:
+            value = action.type(token) if action.type else token
+        except (TypeError, ValueError, argparse.ArgumentTypeError):
+            return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        values[action.dest] = value  # a repeated option keeps its last value
+    return None if next(pending, None) else argparse.Namespace(**values)
+
+
 def _emit(text: str, output: str | None):
     if output:
         with open(output, "w", encoding="utf-8") as fh:
@@ -132,6 +187,8 @@ def _cmd_equiv(args) -> int:
 
 def _cmd_gen(args) -> int:
     if args.family == "random":
+        if len(args.params) != 2:
+            raise ValueError("family random takes 2 parameter(s)")
         n, k = args.params
         aut = families.random_dfa(n, k, args.seed)
         artifact = families.FamilyArtifact("random", (n, k), None, aut)
@@ -202,9 +259,8 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _read_direct(argv) or _build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

@@ -17,7 +17,9 @@ from refa.bench import (
     to_csv,
     verify_trends,
 )
-from refa.cli import _build_parser, main
+from refa.cli import _build_parser, _read_direct, main
+from refa.constructions import CONSTRUCTION_NAMES
+from refa.elimination import STRATEGIES
 from refa.families import buffer_dfa, torus_dfa
 
 
@@ -138,6 +140,11 @@ class TestCli:
         assert main(["gen", "torus", "3"]) == 1
         assert capsys.readouterr().err == "error: family torus takes 2 parameter(s)\n"
 
+    @pytest.mark.parametrize("params", [["5"], ["5", "2", "3"]])
+    def test_gen_random_wrong_parameter_count(self, capsys, params):
+        assert main(["gen", "random", *params]) == 1
+        assert capsys.readouterr().err == "error: family random takes 2 parameter(s)\n"
+
     def test_gen_regex_flag(self, capsys):
         assert main(["gen", "options", "3", "--regex"]) == 0
         assert capsys.readouterr().out.strip() == "(a1+&)(a2+&)(a3+&)"
@@ -157,16 +164,26 @@ class TestCli:
         assert main(["convert", "--to", "bogus", "x"]) == 2
         capsys.readouterr()
 
-    def test_one_parser_serves_every_call(self, monkeypatch, capsys):
+    def test_one_parser_serves_every_call(self, monkeypatch, capsys, tmp_path):
         # the parser is built once per process; each call must still print
         # and exit as the same command does in a fresh process
         assert _build_parser() is _build_parser()
         src = str(Path(refa.__file__).resolve().parents[1])
         base_env = {k: v for k, v in os.environ.items() if k != "REFA_SEED"}
+        b3, t23 = tmp_path / "b3.json", tmp_path / "t23.json"
+        b3.write_text(to_json(buffer_dfa(3)))
+        t23.write_text(to_json(torus_dfa(2, 3)))
+        direct = [
+            ["rank", str(t23), "--budget", "18"],
+            ["toregex", str(b3), "--order", "dm", "--no-simplify"],
+            ["equiv", str(b3), str(t23)],
+        ]
+        assert all(_read_direct(argv) is not None for argv in direct)
         calls = [
             ({}, ["convert", "--to", "bogus", "x"]),
             ({}, ["measure", "(ab)*"]),
             ({"REFA_SEED": "9"}, ["gen", "random", "5", "2"]),
+            *(({}, argv) for argv in direct),
         ]
         for env, argv in calls:
             fresh = subprocess.run(
@@ -224,6 +241,82 @@ class TestCli:
         assert main(["convert", "--to", "pos", "(a+b)*", "-o", str(right)]) == 0
         assert main(["equiv", str(left), str(right)]) == 0
         assert capsys.readouterr().out.strip() == "inequivalent: b"
+
+
+# every argv shape the perfbench workloads send: convert on each route, with
+# and without -o; toregex under each ordering and method, raw and simplified;
+# measure, equiv and rank with both budgets
+WORKLOAD_ARGVS = [
+    *(["convert", "(a+b)*ab", "--to", route, *out] for route in CONSTRUCTION_NAMES for out in ([], ["-o", "f.json"])),
+    *(["toregex", "a.json", *how, *raw]
+      for how in [*(["--order", o] for o in STRATEGIES), ["--method", "arden"], ["--method", "mny"]]
+      for raw in ([], ["--no-simplify"])),
+    ["measure", "(ab)*"],
+    ["equiv", "a.json", "b.json"],
+    ["rank", "a.json", "--budget", "18"],
+    ["rank", "a.json", "--budget", "120"],
+]
+# well formed though not in a workload: read directly, as argparse reads them
+DIRECT_ARGVS = [
+    ["convert", "--to", "pd", "x"],
+    ["convert", "--format", "dot", "-o", "f", "--output", "g", "x"],
+    ["convert", "x", "--to", "pd", "--to", "of"],
+    ["toregex", "--no-simplify", "a.json", "--unicode", "--no-simplify", "--order", "fixed:3,2,1,0"],
+    ["toregex", "a.json", "--order", ""],
+    ["rank", "--budget", "3", "a.json", "--budget", "5"],
+    ["rank", "a.json", "--budget", "1_0"],
+    ["rank", "a.json", "--budget", " 7 "],
+    ["measure", ""],
+    ["measure", "a b"],
+    ["bench", "orderings", "--n", "3", "--seed", "4", "--samples", "2"],
+]
+# left to argparse, which accepts some and rejects the rest
+DECLINED_ARGVS = [
+    [], [""], ["-h"], ["--help"], ["bogus", "x"], ["convert"],
+    ["gen", "random", "5", "2"], ["gen", "buffer", "3", "--regex"],
+    ["convert", "x", "--to=pd"], ["convert", "x", "--to", "bogus"], ["convert", "x", "--to", ""],
+    ["convert", "x", "-h"], ["convert", "x", "--help"], ["convert", "x", "--foo"], ["convert", "x", "-ofile"],
+    ["convert", "x", "--form", "dot"], ["convert", "x", "-o"], ["convert", "x", "-o", "-"],
+    ["convert", "x", "--to", "-h"],
+    ["measure", "--", "a"], ["measure", "-"], ["measure", "-a"], ["measure", "a", "b"], ["measure", "a", ""],
+    ["equiv", "a.json"], ["equiv", "a.json", "b.json", "c.json"],
+    ["toregex", "a.json", "--order", "-x"], ["toregex", "a.json", "--method", "bogus"],
+    ["toregex", "a.json", "--no-simplify=1"], ["toregex", "a.json", "--no"],
+    ["rank", "a.json", "--bud", "5"], ["rank", "a.json", "--budget"], ["rank", "a.json", "--budget", "x"],
+    ["rank", "a.json", "--budget", "7.5"], ["rank", "a.json", "--budget", "-1"], ["rank", "a.json", "--budget", ""],
+    ["bench", "bogus"], ["bench", "orderings", "--n", "two"],
+]
+
+
+def _argparse_result(argv, capsys):
+    try:
+        result = vars(_build_parser().parse_args(argv))
+    except SystemExit:
+        result = None  # a usage error or help
+    capsys.readouterr()
+    return result
+
+
+class TestDirectReader:
+    """`_read_direct` returns what argparse returns, or None to leave the
+    command line to argparse."""
+
+    @pytest.mark.parametrize("argv", WORKLOAD_ARGVS + DIRECT_ARGVS, ids=repr)
+    def test_reads_directly_what_argparse_reads(self, argv, capsys):
+        direct = _read_direct(argv)
+        assert direct is not None
+        assert vars(direct) == _argparse_result(argv, capsys)
+
+    @pytest.mark.parametrize("argv", DECLINED_ARGVS, ids=repr)
+    def test_declines_the_rest(self, argv, capsys):
+        assert _read_direct(argv) is None
+        _argparse_result(argv, capsys)  # argparse reads it without a traceback
+
+    def test_argv_none_reads_sys_argv(self, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["refa", "rank", "a.json"])
+        assert vars(_read_direct(None)) == {"command": "rank", "automaton": "a.json", "budget": 18}
+        monkeypatch.setattr(sys, "argv", ["refa"])
+        assert _read_direct(None) is None
 
 
 class TestRank:

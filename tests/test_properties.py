@@ -5,6 +5,11 @@
   non-ASCII characters), λ labels, and empty alphabets, finals and
   transitions; and both keep the order of the keyed sort they replaced, on
   int, string, mixed and bool states.
+* JSON is a round trip: `from_dict` reads back what `to_json` wrote.
+* `render` text is a fixpoint of ``render∘parse``, and ``parse∘render`` is
+  the identity on trees already in the parser's left-nested form (not on
+  every tree: `render` drops the brackets of nested unions and
+  concatenations, which `parse` then nests to the left).
 * The derivatives that one term table, shared across calls as in
   `construct_brzozowski`, builds in normal form for every iterated
   derivative of a tree equal the raw derivatives normalised afterwards.
@@ -28,10 +33,10 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from refa.automata import Automaton, minimize, to_dict, to_json
+from refa.automata import Automaton, from_dict, minimize, to_dict, to_json
 from refa.constructions import _AciTerms
 from refa.digraphs import Digraph, cycle_rank, sccs
-from refa.expressions import random_expr, render
+from refa.expressions import parse, random_expr, render
 from refa.families import random_dfa
 
 from conftest import (
@@ -74,6 +79,12 @@ def test_to_json_is_json_dumps_with_indent(aut):
     assert to_json(aut) == json.dumps(to_dict(aut), indent=2) + "\n"
 
 
+@settings(max_examples=100, deadline=None)
+@given(automata())
+def test_json_round_trip(aut):
+    assert from_dict(json.loads(to_json(aut))) == aut
+
+
 @pytest.mark.parametrize("kind", sorted(STATE_KINDS))
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
@@ -88,6 +99,15 @@ def test_serialized_order_is_the_keyed_sort(kind, data):
 TREES = st.builds(
     lambda awidth, seed: random_expr(awidth, ["a", "b"], seed), st.integers(1, 10), st.integers(0, 10**6)
 ) | st.builds(lambda seed: lambda_heavy_tree(random.Random(seed), 6), st.integers(0, 10**6))
+
+
+@settings(max_examples=100, deadline=None)
+@given(TREES)
+def test_render_parse_round_trip(tree):
+    text = render(tree)
+    left_nested = parse(text)
+    assert render(left_nested) == text
+    assert parse(render(left_nested)) == left_nested
 
 
 @settings(max_examples=100, deadline=None)
