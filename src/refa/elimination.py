@@ -1,7 +1,8 @@
 """Automaton-to-expression conversion and the shared expression simplifier.
 
-Three classical routes are provided; all maintain regex-labelled data and
-lean on the same simplifier:
+Three classical routes are provided; all maintain regex-labelled data and,
+unless asked for raw labels, build it simplified in one label table per
+run (see `_Labels`):
 
 * state elimination over an extended automaton with a fresh source and
   sink, with pluggable elimination orderings;
@@ -13,29 +14,15 @@ lean on the same simplifier:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import reduce
+from types import SimpleNamespace
 from typing import Sequence
 
 from .automata import Automaton, State, _reach, _sorted_triples, _state_key
+from .constructions import _AciTerms
 from .digraphs import cycles_through, independent_set, underlying_digraph
-from .expressions import (
-    EMPTY,
-    EPSILON,
-    Concat,
-    Empty,
-    Epsilon,
-    Option,
-    RegEx,
-    Star,
-    Sym,
-    Union,
-    _operands,
-    _render,
-    _set,
-    _union_of,
-    measures,
-    nullable,
-)
+from .expressions import EMPTY, EPSILON, Concat, Empty, RegEx, Star, Sym, Union, measures, nullable
 
 __all__ = [
     "SOURCE",
@@ -57,34 +44,92 @@ __all__ = [
 # Simplifier
 
 
-def _canon_key(r: RegEx) -> str:
-    """Render with union branches sorted; detects commuted duplicates."""
-    if isinstance(r, (Empty, Epsilon, Sym)):
-        return _render(r)
-    key = r._canon
-    if key is None:
-        if isinstance(r, Union):
-            keys = sorted(_canon_key(b) for b in _operands(r, Union))
-            key = "(+ " + " ".join(keys) + ")"
-        elif isinstance(r, Concat):
-            key = "(. " + _canon_key(r.left) + " " + _canon_key(r.right) + ")"
-        elif isinstance(r, Star):
-            key = "(* " + _canon_key(r.inner) + ")"
-        else:
-            key = "(? " + _canon_key(r.inner) + ")"
-        _set(r, "_canon", key)
-    return key
-
-
 def _absorbed_star_body(b: RegEx) -> RegEx | None:
-    """The x with b = x·x* or b = x*·x, if any."""
+    """The x with b = x·x* or b = x*·x, if any; b is a term of a table."""
     if not isinstance(b, Concat):
         return None
-    if isinstance(b.right, Star) and b.right.inner == b.left:
+    if isinstance(b.right, Star) and b.right.inner is b.left:
         return b.left
-    if isinstance(b.left, Star) and b.left.inner == b.right:
+    if isinstance(b.left, Star) and b.left.inner is b.right:
         return b.right
     return None
+
+
+class _Labels(_AciTerms):
+    """The labels of one elimination run, hash-consed and built simplified:
+    `union`, `cat` and `star` apply the rules of `simplify` as they build,
+    as `_AciTerms` does for derivatives.  Every term has a class number,
+    shared by the terms that are equal modulo the order of union branches:
+    a union's class is keyed by the set of its branches' classes, and a
+    symbol's by its name, so `a` and a marked `a1` are duplicates.  A
+    union term keeps its branches in `unions`, by class, in order."""
+
+    def __init__(self):
+        super().__init__()
+        self.numbers: dict = {}  # class key -> class number
+        self.classes: dict[int, int] = {id(EMPTY): self._number("#"), id(EPSILON): self._number("&")}
+
+    def _number(self, key) -> int:
+        return self.numbers.setdefault(key, len(self.numbers))
+
+    def _class(self, term: RegEx) -> int:
+        c = self.classes.get(id(term))
+        if c is None:  # a symbol, classed on first use
+            c = self.classes[id(term)] = self._number(term.name)
+        return c
+
+    def intern(self, r: RegEx) -> RegEx:
+        """The term of r; r itself when it is a term of this table."""
+        return r if id(r) in self.classes else super().intern(r)
+
+    def make(self, cls: type, *kids: RegEx) -> RegEx:
+        node = super().make(cls, *kids)
+        if cls is not Union and id(node) not in self.classes:
+            self.classes[id(node)] = self._number((cls, *map(self._class, kids)))
+        return node
+
+    def union(self, terms: list[RegEx]) -> RegEx:
+        """The left-associated union of the branches of the terms, ∅
+        dropped and the first of each class kept; with λ among them, the
+        first branch x·x* (or x*·x) becomes x* and λ goes."""
+        branches: dict[int, RegEx] = {}
+        for t in terms:
+            for b in self.unions[id(t)].values() if id(t) in self.unions else (t,):
+                if b is not EMPTY:
+                    branches.setdefault(self._class(b), b)
+        if self.classes[id(EPSILON)] in branches:
+            for b in branches.values():
+                body = _absorbed_star_body(b)
+                if body is not None:
+                    kept = [self.star(body) if x is b else x for x in branches.values() if x is not EPSILON]
+                    branches = {}
+                    for x in kept:
+                        branches.setdefault(self._class(x), x)
+                    break
+        if len(branches) < 2:
+            return next(iter(branches.values()), EMPTY)
+        parts = iter(branches.values())
+        out = next(parts)
+        for b in parts:
+            out = self.make(Union, out, b)
+        if id(out) not in self.classes:
+            self.unions[id(out)] = branches
+            self.classes[id(out)] = self._number(frozenset(branches))
+        return out
+
+    def cat(self, left: RegEx, right: RegEx) -> RegEx:
+        if left is EMPTY or right is EMPTY:
+            return EMPTY
+        if left is EPSILON:
+            return right
+        return left if right is EPSILON else self.make(Concat, left, right)
+
+    def star(self, inner: RegEx) -> RegEx:
+        return inner if isinstance(inner, Star) else super().star(inner)
+
+
+# the constructors of raw labels, which build every node as written
+_RAW = SimpleNamespace(intern=lambda r: r, union=lambda terms: reduce(Union, terms), cat=Concat, star=Star)
 
 
 def simplify(r: RegEx) -> RegEx:
@@ -92,68 +137,10 @@ def simplify(r: RegEx) -> RegEx:
 
     Rules: ∅ and λ units/annihilators, ∅*→λ, λ*→λ, (r*)*→r*, duplicate
     union branches removed modulo branch order, and λ+x·x* → x* (either
-    orientation of the concatenation).
+    orientation of the concatenation).  r is rebuilt through the
+    constructors of a label table of its own (see `_Labels`).
     """
-    if isinstance(r, (Empty, Epsilon, Sym)):
-        return r
-    out = r._simple
-    if out is not None:
-        return r if out is True else out
-    if isinstance(r, Star):
-        inner = simplify(r.inner)
-        if isinstance(inner, (Empty, Epsilon)):
-            out = EPSILON
-        elif isinstance(inner, Star):
-            out = inner
-        else:
-            out = r if inner is r.inner else Star(inner)
-    elif isinstance(r, Option):
-        inner = simplify(r.inner)
-        out = r if inner is r.inner else Option(inner)
-    elif isinstance(r, Concat):
-        left = simplify(r.left)
-        right = simplify(r.right)
-        if isinstance(left, Empty) or isinstance(right, Empty):
-            out = EMPTY
-        elif isinstance(left, Epsilon):
-            out = right
-        elif isinstance(right, Epsilon):
-            out = left
-        else:
-            out = r if left is r.left and right is r.right else Concat(left, right)
-    else:
-        flat: list[RegEx] = []
-        for b in _operands(r, Union):
-            flat.extend(_operands(simplify(b), Union))
-        pruned: list[RegEx] = []
-        seen: set[str] = set()
-        for b in flat:
-            if isinstance(b, Empty):
-                continue
-            key = _canon_key(b)
-            if key not in seen:
-                seen.add(key)
-                pruned.append(b)
-
-        # λ + x·x* (or x*·x) collapses to x*; at most one λ survives the dedup
-        eps_at = next((i for i, b in enumerate(pruned) if isinstance(b, Epsilon)), None)
-        if eps_at is not None:
-            for i, b in enumerate(pruned):
-                body = _absorbed_star_body(b)
-                if body is None:
-                    continue
-                replaced = [Star(body) if j == i else x for j, x in enumerate(pruned) if j != eps_at]
-                pruned = []
-                seen = set()
-                for x in replaced:
-                    key = _canon_key(x)
-                    if key not in seen:
-                        seen.add(key)
-                        pruned.append(x)
-                break
-        out = _union_of(pruned, r) if pruned else EMPTY
-    _set(r, "_simple", True if out is r else out)
-    return out
+    return _Labels().intern(r)
 
 
 # ---------------------------------------------------------------------------
@@ -181,11 +168,14 @@ class ExtendedAutomaton:
     `out[p]` maps each target of p to the label of the arc p -> q, and
     `into[q]` maps each source of q to the same label; a missing entry is
     the ∅ label.  No arc enters the source and none leaves the sink.
+    `terms` is the table that simplified labels are built in, handed on
+    from each carrier to the next, so one elimination run has one.
     """
 
     states: frozenset
     out: dict
     into: dict
+    terms: _Labels = field(default_factory=_Labels, compare=False, repr=False)
 
     @property
     def labels(self):
@@ -223,36 +213,37 @@ def eliminate_state(ext: ExtendedAutomaton, q, simplify_labels: bool = True) -> 
     """Remove q, routing every path through it into the remaining labels.
 
     Only the rows of q's neighbours are copied and rewritten; `ext` itself
-    is left as it was.
+    is left as it was.  Simplified labels are built in the carrier's table,
+    raw ones as written.
     """
     if isinstance(q, _Endpoint):
         raise ValueError("source and sink cannot be eliminated")
     if q not in ext.states:
         raise ValueError(f"{q!r} is not a state")
+    terms = ext.terms if simplify_labels else _RAW
     loop = ext.out[q].get(q)
+    star = None if loop is None else terms.star(terms.intern(loop))
     ins = sorted((p for p in ext.into[q] if p != q), key=_state_key)
     outs = sorted((k for k in ext.out[q] if k != q), key=_state_key)
-    post = simplify if simplify_labels else (lambda e: e)
     out, into = dict(ext.out), dict(ext.into)
     del out[q], into[q]
     for k in outs:
         into[k] = {p: e for p, e in into[k].items() if p != q}
     for p in ins:
         out[p] = {k: e for k, e in out[p].items() if k != q}
-        lin = ext.into[q][p]
+        lin = terms.intern(ext.into[q][p])
+        if star is not None:
+            lin = terms.cat(lin, star)
         for k in outs:
-            path: RegEx = lin
-            if loop is not None:
-                path = Concat(path, Star(loop))
-            path = Concat(path, ext.out[q][k])
+            path = terms.cat(lin, terms.intern(ext.out[q][k]))
             old = out[p].get(k)
-            new = post(path if old is None else Union(old, path))
+            new = path if old is None else terms.union([terms.intern(old), path])
             if isinstance(new, Empty):
                 out[p].pop(k, None)
                 into[k].pop(p, None)
             else:
                 out[p][k] = into[k][p] = new
-    return ExtendedAutomaton(ext.states - {q}, out, into)
+    return ExtendedAutomaton(ext.states - {q}, out, into, ext.terms)
 
 
 STRATEGIES = ("id", "greedy", "dm", "cycles", "indep", "bridge")
@@ -377,8 +368,7 @@ def state_elimination(
     prefix, score, suffix = _plan(aut, order)
     if score is not None and not simplify_steps:
         prefix, score, suffix = _eliminate(aut, prefix, score, suffix)[0], None, []
-    label = _eliminate(aut, prefix, score, suffix, simplify_steps)[1].label(SOURCE, SINK)
-    return simplify(label) if simplify_steps else label
+    return _eliminate(aut, prefix, score, suffix, simplify_steps)[1].label(SOURCE, SINK)
 
 
 # ---------------------------------------------------------------------------
@@ -394,13 +384,12 @@ def arden_solve(aut: Automaton, simplify_steps: bool = True) -> RegEx:
     """
     if not aut.is_lambda_free():
         raise ValueError("arden_solve expects a λ-free automaton (remove λ first)")
-    post = simplify if simplify_steps else (lambda e: e)
-
     ext = augment(aut)
+    terms = ext.terms if simplify_steps else _RAW
     coeffs: dict[State, dict[State, RegEx]] = {
-        q: {k: e for k, e in ext.out[q].items() if k is not SINK} for q in aut.states
+        q: {k: terms.intern(e) for k, e in ext.out[q].items() if k is not SINK} for q in aut.states
     }
-    consts: dict[State, RegEx] = {q: ext.label(q, SINK) for q in aut.states}
+    consts: dict[State, RegEx] = {q: terms.intern(ext.label(q, SINK)) for q in aut.states}
 
     order = [q for q in sorted(aut.states, key=_state_key, reverse=True) if q != aut.initial]
     order.append(aut.initial)
@@ -411,11 +400,11 @@ def arden_solve(aut: Automaton, simplify_steps: bool = True) -> RegEx:
             k = eq_c.pop(q)
             if nullable(k):
                 raise ValueError("self-coefficient contains λ; unique solution lost")
-            star = Star(k)
-            eq_c = {j: post(Concat(star, expr)) for j, expr in eq_c.items()}
+            star = terms.star(k)
+            eq_c = {j: terms.cat(star, expr) for j, expr in eq_c.items()}
             coeffs[q] = eq_c
             if not isinstance(consts[q], Empty):
-                consts[q] = post(Concat(star, consts[q]))
+                consts[q] = terms.cat(star, consts[q])
         if q == aut.initial:
             break
         for other in order[pos + 1 :]:
@@ -423,46 +412,45 @@ def arden_solve(aut: Automaton, simplify_steps: bool = True) -> RegEx:
                 continue
             through = coeffs[other].pop(q)
             for j in sorted(eq_c, key=_state_key):
-                add = Concat(through, eq_c[j])
+                add = terms.cat(through, eq_c[j])
                 old = coeffs[other].get(j)
-                coeffs[other][j] = post(add if old is None else Union(old, add))
+                coeffs[other][j] = add if old is None else terms.union([old, add])
             if not isinstance(consts[q], Empty):
-                add = Concat(through, consts[q])
+                add = terms.cat(through, consts[q])
                 old = consts[other]
-                consts[other] = post(add if isinstance(old, Empty) else Union(old, add))
+                consts[other] = add if isinstance(old, Empty) else terms.union([old, add])
 
     if coeffs[aut.initial]:
         raise RuntimeError("unresolved unknowns after substitution")
-    return post(consts[aut.initial])
+    return consts[aut.initial]
 
 
 # ---------------------------------------------------------------------------
 # McNaughton-Yamada matrix iteration
 
 
-def _mny_matrix(aut: Automaton, ranking: Sequence[State], post) -> dict:
-    """The expression matrix after one round per state of `ranking`."""
+def _mny_matrix(aut: Automaton, ranking: Sequence[State], terms) -> dict:
+    """The expression matrix after one round per state of `ranking`, its
+    entries built by the constructors of `terms` (a `_Labels` table, or
+    `_RAW` for raw entries)."""
     states = sorted(aut.states, key=_state_key)
     ext = augment(aut)
-    matrix: dict[tuple, RegEx] = {(p, q): ext.label(p, q) for p in states for q in states}
+    matrix: dict[tuple, RegEx] = {(p, q): terms.intern(ext.label(p, q)) for p in states for q in states}
 
     for i in ranking:
-        star = Star(matrix[(i, i)])
+        star = terms.star(matrix[(i, i)])
         new: dict[tuple, RegEx] = {}
         for j in states:
             for k in states:
                 if j == i and k == i:
-                    entry: RegEx = Concat(star, matrix[(i, i)])
+                    entry: RegEx = terms.cat(star, matrix[(i, i)])
                 elif j == i:
-                    entry = Concat(star, matrix[(i, k)])
+                    entry = terms.cat(star, matrix[(i, k)])
                 elif k == i:
-                    entry = Concat(matrix[(j, i)], star)
+                    entry = terms.cat(matrix[(j, i)], star)
                 else:
-                    entry = Union(
-                        matrix[(j, k)],
-                        Concat(Concat(matrix[(j, i)], star), matrix[(i, k)]),
-                    )
-                new[(j, k)] = post(entry)
+                    entry = terms.union([matrix[(j, k)], terms.cat(terms.cat(matrix[(j, i)], star), matrix[(i, k)])])
+                new[(j, k)] = entry
         matrix = new
     return matrix
 
@@ -484,7 +472,7 @@ def mcnaughton_yamada(
         ranking = list(ranking)
         if sorted(ranking, key=_state_key) != states:
             raise ValueError("ranking must be a permutation of the states")
-    matrix = _mny_matrix(aut, ranking, simplify if simplify_steps else (lambda e: e))
+    matrix = _mny_matrix(aut, ranking, _Labels() if simplify_steps else _RAW)
     parts: list[RegEx] = []
     if aut.initial in aut.finals:
         parts.append(EPSILON)
@@ -492,4 +480,4 @@ def mcnaughton_yamada(
         entry = matrix[(aut.initial, f)]
         if not isinstance(entry, Empty):
             parts.append(entry)
-    return _union_of(parts) if parts else EMPTY
+    return reduce(Union, parts) if parts else EMPTY

@@ -12,9 +12,8 @@ depth.  A tree walk (marking, building an automaton, ssnf) handles each
 occurrence of a node; a walk that stores a value on each node (`measures`,
 `nullable`, rendering) skips the nodes that hold theirs, so each distinct
 node of a shared expression is visited once.  The walks on one term at a
-time (the linear forms and derivatives, `simplify`, `_canon_key`) recurse:
-they are memoised and hot, and on them CPython's recursion is cheaper than
-any explicit stack.
+time (the linear forms and derivatives) recurse: they are memoised and
+hot, and on them CPython's recursion is cheaper than any explicit stack.
 """
 
 from __future__ import annotations
@@ -59,6 +58,8 @@ class RegEx:
     are computed once and kept on the node, as the attributes below whose
     class default None means "not computed yet".  They die with the node,
     and stay out of ``==``, ``repr``, the dataclass fields, copies and pickles.
+    What one run of an algorithm finds about a node, such as its simplified
+    form or its derivatives, stays in that run's term table instead.
     """
 
     __slots__ = ()
@@ -66,10 +67,6 @@ class RegEx:
     _hash = None  # hash(node), equal to the dataclass hash of the fields
     _text = None  # render(node) in ASCII
     _nullable = None
-    # elimination.simplify(node); True when the result is the node itself,
-    # so that no node refers to itself
-    _simple = None
-    _canon = None  # elimination._canon_key(node)
     _measures = None  # measures(node); a constant on the atoms' classes
 
     def __str__(self) -> str:
@@ -375,23 +372,6 @@ def _render(r: RegEx) -> str:
                 raise TypeError(f"not a RegEx: {node!r}")
             _set(node, "_text", text)
     return r._text
-
-
-def _union_of(parts: list[RegEx], like: RegEx | None = None) -> RegEx:
-    """The left-associated union of `parts`; `like` itself when it is that
-    very union already, so that unchanged nodes keep their stored values."""
-    node = like
-    for part in reversed(parts[1:]):
-        if not (isinstance(node, Union) and node.right is part):
-            break
-        node = node.left
-    else:
-        if node is parts[0]:
-            return like
-    out = parts[0]
-    for part in parts[1:]:
-        out = Union(out, part)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -24,11 +24,18 @@ the states of an automaton, to names that `state_names` draws.
 leaf's arc at once and move arcs by merges, build a union of each merged
 state's arcs, and test an arc's uniqueness by set equality.  `_aci` is the
 normal form of one `_AciTerms` table, which only the memo tests ask for.
+`reference_simplify` rewrites a tree as `simplify` did before the label
+table, finding duplicate branches by their text with union branches
+sorted; `reference_state_elimination`, `reference_arden_solve` and
+`reference_mcnaughton_yamada` build each label raw and pass it through
+it.  `commuted_duplicates_tree` builds trees that hold copies of their
+own subterms with union branches commuted.
 """
 
 import random
 from collections import defaultdict, deque
 from dataclasses import astuple
+from functools import reduce
 from itertools import product
 
 import pytest
@@ -45,6 +52,7 @@ from refa.automata import (
     subset_construction,
 )
 from refa.constructions import PositionSets, _AciTerms, construct_position, position_sets
+from refa.elimination import SINK, SOURCE, ExtendedAutomaton, _plan, augment
 from refa.expressions import (
     EMPTY,
     EPSILON,
@@ -861,3 +869,245 @@ def reference_construct_follow(r: RegEx) -> Automaton:
     states, transitions = _explore(init, moves)
     finals = [i for i, f in enumerate(accepting) if f]
     return Automaton.make(range(len(states)), builder.letters, 0, finals, transitions)
+
+
+# -- reference simplifier and automaton-to-expression converters -------------
+
+
+def _union_branches(r: RegEx) -> list:
+    """The maximal non-union subterms of r, left to right."""
+    if isinstance(r, Union):
+        return _union_branches(r.left) + _union_branches(r.right)
+    return [r]
+
+
+def _reference_canon_key(r, memo) -> str:
+    """The text of r with union branches sorted, at every level; `memo`
+    maps ("key", id(node)) to (node, key)."""
+    if isinstance(r, (Empty, Epsilon, Sym)):
+        return render(r)
+    if ("key", id(r)) not in memo:
+        if isinstance(r, Union):
+            key = "(+ " + " ".join(sorted(_reference_canon_key(b, memo) for b in _union_branches(r))) + ")"
+        elif isinstance(r, Concat):
+            key = "(. " + _reference_canon_key(r.left, memo) + " " + _reference_canon_key(r.right, memo) + ")"
+        else:
+            key = ("(* " if isinstance(r, Star) else "(? ") + _reference_canon_key(r.inner, memo) + ")"
+        memo["key", id(r)] = (r, key)
+    return memo["key", id(r)][1]
+
+
+def _reference_absorbed_star_body(b):
+    """The x with b = x·x* or b = x*·x, compared structurally, if any."""
+    if not isinstance(b, Concat):
+        return None
+    if isinstance(b.right, Star) and b.right.inner == b.left:
+        return b.left
+    if isinstance(b.left, Star) and b.left.inner == b.right:
+        return b.right
+    return None
+
+
+def _reference_dedup(branches, memo) -> list:
+    """The branches with each canonical key's first occurrence kept."""
+    seen, out = set(), []
+    for b in branches:
+        key = _reference_canon_key(b, memo)
+        if key not in seen:
+            seen.add(key)
+            out.append(b)
+    return out
+
+
+def reference_simplify(r, memo=None):
+    """`simplify` as a rewrite of the tree: ∅ and λ units/annihilators,
+    ∅*→λ, λ*→λ, (r*)*→r*, duplicate union branches dropped by their text
+    with branches sorted (the first kept), and λ + x·x* → x* for the first
+    such branch.  `memo` maps id(node) to (node, simplified form) across
+    calls, as the simplified form once stored on each node."""
+    memo = {} if memo is None else memo
+    if isinstance(r, (Empty, Epsilon, Sym)):
+        return r
+    if id(r) in memo:
+        return memo[id(r)][1]
+    if isinstance(r, Star):
+        inner = reference_simplify(r.inner, memo)
+        out = EPSILON if isinstance(inner, (Empty, Epsilon)) else inner if isinstance(inner, Star) else Star(inner)
+    elif isinstance(r, Option):
+        out = Option(reference_simplify(r.inner, memo))
+    elif isinstance(r, Concat):
+        left, right = reference_simplify(r.left, memo), reference_simplify(r.right, memo)
+        if isinstance(left, Empty) or isinstance(right, Empty):
+            out = EMPTY
+        else:
+            out = right if isinstance(left, Epsilon) else left if isinstance(right, Epsilon) else Concat(left, right)
+    else:
+        flat = [x for b in _union_branches(r) for x in _union_branches(reference_simplify(b, memo))]
+        pruned = _reference_dedup([b for b in flat if not isinstance(b, Empty)], memo)
+        eps_at = next((i for i, b in enumerate(pruned) if isinstance(b, Epsilon)), None)
+        if eps_at is not None:
+            for i, b in enumerate(pruned):
+                body = _reference_absorbed_star_body(b)
+                if body is not None:
+                    replaced = [Star(body) if j == i else x for j, x in enumerate(pruned) if j != eps_at]
+                    pruned = _reference_dedup(replaced, memo)
+                    break
+        out = reduce(Union, pruned) if pruned else EMPTY
+    memo[id(r)] = (r, out)
+    return out
+
+
+def _reference_post(simplify_steps: bool):
+    """Each step's rewrite: `reference_simplify` with one memo, or none."""
+    memo: dict = {}
+    return (lambda e: reference_simplify(e, memo)) if simplify_steps else (lambda e: e)
+
+
+def _reference_eliminate_state(ext, q, post):
+    """Remove q: each new label is built raw, old + lin·loop*·out, and then
+    passed through `post`."""
+    loop = ext.out[q].get(q)
+    ins = sorted((p for p in ext.into[q] if p != q), key=_state_key)
+    outs = sorted((k for k in ext.out[q] if k != q), key=_state_key)
+    out, into = dict(ext.out), dict(ext.into)
+    del out[q], into[q]
+    for k in outs:
+        into[k] = {p: e for p, e in into[k].items() if p != q}
+    for p in ins:
+        out[p] = {k: e for k, e in out[p].items() if k != q}
+        for k in outs:
+            path = ext.into[q][p]
+            if loop is not None:
+                path = Concat(path, Star(loop))
+            path = Concat(path, ext.out[q][k])
+            old = out[p].get(k)
+            new = post(path if old is None else Union(old, path))
+            if isinstance(new, Empty):
+                out[p].pop(k, None)
+                into[k].pop(p, None)
+            else:
+                out[p][k] = into[k][p] = new
+    return ExtendedAutomaton(ext.states - {q}, out, into)
+
+
+def _reference_eliminate(aut, prefix, score, suffix, post):
+    ext = augment(aut)
+    order = []
+    rest = sorted(set(aut.states).difference(prefix, suffix), key=_state_key)
+    for q in prefix:
+        ext = _reference_eliminate_state(ext, q, post)
+        order.append(q)
+    while rest:
+        q = min(rest, key=lambda s: (score(ext, s), _state_key(s)))
+        rest.remove(q)
+        ext = _reference_eliminate_state(ext, q, post)
+        order.append(q)
+    for q in suffix:
+        ext = _reference_eliminate_state(ext, q, post)
+        order.append(q)
+    return order, ext
+
+
+def reference_state_elimination(aut: Automaton, order="greedy", simplify_steps: bool = True) -> RegEx:
+    """State elimination with a `post` rewrite after each step, the dynamic
+    orders taken from a simplified pass, and the final label simplified."""
+    post = _reference_post(simplify_steps)
+    prefix, score, suffix = _plan(aut, order)
+    if score is not None and not simplify_steps:
+        prefix, score, suffix = _reference_eliminate(aut, prefix, score, suffix, _reference_post(True))[0], None, []
+    return post(_reference_eliminate(aut, prefix, score, suffix, post)[1].label(SOURCE, SINK))
+
+
+def reference_arden_solve(aut: Automaton, simplify_steps: bool = True) -> RegEx:
+    """Back-substitution over raw labels, each new one passed through `post`."""
+    post = _reference_post(simplify_steps)
+    ext = augment(aut)
+    coeffs = {q: {k: e for k, e in ext.out[q].items() if k is not SINK} for q in aut.states}
+    consts = {q: ext.label(q, SINK) for q in aut.states}
+    order = [q for q in sorted(aut.states, key=_state_key, reverse=True) if q != aut.initial]
+    order.append(aut.initial)
+    for pos, q in enumerate(order):
+        eq_c = coeffs[q]
+        if q in eq_c:
+            star = Star(eq_c.pop(q))
+            eq_c = coeffs[q] = {j: post(Concat(star, expr)) for j, expr in eq_c.items()}
+            if not isinstance(consts[q], Empty):
+                consts[q] = post(Concat(star, consts[q]))
+        if q == aut.initial:
+            break
+        for other in order[pos + 1 :]:
+            if q not in coeffs[other]:
+                continue
+            through = coeffs[other].pop(q)
+            for j in sorted(eq_c, key=_state_key):
+                add = Concat(through, eq_c[j])
+                old = coeffs[other].get(j)
+                coeffs[other][j] = post(add if old is None else Union(old, add))
+            if not isinstance(consts[q], Empty):
+                add = Concat(through, consts[q])
+                old = consts[other]
+                consts[other] = post(add if isinstance(old, Empty) else Union(old, add))
+    return post(consts[aut.initial])
+
+
+def reference_mcnaughton_yamada(aut: Automaton, ranking=None, simplify_steps: bool = True) -> RegEx:
+    """The matrix rounds over raw entries, each passed through `post`."""
+    post = _reference_post(simplify_steps)
+    states = sorted(aut.states, key=_state_key)
+    ext = augment(aut)
+    matrix = {(p, q): ext.label(p, q) for p in states for q in states}
+    for i in reversed(states) if ranking is None else ranking:
+        star = Star(matrix[i, i])
+        new = {}
+        for j in states:
+            for k in states:
+                if j == i and k == i:
+                    entry = Concat(star, matrix[i, i])
+                elif j == i:
+                    entry = Concat(star, matrix[i, k])
+                elif k == i:
+                    entry = Concat(matrix[j, i], star)
+                else:
+                    entry = Union(matrix[j, k], Concat(Concat(matrix[j, i], star), matrix[i, k]))
+                new[j, k] = post(entry)
+        matrix = new
+    parts = [EPSILON] if aut.initial in aut.finals else []
+    parts += [matrix[aut.initial, f] for f in sorted(aut.finals, key=_state_key)]
+    parts = [e for e in parts if not isinstance(e, Empty)]
+    return reduce(Union, parts) if parts else EMPTY
+
+
+def shuffled_unions(r: RegEx, rng: random.Random) -> RegEx:
+    """A copy of r with the branches of every union in a random order."""
+    if isinstance(r, Union):
+        branches = [shuffled_unions(b, rng) for b in _union_branches(r)]
+        rng.shuffle(branches)
+        return reduce(Union, branches)
+    if isinstance(r, Concat):
+        return Concat(shuffled_unions(r.left, rng), shuffled_unions(r.right, rng))
+    if isinstance(r, (Star, Option)):
+        return type(r)(shuffled_unions(r.inner, rng))
+    return r
+
+
+def commuted_duplicates_tree(rng: random.Random, depth: int) -> RegEx:
+    """A tree that holds copies of its subterms with union branches
+    commuted, such as (a+b)c+(b+a)c, under stars and concatenations,
+    beside λ and the x·x* and x*·x shapes that λ absorbs."""
+    if depth == 0:
+        return random_expr(rng.randint(1, 4), ["a", "b", "c"], rng.randrange(10**6))
+    x = commuted_duplicates_tree(rng, depth - 1)
+    y = shuffled_unions(x, rng)
+    z = rng.choice([Sym("a"), Sym("c"), EPSILON, Star(Sym("b"))])
+    kind = rng.randrange(6)
+    if kind == 0:
+        return Union(Concat(x, z), Concat(y, z))
+    if kind == 1:
+        return Star(Union(Union(x, z), y))
+    if kind == 2:
+        return Concat(Union(y, EMPTY), Union(x, Concat(z, y)))
+    if kind == 3:
+        return Union(Union(EPSILON, Concat(x, Star(y))), Concat(Star(x), x))
+    if kind == 4:
+        return Union(Concat(y, Star(y)), Union(EPSILON, x))
+    return Option(Union(Star(Star(x)), Star(y)))

@@ -1,8 +1,13 @@
+import contextlib
+import io
+import json
 import random
+from pathlib import Path
 
 import pytest
 
-from refa.automata import Automaton, equivalent
+from refa.automata import Automaton, _state_key, equivalent, from_dict, load, remove_lambda
+from refa.cli import main
 from refa.constructions import construct_follow
 from refa.elimination import (
     SINK,
@@ -13,13 +18,24 @@ from refa.elimination import (
     eliminate_state,
     make_ordering,
     mcnaughton_yamada,
+    STRATEGIES,
     simplify,
     state_elimination,
 )
 from refa.expressions import EPSILON, Sym, measures, parse, render
-from refa.families import buffer_dfa, hypercube_dfa, random_dfa
+from refa.families import buffer_dfa, hypercube_dfa, random_dfa, torus_dfa
 
-from conftest import corpus, lang, path_pairs
+from conftest import (
+    commuted_duplicates_tree,
+    corpus,
+    lambda_heavy_tree,
+    lang,
+    path_pairs,
+    reference_arden_solve,
+    reference_mcnaughton_yamada,
+    reference_simplify,
+    reference_state_elimination,
+)
 
 
 class TestSimplify:
@@ -264,10 +280,10 @@ class TestMcNaughtonYamada:
         assert render(got, unicode=True) == "λ+(a(a(ab)*b)*b)*a(a(ab)*b)*b"
 
     def test_intermediate_matrices(self):
-        from refa.elimination import _mny_matrix
+        from refa.elimination import _Labels, _mny_matrix
 
-        first = _mny_matrix(buffer_dfa(3), [3], simplify)
-        second = _mny_matrix(buffer_dfa(3), [3, 2], simplify)
+        first = _mny_matrix(buffer_dfa(3), [3], _Labels())
+        second = _mny_matrix(buffer_dfa(3), [3, 2], _Labels())
         assert render(first[(2, 2)]) == "ab"
         assert render(first[(3, 2)]) == "b"
         assert render(first[(2, 3)]) == "a"
@@ -296,3 +312,68 @@ class TestMcNaughtonYamada:
             for simplify_steps in (True, False):
                 expr = mcnaughton_yamada(aut, None, simplify_steps)
                 assert equivalent(construct_follow(expr), aut)
+
+
+def golden_automata(folder) -> dict:
+    """The automata that `toregex_golden.json` converts, by name."""
+    golden = json.loads((Path(__file__).parent / "toregex_golden.json").read_text(encoding="utf-8"))
+    auts = {}
+    for name, spec in golden["inputs"]:
+        if isinstance(spec, dict):
+            auts[name] = from_dict(spec)
+        else:
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main([*spec, "-o", str(folder / f"{name}.json")]) == 0
+            auts[name] = load(folder / f"{name}.json")
+    return auts
+
+
+def assert_converters_match_reference(aut, orders):
+    """Equal text from the label table and the reference rewrite, for the
+    given orders and both methods, simplified and raw."""
+    plain = remove_lambda(aut)
+    for simplify_steps in (True, False):
+        for order in orders:
+            got = state_elimination(aut, order, simplify_steps)
+            assert render(got) == render(reference_state_elimination(aut, order, simplify_steps)), order
+        got = arden_solve(plain, simplify_steps)
+        assert render(got) == render(reference_arden_solve(plain, simplify_steps))
+        got = mcnaughton_yamada(plain, None, simplify_steps)
+        assert render(got) == render(reference_mcnaughton_yamada(plain, None, simplify_steps))
+
+
+class TestAgainstReference:
+    """The label table gives the text that the rewrite of each raw label
+    by the earlier simplifier gave."""
+
+    def test_witness_and_random_dfas(self):
+        witnesses = [buffer_dfa(3), buffer_dfa(6), torus_dfa(2, 2), torus_dfa(2, 3), torus_dfa(3, 3), hypercube_dfa(3)]
+        for aut in witnesses:
+            assert_converters_match_reference(aut, STRATEGIES)
+        for seed in range(40):
+            aut = random_dfa(2 + seed % 6, 1 + seed % 3, seed=4400 + seed)
+            assert_converters_match_reference(aut, STRATEGIES)
+
+    def test_golden_inputs(self, tmp_path):
+        for name, aut in golden_automata(tmp_path).items():
+            descending = sorted(aut.states, key=_state_key, reverse=True)
+            assert_converters_match_reference(aut, [*STRATEGIES, descending])
+            plain = remove_lambda(aut)
+            for simplify_steps in (True, False):
+                ranking = sorted(plain.states, key=_state_key)
+                got = mcnaughton_yamada(plain, ranking, simplify_steps)
+                assert render(got) == render(reference_mcnaughton_yamada(plain, ranking, simplify_steps)), name
+
+    def test_simplify_on_commuted_duplicates(self):
+        for r in [parse("(a+b)c+(b+a)c"), parse("((a+b)c+(b+a)c)*d((b+a)c+(a+b)c)"), parse("&+(a+b)(b+a)*")]:
+            assert render(simplify(r)) == render(reference_simplify(r))
+        for seed in range(400):
+            r = commuted_duplicates_tree(random.Random(seed), 1 + seed % 4)
+            assert render(simplify(r)) == render(reference_simplify(r)), seed
+
+    def test_simplify_on_random_trees(self):
+        for r in corpus(200, seed=4500, max_awidth=12):
+            assert render(simplify(r)) == render(reference_simplify(r))
+        for seed in range(300):
+            r = lambda_heavy_tree(random.Random(seed), 6)
+            assert render(simplify(r)) == render(reference_simplify(r))

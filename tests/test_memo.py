@@ -1,8 +1,8 @@
 """Values computed once per expression node must equal those computed afresh.
 
-A warm tree (one whose nodes already hold their hash, text, nullability,
-simplified form, canonical key and measures, shared with its derivatives)
-must give the same answers as an equal tree built from new nodes, and the
+A warm tree (one whose nodes already hold their hash, text, nullability
+and measures, shared with its derivatives and its simplified form) must
+give the same answers as an equal tree built from new nodes, and the
 stored values must stay invisible to equality, repr, the dataclass fields,
 copies and pickles.
 """
@@ -16,7 +16,7 @@ from dataclasses import astuple
 import pytest
 
 from refa.constructions import construct_follow, construct_of, construct_position, derivative, partial_derivatives
-from refa.elimination import _canon_key, simplify
+from refa.elimination import simplify
 from refa.expressions import (
     EMPTY,
     EPSILON,
@@ -75,7 +75,6 @@ def derived(r) -> tuple:
         _aci(r),
         render(simplify(r)),
         simplify(r),
-        _canon_key(r),
         measures(r),
         tuple(derivative(r, a) for a in LETTERS),
         tuple(frozenset(partial_derivatives(r, a)) for a in LETTERS),
@@ -179,7 +178,6 @@ DEPTH_BEFORE_MEMO = [
     ("render", render, star_chain, 331),
     ("nullable", nullable, option_chain, 994),
     ("simplify", simplify, star_chain, 496),
-    ("_canon_key", _canon_key, star_chain, 495),
     ("_aci", _aci, star_chain, 496),
 ]
 
@@ -232,9 +230,12 @@ DEPTH_BEFORE_DERIVATIVE_MEMO = [
 # before it too, but took about 40 s there; it must now end within the
 # thread timeout below.
 DEPTH_AFTER_TERM_TABLE = [("partial_derivatives-b-star", pd_b, star_chain, 249)]
-# _aci rebuilds its input through the constructors of a term table on an
-# explicit stack, so it takes any depth.
-DEPTH_AFTER_NORMAL_TERMS = [("_aci-any-depth", _aci, star_chain, 10**4)]
+# _aci and simplify rebuild their input through the constructors of a term
+# table on an explicit stack, so they take any depth.
+DEPTH_AFTER_NORMAL_TERMS = [
+    ("_aci-any-depth", _aci, star_chain, 10**4),
+    ("simplify-any-depth", simplify, star_chain, 10**4),
+]
 # The walks over whole trees are loops over one post-order generator, so
 # they take any depth.  render stops at 3000: the texts kept on the nested
 # stars of buffer_regex(n) add up to quadratic length.

@@ -16,6 +16,12 @@
 * `minimize` is canonical under renaming: a random DFA, complete or
   partial, with its states renamed by a seeded bijection onto ints or
   strings minimizes to the same automaton, in both modes.
+* `simplify` and `ssnf` never grow and are idempotent, and `simplify`,
+  built on one label table, gives the text of the earlier rewrite of the
+  tree, also on trees that hold union-commuted copies of their subterms.
+* On DFAs of 2-5 states, state elimination under every ordering,
+  `arden_solve` and `mcnaughton_yamada`, simplified and raw, give
+  expressions whose follow automata are equivalent to the input.
 * On digraphs of up to 7 vertices, `cycle_rank` equals the unmemoized
   deletion recursion, deleting any one vertex lowers it by at most one and
   never raises it (the floor its search relies on), and `sccs` agrees with
@@ -33,18 +39,21 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from refa.automata import Automaton, from_dict, minimize, to_dict, to_json
-from refa.constructions import _AciTerms
+from refa.automata import Automaton, equivalent, from_dict, minimize, to_dict, to_json
+from refa.constructions import _AciTerms, construct_follow
 from refa.digraphs import Digraph, cycle_rank, sccs
-from refa.expressions import parse, random_expr, render
+from refa.elimination import STRATEGIES, arden_solve, mcnaughton_yamada, simplify, state_elimination
+from refa.expressions import measures, parse, random_expr, render, ssnf
 from refa.families import random_dfa
 
 from conftest import (
+    commuted_duplicates_tree,
     lambda_heavy_tree,
     naive_cycle_rank,
     rebuild,
     reference_aci,
     reference_derivative,
+    reference_simplify,
     reference_to_dict,
     relabel,
     state_names,
@@ -127,6 +136,35 @@ def test_shared_memo_derivatives_equal_unmemoised_ones(tree):
             if id(d) not in seen:
                 seen.add(id(d))
                 queue.append(d)
+
+
+@pytest.mark.parametrize("rewrite", [simplify, ssnf], ids=["simplify", "ssnf"])
+@settings(max_examples=100, deadline=None)
+@given(TREES)
+def test_rewrites_never_grow_and_are_idempotent(rewrite, tree):
+    once = rewrite(tree)
+    assert measures(once).size <= measures(tree).size
+    assert rewrite(once) == once
+
+
+@settings(max_examples=100, deadline=None)
+@given(TREES | st.builds(lambda seed, depth: commuted_duplicates_tree(random.Random(seed), depth),
+                         st.integers(0, 10**6), st.integers(1, 4)))
+def test_simplify_is_the_reference_rewrite(tree):
+    assert render(simplify(tree)) == render(reference_simplify(rebuild(tree)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(2, 5), letters=st.integers(1, 2), seed=st.integers(0, 10**6), order=st.sampled_from(STRATEGIES))
+def test_converters_give_equivalent_expressions(n, letters, seed, order):
+    aut = random_dfa(n, letters, seed)
+    for simplify_steps in (True, False):
+        for expr in (
+            state_elimination(aut, order, simplify_steps),
+            arden_solve(aut, simplify_steps),
+            mcnaughton_yamada(aut, None, simplify_steps),
+        ):
+            assert equivalent(construct_follow(expr), aut)
 
 
 @pytest.mark.parametrize("naming", ["int", "str"])
