@@ -72,18 +72,16 @@ class _InductiveNfaBuilder:
     that no arc enters the entry and none leaves the exit; this is what makes
     plain state sharing at the endpoints sound.  Arcs go to one list, and a
     merge of state `old` into `new` is an entry in a union-find alias map
-    that `automaton` resolves once.
+    that `automaton` resolves once.  `build` is the one loop of both
+    builders; the follow builder's concatenation contracts λ-arcs only where
+    one touches its middle state, as no other arc is ever a candidate.
     """
 
     def __init__(self):
-        self.n = 0
+        self.n = 0  # the next fresh state id; ids are taken two at a time
         self.arcs: list[tuple] = []
         self.alias: dict[int, int] = {}
         self.letters: set[str] = set()  # the symbols built so far
-
-    def fresh(self) -> int:
-        self.n += 1
-        return self.n - 1
 
     def arc(self, p: int, a, q: int):
         self.arcs.append((p, a, q))
@@ -92,31 +90,35 @@ class _InductiveNfaBuilder:
         self.alias[old] = new
 
     def build(self, r: RegEx) -> tuple[int, int]:
-        """The fragment of r, built in post-order; a leaf's arc is written where it lands."""
+        """The fragment of r, built in post-order; a leaf's arc is written where
+        it lands.  This loop serves both builders, with its methods bound once."""
         frags: list[tuple[int, int]] = []
         held = None  # the unwritten arc of the leaf on top of the stack, if any
+        arc, union, concat, star, letters = self.arc, self._union, self._concat, self._star, self.letters
         for node in _postorder(r):
             cls = type(node)
             leaf_arc, held = held, None
-            if leaf_arc and cls is not Union and cls is not Concat:
-                self.arc(*leaf_arc)
             if cls is Union or cls is Concat:
                 b = frags.pop()
-                frags[-1] = (self._union if cls is Union else self._concat)(frags[-1], b, leaf_arc)
-            elif cls is Star:
-                frags[-1] = self._star(frags[-1])
+                frags[-1] = (union if cls is Union else concat)(frags[-1], b, leaf_arc)
+                continue
+            if leaf_arc:
+                arc(*leaf_arc)
+            if cls is Star:
+                frags[-1] = star(frags[-1])
             elif cls is Option:
                 i, f = frags[-1]
-                self.arc(i, None, f)  # union with λ
+                arc(i, None, f)  # union with λ
             else:
-                i, f = self.fresh(), self.fresh()
+                i, f = self.n, self.n + 1
+                self.n += 2
                 if cls is Sym:
-                    self.letters.add(node.name)
+                    letters.add(node.name)
                 if cls is not Empty:
                     held = (i, None if cls is Epsilon else node.name, f)
                 frags.append((i, f))
         if held:
-            self.arc(*held)
+            arc(*held)
         return frags[0]
 
     def _union(self, a: tuple[int, int], b: tuple[int, int], leaf_arc: tuple | None) -> tuple[int, int]:
@@ -137,7 +139,8 @@ class _InductiveNfaBuilder:
     def _star(self, a: tuple[int, int]) -> tuple[int, int]:
         m = a[0]
         self.merge(a[1], m)
-        i, f = self.fresh(), self.fresh()
+        i, f = self.n, self.n + 1
+        self.n += 2
         self.arc(i, None, m)
         self.arc(m, None, f)
         return i, f
@@ -171,6 +174,9 @@ class _FollowBuilder(_InductiveNfaBuilder):
     in both: an arc is the only one into q when `inn[q]` has size 1, and a
     merge re-points each arc of the merged state in place in the other
     endpoint's set, at the cost of its degree.  Leaf arcs land as in `build`.
+    A concatenation contracts only if a λ-arc touches its middle state m:
+    `_contract` takes λ-arcs at m alone, so with none there it would change
+    no arc and no state id, and skipping it leaves the output as it was.
     """
 
     def __init__(self):
@@ -189,19 +195,38 @@ class _FollowBuilder(_InductiveNfaBuilder):
 
     def merge(self, old: int, new: int):
         out, inn = self.out, self.inn
-        for arc in out.pop(old, ()):
-            inn[arc[2]].discard(arc)  # old's self-loop leaves inn[old] too: it moves once
-            moved = (new, arc[1], new if arc[2] == old else arc[2])
-            out[new].add(moved)
-            inn[moved[2]].add(moved)
-        for arc in inn.pop(old, ()):
-            moved = (arc[0], arc[1], new)
-            out[arc[0]].discard(arc)
-            out[arc[0]].add(moved)
-            inn[new].add(moved)
+        arcs = out.pop(old, None)
+        if arcs:
+            new_out = out[new]
+            for arc in arcs:
+                _, a, q = arc
+                inn[q].discard(arc)  # old's self-loop leaves inn[old] too: it moves once
+                arc = (new, a, new if q == old else q)
+                new_out.add(arc)
+                inn[arc[2]].add(arc)
+        arcs = inn.pop(old, None)
+        if arcs:
+            new_inn = inn[new]
+            for arc in arcs:
+                p_out = out[arc[0]]
+                p_out.discard(arc)
+                arc = (arc[0], arc[1], new)
+                p_out.add(arc)
+                new_inn.add(arc)
 
     def _concat(self, a: tuple[int, int], b: tuple[int, int], leaf_arc: tuple | None) -> tuple[int, int]:
-        return self._contract(super()._concat(a, b, leaf_arc), a[1], enclosed=True)
+        m = a[1]
+        if leaf_arc:
+            self.arc(m, leaf_arc[1], b[1])
+        else:  # a rename: b's entry has no in-arc and m no out-arc, so only b's out-arcs move
+            self.merge(b[0], m)
+        frag = a[0], b[1]
+        # most middle states touch no λ-arc, and then there is nothing to contract
+        for arcs in (self.out.get(m, ()), self.inn.get(m, ())):
+            for arc in arcs:
+                if arc[1] is None:
+                    return self._contract(frag, m, enclosed=True)
+        return frag
 
     def _star(self, a: tuple[int, int]) -> tuple[int, int]:
         frag = super()._star(a)
@@ -222,15 +247,21 @@ class _FollowBuilder(_InductiveNfaBuilder):
         would acquire incoming arcs (the exit outgoing ones) and the plain
         state sharing of enclosing operators would become unsound.  On the
         finished automaton m is the start state, the arcs out of it are
-        tried, and their target survives as the new start state.
+        tried, and their target survives as the new start state.  Only λ-arcs
+        at m are candidates, so `_concat` calls this only when one touches m.
         """
         init, fin = frag
+        out, inn = self.out, self.inn
         while True:
-            arcs = self.out[m] | self.inn[m] if enclosed else self.out[m]
-            for arc in sorted([t for t in arcs if t[1] is None and t[0] != t[2]], key=repr):
+            # an arc in both of m's sets is a self-loop, which is never tried
+            sets = (out.get(m, ()), inn.get(m, ())) if enclosed else (out.get(m, ()),)
+            candidates = [t for arcs in sets for t in arcs if t[1] is None and t[0] != t[2]]
+            if len(candidates) > 1:
+                candidates.sort(key=repr)
+            for arc in candidates:
                 p, _, q = arc
-                in_unique = len(self.inn[q]) == 1
-                out_unique = len(self.out[p]) == 1
+                in_unique = len(inn[q]) == 1
+                out_unique = len(out[p]) == 1
                 # forward merge needs a non-accepting source: a final p keeps
                 # words alive that q alone would not accept
                 if not (in_unique or (out_unique and p != fin)):
@@ -257,7 +288,10 @@ class _FollowBuilder(_InductiveNfaBuilder):
 
     def _collapse_lambda_cycle(self, m: int, entry: int):
         """Merge the λ-cycles through m into m; the star's new entry lies on none."""
-        if all(a is not None or p == m or p == entry for p, a, _ in self.inn[m]):
+        for p, a, _ in self.inn[m]:
+            if a is None and p != m and p != entry:
+                break
+        else:
             self._drop((m, None, m))
             return
         forward = _reach(lambda p: [q for _, a, q in self.out.get(p, ()) if a is None], [m])
@@ -279,7 +313,9 @@ def construct_of(r: RegEx) -> Automaton:
 def construct_follow(r: RegEx) -> Automaton:
     """Follow automaton: λ-free, at most as many states as positions.  Its
     states are numbered by :func:`_explore` on the builder's arc index, each
-    with the symbol arcs out of its λ-closure in (label, target) order."""
+    with the symbol arcs out of its λ-closure in (label, target) order.  λ-arcs
+    are contracted as the expression is built, at each concatenation where
+    one touches the middle state (elsewhere there is nothing to contract)."""
     builder = _FollowBuilder()
     frag = builder.build(r)
     # a λ-arc leaving the start state is contracted once construction is done

@@ -7,6 +7,7 @@ from refa.automata import Automaton, accepts, equivalent, fa_measures, remove_la
 from refa.constructions import (
     ConstructionError,
     _AciTerms,
+    _FollowBuilder,
     _position_sets,
     _Terms,
     construct_brzozowski,
@@ -123,11 +124,11 @@ class TestFollow:
             assert equivalent(follow, construct_of(r)), render(r)
             assert equivalent(follow, construct_position(r)), render(r)
 
-    def test_equals_the_reference_builder(self):
-        # the builder re-points arcs in place, tests uniqueness by set size
-        # and writes a right-operand leaf's arc where it lands; not one
-        # state id may move
-        from refa.elimination import STRATEGIES, state_elimination
+    @pytest.fixture(scope="class")
+    def builder_inputs(self):
+        """The λ-merging shapes, corpus, trees, families and elimination
+        labels that the follow builder is checked on."""
+        from refa.elimination import STRATEGIES, arden_solve, mcnaughton_yamada, state_elimination
         from refa.families import buffer_dfa, hypercube_dfa, random_dfa, torus_dfa
 
         fixed = [parse(t) for t in ("&&+a", "a+&&", "(&&+a)b", "(&&+a)*", "&#+a", "(#a)*", "((&)*a)*")]
@@ -142,9 +143,44 @@ class TestFollow:
         # but not the id and cycles labels of hypercube_dfa(3), 23 456 symbols
         # wide, whose checks take seconds
         labels = [r for r in labels if measures(r).awidth < 10**4]
-        for r in fixed + corpus(200, seed=1500) + trees + families + labels:
+        # the 14 labels of torus_dfa(3, 3), 116-2 539 symbols wide, and their
+        # parsed renderings, which the eliminate workload's slowest round trips
+        # convert back
+        torus = torus_dfa(3, 3)
+        heavy = [state_elimination(torus, order, simplify_steps) for order in STRATEGIES for simplify_steps in (True, False)]
+        heavy += [arden_solve(torus), mcnaughton_yamada(torus)]
+        heavy += [parse(render(r)) for r in heavy]
+        return fixed + corpus(200, seed=1500) + trees + families + labels + heavy
+
+    def test_equals_the_reference_builder(self, builder_inputs):
+        # the builder re-points arcs in place, tests uniqueness by set size,
+        # writes a right-operand leaf's arc where it lands and contracts at a
+        # concatenation only where a λ-arc touches the middle state; not one
+        # state id may move
+        for r in builder_inputs:
             assert to_json(construct_follow(r)) == to_json(reference_construct_follow(r)), render(r)
             assert to_json(construct_of(r)) == to_json(reference_construct_of(r)), render(r)
+
+    def test_fragments_keep_entry_and_exit_bare(self, builder_inputs):
+        # plain state sharing at fragment endpoints, and so the guards of
+        # `_contract` and the concatenation's merge of b's entry as a rename
+        # of its out-arcs, need that no arc enters a fragment's entry and none
+        # leaves its exit
+        class CheckedFollowBuilder(_FollowBuilder):
+            def _bare(self, frag):
+                i, f = frag
+                assert not self.inn.get(i), f"arcs enter the entry: {sorted(self.inn[i], key=repr)}"
+                assert not self.out.get(f), f"arcs leave the exit: {sorted(self.out[f], key=repr)}"
+                return frag
+
+            def _concat(self, a, b, leaf_arc):
+                return self._bare(super()._concat(a, b, leaf_arc))
+
+            def _star(self, a):
+                return self._bare(super()._star(a))
+
+        for r in builder_inputs:
+            CheckedFollowBuilder().build(r)
 
     def test_against_quotient_oracle(self):
         # the quotient by equal follow sets is the coarsest valid merge; the
