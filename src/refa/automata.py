@@ -439,9 +439,9 @@ def _check_shape(data) -> None:
             raise ValueError(f"automaton field {name!r} is missing")
         if name != "initial" and not isinstance(data[name], list):
             raise ValueError(f"automaton field {name!r} must be a list")
-    for name in ("states", "initial", "finals"):
+    for name in ("states", "initial", "finals"):  # exact types: Python counts a JSON true as an int
         for s in data[name] if name != "initial" else [data[name]]:
-            if not isinstance(s, (int, str)):
+            if type(s) is not int and type(s) is not str:
                 raise ValueError(f"automaton field {name!r}: state {s!r} is not an int or a string")
     for a in data["alphabet"]:
         if not isinstance(a, str):
@@ -450,13 +450,11 @@ def _check_shape(data) -> None:
         if not (
             isinstance(t, list)
             and len(t) == 3
-            and isinstance(t[0], (int, str))
+            and (type(t[0]) is int or type(t[0]) is str)
             and isinstance(t[1], str)
-            and isinstance(t[2], (int, str))
+            and (type(t[2]) is int or type(t[2]) is str)
         ):
-            raise ValueError(
-                f"automaton field 'transitions': {t!r} is not a [state, label, state] triple"
-            )
+            raise ValueError(f"automaton field 'transitions': {t!r} is not a [state, label, state] triple")
 
 
 def from_dict(data: dict) -> Automaton:

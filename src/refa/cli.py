@@ -224,6 +224,8 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_rank(args) -> int:
+    if args.budget < 0:
+        raise ValueError(f"--budget must be >= 0, not {args.budget}")
     aut = automata.load(args.automaton)
     dg = digraphs.underlying_digraph(aut)
     rank = None

@@ -8,8 +8,8 @@ Five routes with very different size behaviour:
 * ``construct_follow`` — the same recursion with eager λ-merging plus a
   final λ-elimination; a λ-free NFA that is never larger than the position
   automaton.
-* ``construct_position`` — the position (Glushkov) automaton from the
-  first/last/follow sets of the marked expression; always awidth+1 states.
+* ``construct_position`` — the position (Glushkov) automaton from one walk
+  that numbers the leaves as it meets them; always awidth+1 states.
 * ``construct_pd`` — the partial derivative (Antimirov) automaton.
 * ``construct_brzozowski`` — the derivative DFA, complete by construction.
 """
@@ -36,7 +36,6 @@ from .expressions import (
     _operands,
     _postorder,
     _render,
-    mark,
     nullable,
     symbols_of,
 )
@@ -357,40 +356,42 @@ class PositionSets:
 
 def position_sets(marked: MarkedRegEx) -> PositionSets:
     """The sets of a marked expression."""
-    return _position_sets(marked.tree)[0]
+    first, last, _, transitions, letters = _position_walk(marked.tree, marked=True)
+    follow = frozenset((i, j) for i, _, j in transitions)
+    return PositionSets(frozenset(j for _, j in first), frozenset(last), follow, frozenset(letters))
 
 
-def _position_sets(tree: RegEx) -> tuple[PositionSets, dict[int, str], bool]:
-    """The sets of a marked tree, the letter at each position, and whether
-    the tree is nullable, from one walk: `done` holds the (first, last,
-    nullable) of each finished kid.  Follow pairs go to one set."""
-    done: list[tuple[set[int], set[int], bool]] = []
-    follow: set[tuple[int, int]] = set()
+def _position_walk(tree: RegEx, marked: bool) -> tuple[set, set, bool, set, dict[int, str]]:
+    """First, last, nullable, follow and each position's letter, from one walk that
+    numbers unmarked leaves 1, 2, … as met (left to right, like :func:`mark`).  First
+    sets hold (letter, position) pairs, so follow pairs go in as transitions (i, a, j)."""
+    done: list[tuple[set, set, bool]] = []
+    transitions: set[tuple[int, str, int]] = set()
     letters: dict[int, str] = {}
     for node in _postorder(tree):
         cls = type(node)
         if cls is Sym:
-            if node.pos is None:
+            pos = node.pos if marked else len(letters) + 1
+            if pos is None:
                 raise ValueError("position_sets expects a marked expression")
-            letters[node.pos] = node.name
-            done.append(({node.pos}, {node.pos}, False))
+            letters[pos] = node.name
+            done.append(({(node.name, pos)}, {pos}, False))
         elif cls is Union or cls is Concat:
             f2, l2, n2 = done.pop()
             f1, l1, n1 = done.pop()
             if cls is Union:
                 done.append((_merge(f1, f2), _merge(l1, l2), n1 or n2))
             else:
-                follow.update((i, j) for i in l1 for j in f2)
+                transitions.update([(i, a, j) for i in l1 for a, j in f2])
                 done.append((_merge(f1, f2) if n1 else f1, _merge(l1, l2) if n2 else l2, n1 and n2))
         elif cls is Star or cls is Option:
             first, last, _ = done[-1]
             if cls is Star:
-                follow.update((i, j) for i in last for j in first)
+                transitions.update([(i, a, j) for i in last for a, j in first])
             done[-1] = (first, last, True)
         else:
             done.append((set(), set(), cls is Epsilon))
-    first, last, empty_word = done[0]
-    return PositionSets(*map(frozenset, (first, last, follow, letters))), letters, empty_word
+    return *done[0], transitions, letters
 
 
 def _merge(a: set, b: set) -> set:
@@ -403,10 +404,9 @@ def _merge(a: set, b: set) -> set:
 
 def construct_position(r: RegEx) -> Automaton:
     """Glushkov automaton: state 0 plus one state per symbol occurrence."""
-    sets, letters, empty_word = _position_sets(mark(r).tree)
-    transitions = {(0, letters[j], j) for j in sets.first}
-    transitions |= {(i, letters[j], j) for i, j in sets.follow}
-    finals = sets.last | {0} if empty_word else sets.last
+    first, last, empty_word, transitions, letters = _position_walk(r, marked=False)
+    transitions.update([(0, a, j) for a, j in first])
+    finals = last | {0} if empty_word else last
     return Automaton.make(range(len(letters) + 1), letters.values(), 0, finals, transitions)
 
 

@@ -13,9 +13,10 @@ follow sets and equal finality; `path_pairs` is Warshall's transitive closure;
 `reference_brzozowski` builds the derivative DFA from raw derivatives that
 are normalised afterwards, with states compared structurally.
 `reference_to_dict` sorts by the keyed state order alone, `reference_parse`
-makes a new `Sym` for every occurrence, and `reference_position_sets` builds
-new frozensets at every node: the simple forms the package's faster ones
-must agree with.  `reference_subset_construction` and `reference_minimize`
+makes a new `Sym` for every occurrence, `reference_position_sets` builds
+new frozensets at every node, and `reference_construct_position` maps the
+follow pairs of mark(r) to transitions: the simple forms the package's
+faster ones must agree with.  `reference_subset_construction` and `reference_minimize`
 number states with a BFS loop of their own, as the package did before one
 explorer numbered every automaton it builds by search; `relabel` renames
 the states of an automaton, to names that `state_names` draws.
@@ -581,6 +582,16 @@ def reference_position_sets(r: RegEx) -> tuple[PositionSets, dict[int, str], boo
 
     first, last, empty_word = walk(mark(r).tree)
     return PositionSets(first, last, frozenset(follow), frozenset(letters)), letters, empty_word
+
+
+def reference_construct_position(r: RegEx) -> Automaton:
+    """The position automaton as the package built it from the sets of mark(r),
+    with each follow pair (i, j) mapped to the transition (i, letter of j, j)."""
+    sets, letters, empty_word = reference_position_sets(r)
+    transitions = {(0, letters[j], j) for j in sets.first}
+    transitions |= {(i, letters[j], j) for i, j in sets.follow}
+    finals = sets.last | {0} if empty_word else sets.last
+    return Automaton.make(range(len(letters) + 1), letters.values(), 0, finals, transitions)
 
 
 @pytest.fixture(scope="session")

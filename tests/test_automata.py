@@ -383,11 +383,23 @@ class TestMeasuresSerialization:
             from_dict({k: v for k, v in self.GOOD.items() if k != name})
         assert str(err.value) == f"automaton field {name!r} is missing"
 
-    def test_from_dict_takes_bool_states_as_ints(self):
-        # a bool is an int to the shape check, and True equals the state 1
-        aut = from_dict({**self.GOOD, "states": [0, 1, True], "transitions": [[True, "a", 1]]})
-        assert aut.states == {0, 1} and aut.transitions == {(1, "a", 1)}
-        assert from_dict({**self.GOOD, "initial": True}).initial is True
+    @pytest.mark.parametrize(
+        "change,message",
+        [
+            ({"states": [0, 1, True]}, "automaton field 'states': state True is not an int or a string"),
+            ({"initial": True}, "automaton field 'initial': state True is not an int or a string"),
+            ({"finals": [False]}, "automaton field 'finals': state False is not an int or a string"),
+            *[
+                ({"transitions": [t]}, f"automaton field 'transitions': {t!r} is not a [state, label, state] triple")
+                for t in ([True, "a", 1], [0, "a", False])
+            ],
+        ],
+    )
+    def test_from_dict_rejects_bool_states(self, change, message):
+        # a bool is an int in Python, and True equals the state 1
+        with pytest.raises(ValueError) as err:
+            from_dict({**self.GOOD, **change})
+        assert str(err.value) == message
 
     def test_non_data_is_rejected(self):
         with pytest.raises(ValueError) as err:

@@ -349,6 +349,24 @@ class TestRank:
         assert capsys.readouterr().out == out
         assert len(calls) == ranks
 
+    @pytest.mark.parametrize(
+        "flags,value",
+        [(["--budget", "-1"], -1), (["--budget=-3"], -3), (["--budget", " -2 "], -2)],
+        ids=["argparse-space", "argparse-equals", "direct"],
+    )
+    def test_negative_budget_is_rejected(self, tmp_path, capsys, flags, value):
+        path = tmp_path / "aut.json"
+        path.write_text(to_json(torus_dfa(2, 2)))
+        assert main(["rank", str(path), *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: --budget must be >= 0, not {value}\n"
+
+    def test_zero_budget_is_valid(self, tmp_path, capsys):
+        path = tmp_path / "aut.json"
+        path.write_text(to_json(torus_dfa(2, 2)))
+        assert main(["rank", str(path), "--budget", "0"]) == 0
+        assert capsys.readouterr().out == "cycle rank upper bound: 2\nstar height: not computed (exact cycle rank over budget)\n"
+
 
 STAR_TOWER = "(" * 3000 + "a" + ")*" * 3000
 

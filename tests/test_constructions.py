@@ -1,4 +1,5 @@
 import random
+import sys
 from collections import deque
 
 import pytest
@@ -8,7 +9,6 @@ from refa.constructions import (
     ConstructionError,
     _AciTerms,
     _FollowBuilder,
-    _position_sets,
     _Terms,
     construct_brzozowski,
     construct_follow,
@@ -50,6 +50,7 @@ from conftest import (
     reference_cat,
     reference_construct_follow,
     reference_construct_of,
+    reference_construct_position,
     reference_position_sets,
     words_upto,
 )
@@ -247,7 +248,7 @@ class TestPositionSets:
         trees = [random_expr(1 + i % 15, ["a", "b"], 900 + i) for i in range(150)]
         trees += [lambda_heavy_tree(rng, 6) for _ in range(150)]
         for r in trees:
-            assert _position_sets(mark(r).tree) == reference_position_sets(r), render(r)
+            assert position_sets(mark(r)) == reference_position_sets(r)[0], render(r)
 
     def test_left_union_chain(self):
         # 10^4 unions, each merging one position into the set built so far
@@ -265,6 +266,30 @@ class TestPositionSets:
 
 
 class TestPositionAutomaton:
+    def test_equals_the_marked_construction(self):
+        # positions numbered as the walk meets them, follow pairs made as
+        # transitions: the automaton mark(r) and its follow pairs gave
+        rng = random.Random(43)
+        trees = [random_expr(1 + i % 12, ["a", "b", "c", "d"][: 2 + 2 * (i % 2)], 1300 + i) for i in range(150)]
+        trees += [lambda_heavy_tree(rng, 6) for _ in range(150)]
+        trees += [f(n) for f in (options_regex, buffer_regex) for n in (1, 2, 3, 7, 50, 200)]
+        trees += [row1_regex(n) for n in range(1, 8)]
+        trees += [f(n) for f in (row2_regex, row3_regex) for n in (1, 2, 4, 8, 16)]
+        for r in trees:
+            assert to_json(construct_position(r)) == to_json(reference_construct_position(r)), render(r)
+
+    def test_left_union_chain_equals_the_marked_construction(self):
+        r = EPSILON
+        for i in range(1, 10**4 + 1):
+            r = Union(r, Sym(f"a{i}"))
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(10**4 + 1000)  # the reference recurses once per union
+        try:
+            reference = reference_construct_position(r)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert to_json(construct_position(r)) == to_json(reference)
+
     def test_ab_star_shape(self):
         aut = construct_position(parse("(ab)*"))
         assert aut.transitions == frozenset({(0, "a", 1), (1, "b", 2), (2, "a", 1)})

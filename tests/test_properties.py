@@ -22,6 +22,13 @@
 * On DFAs of 2-5 states, state elimination under every ordering,
   `arden_solve` and `mcnaughton_yamada`, simplified and raw, give
   expressions whose follow automata are equivalent to the input.
+* The survey's size bounds hold on random and λ-heavy trees: the position
+  automaton has awidth + 1 states and at most awidth·(awidth + 1)
+  transitions (Glushkov 1961); the follow automaton (Ilie & Yu 2003) and
+  the partial-derivative automaton (Antimirov 1996; Champarnaud & Ziadi
+  2001) have no more states and no more transitions than it;
+  `construct_of` has at most 2·size states; and the five constructions
+  accept the same language.
 * On digraphs of up to 7 vertices, `cycle_rank` equals the unmemoized
   deletion recursion, deleting any one vertex lowers it by at most one and
   never raises it (the floor its search relies on), and `sccs` agrees with
@@ -32,6 +39,7 @@ Skipped where Hypothesis is not installed.
 
 import json
 import random
+from itertools import combinations
 
 import pytest
 
@@ -40,7 +48,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from refa.automata import Automaton, equivalent, from_dict, minimize, to_dict, to_json
-from refa.constructions import _AciTerms, construct_follow
+from refa.constructions import (
+    CONSTRUCTION_NAMES,
+    _AciTerms,
+    construct,
+    construct_follow,
+    construct_of,
+    construct_pd,
+    construct_position,
+)
 from refa.digraphs import Digraph, cycle_rank, sccs
 from refa.elimination import STRATEGIES, arden_solve, mcnaughton_yamada, simplify, state_elimination
 from refa.expressions import measures, parse, random_expr, render, ssnf
@@ -152,6 +168,36 @@ def test_rewrites_never_grow_and_are_idempotent(rewrite, tree):
                          st.integers(0, 10**6), st.integers(1, 4)))
 def test_simplify_is_the_reference_rewrite(tree):
     assert render(simplify(tree)) == render(reference_simplify(rebuild(tree)))
+
+
+# awidth 1-12 over two or four letters, and λ-heavy trees
+BOUND_TREES = st.builds(
+    lambda awidth, letters, seed: random_expr(awidth, ["a", "b", "c", "d"][:letters], seed),
+    st.integers(1, 12),
+    st.sampled_from([2, 4]),
+    st.integers(0, 10**6),
+) | st.builds(lambda seed: lambda_heavy_tree(random.Random(seed), 6), st.integers(0, 10**6))
+
+
+@settings(max_examples=100, deadline=None)
+@given(BOUND_TREES)
+def test_size_bounds_of_the_constructions(tree):
+    awidth, size = measures(tree).awidth, measures(tree).size
+    pos = construct_position(tree)
+    assert len(pos.states) == awidth + 1
+    assert len(pos.transitions) <= awidth * (awidth + 1)
+    for smaller in (construct_follow(tree), construct_pd(tree)):
+        assert len(smaller.states) <= len(pos.states)
+        assert len(smaller.transitions) <= len(pos.transitions)
+    assert len(construct_of(tree).states) <= 2 * size
+
+
+@settings(max_examples=100, deadline=None)
+@given(BOUND_TREES)
+def test_the_five_constructions_are_equivalent(tree):
+    built = [construct(name, tree) for name in CONSTRUCTION_NAMES]
+    for left, right in combinations(built, 2):
+        assert equivalent(left, right)
 
 
 @settings(max_examples=100, deadline=None)
