@@ -145,18 +145,15 @@ def _cmd_convert(args) -> int:
 
 def _cmd_toregex(args) -> int:
     aut = automata.load(args.automaton)
+    order = _parse_order(args.order)  # arden takes none, mny only a fixed one
     simplify_steps = not args.no_simplify
     if args.method == "eliminate":
-        expr = elimination.state_elimination(aut, _parse_order(args.order), simplify_steps)
+        expr = elimination.state_elimination(aut, order, simplify_steps)
     elif args.method == "arden":
         expr = elimination.arden_solve(automata.remove_lambda(aut), simplify_steps)
     else:
-        ranking = None
-        if args.order.startswith("fixed:"):
-            ranking = _parse_order(args.order)
-        expr = elimination.mcnaughton_yamada(
-            automata.remove_lambda(aut), ranking, simplify_steps
-        )
+        ranking = order if isinstance(order, list) else None
+        expr = elimination.mcnaughton_yamada(automata.remove_lambda(aut), ranking, simplify_steps)
     print(expressions.render(expr, unicode=args.unicode))
     return 0
 
@@ -213,6 +210,8 @@ def _cmd_bench(args) -> int:
             runs[name.strip()] = [int(s) for s in sizes.split(",")]
         records = bench.bench_constructions(runs)
     else:
+        if args.samples < 0:
+            raise ValueError(f"--samples must be >= 0, not {args.samples}")
         records = bench.bench_orderings(
             n=args.n, alphabet_size=args.alphabet, samples=args.samples, seed=args.seed
         )

@@ -1,13 +1,16 @@
 """Automaton-to-expression conversion and the shared expression simplifier.
 
-Three classical routes are provided; all maintain regex-labelled data and,
-unless asked for raw labels, build it simplified in one label table per
-run (see `_Labels`):
+Three classical routes are provided, by two algorithms; both maintain
+regex-labelled data and, unless asked for raw labels, build it simplified
+in one label table per run (see `_Labels`):
 
 * state elimination over an extended automaton with a fresh source and
   sink, with pluggable elimination orderings;
 * equation solving via the unique-solution lemma for ``X = K·X + L``
-  (λ-free K), substituting from the highest-numbered state downward;
+  (λ-free K), substituting from the highest-numbered state downward and
+  the initial state last.  That back-substitution is state elimination in
+  the same order (Brzozowski & McCluskey 1963; Sakarovitch, *Elements of
+  Automata Theory*, 2009, §I.4), and `arden_solve` runs it as such;
 * the matrix iteration that updates ``b_jk = a_jk + a_ji (a_ii)* a_ik``
   round by round, with the usual row/column shortcuts.
 """
@@ -22,7 +25,7 @@ from typing import Sequence
 from .automata import Automaton, State, _reach, _sorted_triples, _state_key
 from .constructions import _AciTerms
 from .digraphs import cycles_through, independent_set, underlying_digraph
-from .expressions import EMPTY, EPSILON, Concat, Empty, RegEx, Star, Sym, Union, measures, nullable
+from .expressions import EMPTY, EPSILON, Concat, Empty, RegEx, Star, Sym, Union, measures
 
 __all__ = [
     "SOURCE",
@@ -381,48 +384,19 @@ def arden_solve(aut: Automaton, simplify_steps: bool = True) -> RegEx:
     Each unknown is the set of words leading from its state into acceptance;
     self-referential equations are resolved with the unique solution K*L,
     whose side condition (λ-free K) holds because the input is λ-free.
+    Substituting the unknowns from the highest state downward, the initial
+    state's last, is state elimination in that order (Brzozowski &
+    McCluskey 1963; Sakarovitch 2009, §I.4), so that is how it is solved.
+    The source's λ-arc leads only to the initial state, which goes last,
+    so a raw label is λ·x or (λ·K*)·x; the solution is x or K*·x.
     """
     if not aut.is_lambda_free():
         raise ValueError("arden_solve expects a λ-free automaton (remove λ first)")
-    ext = augment(aut)
-    terms = ext.terms if simplify_steps else _RAW
-    coeffs: dict[State, dict[State, RegEx]] = {
-        q: {k: terms.intern(e) for k, e in ext.out[q].items() if k is not SINK} for q in aut.states
-    }
-    consts: dict[State, RegEx] = {q: terms.intern(ext.label(q, SINK)) for q in aut.states}
-
-    order = [q for q in sorted(aut.states, key=_state_key, reverse=True) if q != aut.initial]
-    order.append(aut.initial)
-
-    for pos, q in enumerate(order):
-        eq_c = coeffs[q]
-        if q in eq_c:
-            k = eq_c.pop(q)
-            if nullable(k):
-                raise ValueError("self-coefficient contains λ; unique solution lost")
-            star = terms.star(k)
-            eq_c = {j: terms.cat(star, expr) for j, expr in eq_c.items()}
-            coeffs[q] = eq_c
-            if not isinstance(consts[q], Empty):
-                consts[q] = terms.cat(star, consts[q])
-        if q == aut.initial:
-            break
-        for other in order[pos + 1 :]:
-            if q not in coeffs[other]:
-                continue
-            through = coeffs[other].pop(q)
-            for j in sorted(eq_c, key=_state_key):
-                add = terms.cat(through, eq_c[j])
-                old = coeffs[other].get(j)
-                coeffs[other][j] = add if old is None else terms.union([old, add])
-            if not isinstance(consts[q], Empty):
-                add = terms.cat(through, consts[q])
-                old = consts[other]
-                consts[other] = add if isinstance(old, Empty) else terms.union([old, add])
-
-    if coeffs[aut.initial]:
-        raise RuntimeError("unresolved unknowns after substitution")
-    return consts[aut.initial]
+    order = sorted(aut.states - {aut.initial}, key=_state_key, reverse=True) + [aut.initial]
+    expr = state_elimination(aut, order, simplify_steps)
+    if simplify_steps or isinstance(expr, Empty):
+        return expr
+    return expr.right if expr.left is EPSILON else Concat(expr.left.right, expr.right)
 
 
 # ---------------------------------------------------------------------------

@@ -155,6 +155,41 @@ class TestCli:
         lines = out.read_text().strip().split("\n")
         assert lines[0].startswith("family,n,method")
 
+    @pytest.mark.parametrize("method", ["eliminate", "arden", "mny"])
+    def test_toregex_checks_the_order_for_every_method(self, tmp_path, capsys, method):
+        buf = tmp_path / "b.json"
+        buf.write_text(to_json(buffer_dfa(3)))
+        assert main(["toregex", str(buf), "--method", method, "--order", "bogus"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "error: unknown order 'bogus'\n"
+
+    @pytest.mark.parametrize("order", ["greedy", "dm", "fixed:0,1,2,3"])
+    def test_arden_ignores_a_valid_order(self, tmp_path, capsys, order):
+        buf = tmp_path / "b.json"
+        buf.write_text(to_json(buffer_dfa(3)))
+        assert main(["toregex", str(buf), "--method", "arden"]) == 0
+        plain = capsys.readouterr().out
+        assert main(["toregex", str(buf), "--method", "arden", "--order", order]) == 0
+        assert capsys.readouterr().out == plain == "(a(a(ab)*b)*b)*\n"
+
+    @pytest.mark.parametrize(
+        "flags,value",
+        [(["--samples", "-1"], -1), (["--samples=-3"], -3), (["--samples", " -2 "], -2)],
+        ids=["argparse-space", "argparse-equals", "direct"],
+    )
+    def test_negative_samples_are_rejected(self, capsys, flags, value):
+        argv = ["bench", "orderings", "--n", "3", *flags]
+        assert (_read_direct(argv) is None) == (flags[-1] != " -2 ")
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: --samples must be >= 0, not {value}\n"
+
+    def test_zero_samples_are_valid(self, capsys):
+        assert main(["bench", "orderings", "--n", "3", "--samples", "0"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == "family,n,method,states,transitions,size,awidth,height,micros\n"
+        assert captured.err == ""
+
     def test_domain_error_exit_code(self, tmp_path, capsys):
         missing = tmp_path / "missing.json"
         assert main(["toregex", str(missing)]) == 1

@@ -364,6 +364,23 @@ class TestAgainstReference:
                 got = mcnaughton_yamada(plain, ranking, simplify_steps)
                 assert render(got) == render(reference_mcnaughton_yamada(plain, ranking, simplify_steps)), name
 
+    def test_initial_state_not_the_least(self):
+        # arden solves for the initial state last, wherever its key falls;
+        # every other input here starts at 0, the least key
+        rng = random.Random(4500)
+        for seed in range(8):
+            n = 3 + seed % 4
+            moves = [(p, a, q) for p in range(n) for a in ("a", "b", None) for q in range(n) if rng.random() < 0.25]
+            lam = Automaton.make(range(n), "ab", 1 + seed % (n - 1), rng.sample(range(n), 1 + seed % 2), moves)
+            assert not lam.is_lambda_free()
+            assert_converters_match_reference(lam, STRATEGIES)
+        named = Automaton.make(
+            ["x", "b", "q", "a"], "ab", "q", ["a", "x"],
+            [("q", "a", "b"), ("b", "b", "x"), ("x", "a", "q"), ("b", "a", "a"),
+             ("a", "b", "q"), ("a", "a", "a"), ("x", "b", "b")],
+        )
+        assert_converters_match_reference(named, STRATEGIES)
+
     def test_simplify_on_commuted_duplicates(self):
         for r in [parse("(a+b)c+(b+a)c"), parse("((a+b)c+(b+a)c)*d((b+a)c+(a+b)c)"), parse("&+(a+b)(b+a)*")]:
             assert render(simplify(r)) == render(reference_simplify(r))
