@@ -476,7 +476,10 @@ class _Terms:
         letter -> {id: term}; stored forms are shared, so none is changed.
         ∅ is dropped where the per-letter definition drops it: from a star's
         inner terms before they are extended, and from a concatenation's
-        result; so `(a(#b))*` on `a` still gives {∅}.
+        result; so `(a(#b))*` on `a` still gives {∅}.  `(L)·x` with L a
+        concatenation takes the form of its right-associated equal: the same
+        terms in the same order (forms distribute over union, and `cat` is
+        associative), with no prefix of the chain extended on its own.
         """
         if id(r) in self.forms:
             return self.forms[id(r)]
@@ -490,6 +493,8 @@ class _Terms:
             out = self.form(r.inner)
         elif isinstance(r, Star):
             out = {a: self._extend(terms, r) for a, terms in self.form(r.inner).items()}
+        elif isinstance(r.left, Concat):
+            out = self.form(self.cat(r.left, r.right))
         else:
             out = {a: self._extend(terms, r.right) for a, terms in self.form(r.left).items()}
             if nullable(r.left):
@@ -526,12 +531,17 @@ def partial_derivatives(r: RegEx, a: str) -> frozenset[RegEx]:
 def construct_pd(r: RegEx) -> Automaton:
     """Partial derivative automaton; states are the iterated derived terms,
     held once each in one term table (see `_Terms`) and keyed by identity.
-    They are numbered by :func:`_explore`, successors by letter, then by text."""
+    They are numbered by :func:`_explore`, successors by letter, then by text
+    (stable, so equal texts keep the linear form's order); a letter's single
+    term is not rendered."""
     terms = _Terms()
 
     def moves(term: RegEx) -> list[tuple[str, RegEx]]:
-        form = terms.form(term)
-        return [(a, d) for a in sorted(form) for d in sorted(form[a].values(), key=_render)]
+        pairs = []
+        for a, by_id in sorted(terms.form(term).items()):
+            derived = by_id.values()
+            pairs += [(a, d) for d in (derived if len(derived) < 2 else sorted(derived, key=_render))]
+        return pairs
 
     states, transitions = _explore(terms.intern(r), moves, id)
     finals = {i for i, term in enumerate(states) if nullable(term)}

@@ -16,7 +16,10 @@ are normalised afterwards, with states compared structurally.
 makes a new `Sym` for every occurrence, `reference_position_sets` builds
 new frozensets at every node, and `reference_construct_position` maps the
 follow pairs of mark(r) to transitions: the simple forms the package's
-faster ones must agree with.  `reference_subset_construction` and `reference_minimize`
+faster ones must agree with.  `reference_construct_pd` builds on
+`ReferenceTerms`, whose linear form extends a left-nested concatenation one
+prefix at a time, and `pd_term_orders` lists each letter's derived terms in
+the order of a table's linear forms.  `reference_subset_construction` and `reference_minimize`
 number states with a BFS loop of their own, as the package did before one
 explorer numbered every automaton it builds by search; `relabel` renames
 the states of an automaton, to names that `state_names` draws.
@@ -52,7 +55,14 @@ from refa.automata import (
     remove_lambda,
     subset_construction,
 )
-from refa.constructions import PositionSets, _AciTerms, construct_position, position_sets
+from refa.constructions import (
+    PositionSets,
+    _AciTerms,
+    _Terms,
+    _union_forms,
+    construct_position,
+    position_sets,
+)
 from refa.elimination import SINK, SOURCE, ExtendedAutomaton, _plan, augment
 from refa.expressions import (
     EMPTY,
@@ -592,6 +602,59 @@ def reference_construct_position(r: RegEx) -> Automaton:
     transitions |= {(i, letters[j], j) for i, j in sets.follow}
     finals = sets.last | {0} if empty_word else sets.last
     return Automaton.make(range(len(letters) + 1), letters.values(), 0, finals, transitions)
+
+
+class ReferenceTerms(_Terms):
+    """`_Terms` with the linear form it had before a left-nested concatenation
+    took the form of its right-associated equal: the form of `(L)·x` is the
+    form of L extended by x, one prefix of the chain at a time."""
+
+    def form(self, r: RegEx) -> dict[str, dict[int, RegEx]]:
+        if id(r) in self.forms:
+            return self.forms[id(r)]
+        if isinstance(r, (Empty, Epsilon)):
+            out = {}
+        elif isinstance(r, Sym):
+            out = {r.name: {id(EPSILON): EPSILON}}
+        elif isinstance(r, Union):
+            out = _union_forms(self.form(r.left), self.form(r.right))
+        elif isinstance(r, Option):
+            out = self.form(r.inner)
+        elif isinstance(r, Star):
+            out = {a: self._extend(terms, r) for a, terms in self.form(r.inner).items()}
+        else:
+            out = {a: self._extend(terms, r.right) for a, terms in self.form(r.left).items()}
+            if nullable(r.left):
+                out = _union_forms(out, self.form(r.right))
+            if any(id(EMPTY) in terms for terms in out.values()):
+                out = {a: {k: t for k, t in terms.items() if t is not EMPTY} for a, terms in out.items()}
+        self.forms[id(r)] = out
+        return out
+
+
+def reference_construct_pd(r: RegEx) -> Automaton:
+    """construct_pd on a `ReferenceTerms` table, every letter's terms sorted by text."""
+    terms = ReferenceTerms()
+
+    def moves(term: RegEx) -> list[tuple[str, RegEx]]:
+        form = terms.form(term)
+        return [(a, d) for a in sorted(form) for d in sorted(form[a].values(), key=render)]
+
+    states, transitions = _explore(terms.intern(r), moves, id)
+    finals = {i for i, term in enumerate(states) if nullable(term)}
+    return Automaton.make(range(len(states)), symbols_of(r), 0, finals, transitions)
+
+
+def pd_term_orders(terms: _Terms, r: RegEx) -> tuple[list, list]:
+    """The terms reachable from r on one table, in the order of a search that
+    takes each letter's terms unsorted, and for each term its letters' derived
+    terms in linear-form order; a letter whose terms are all gone is left out."""
+
+    def forms(t: RegEx) -> list[tuple[str, list]]:
+        return [(a, list(d.values())) for a, d in sorted(terms.form(t).items()) if d]
+
+    states, _ = _explore(terms.intern(r), lambda t: [(a, d) for a, ds in forms(t) for d in ds], id)
+    return states, [forms(t) for t in states]
 
 
 @pytest.fixture(scope="session")

@@ -40,16 +40,19 @@ from refa.expressions import (
 from refa.families import buffer_regex, options_regex, row1_regex, row2_regex, row3_regex
 
 from conftest import (
+    ReferenceTerms,
     canonical,
     corpus,
     follow_quotient,
     lambda_heavy_tree,
     lang,
+    pd_term_orders,
     rebuild,
     reference_brzozowski,
     reference_cat,
     reference_construct_follow,
     reference_construct_of,
+    reference_construct_pd,
     reference_construct_position,
     reference_position_sets,
     words_upto,
@@ -459,6 +462,73 @@ class TestTermTable:
         chain = terms.cat(term.left.left.left, star)
         assert chain is terms.make(Concat, star.inner.left, terms.make(Concat, star.inner.right, star))
         assert chain is terms.cat(star.inner, star) and chain == Concat(Sym("a"), Concat(Sym("b"), star))
+
+
+def right_options(n: int):
+    """options_regex(n) with its concatenations nested to the right."""
+    out = Union(Sym(f"a{n}"), EPSILON)
+    for i in range(n - 1, 0, -1):
+        out = Concat(Union(Sym(f"a{i}"), EPSILON), out)
+    return out
+
+
+class TestLeftNestedChains:
+    """A left-nested concatenation takes the linear form of its right-associated
+    equal, which gives the same derived terms in the same order: the automaton
+    is byte for byte the one built by extending one prefix at a time."""
+
+    TEXTS = (
+        "(a#)b",
+        "(&a)b",
+        "a##",
+        "a#",
+        "a#+b",
+        "(ab+ac)*c",
+        "a(bc)d",
+        "((ab)(cd))e",
+        "(abc)*",
+        "(abc)?",
+        "((ab)c)*d",
+        "((ab)c)?(ab)c",
+        "(a?b?c?)*",
+        "(ab*c?)*(a+b)c",
+        "(a(#b))*",
+        "a*bc",
+        "a*(bc)",
+    )
+
+    def assert_agrees(self, r):
+        assert to_json(construct_pd(r)) == to_json(reference_construct_pd(r)), render(r)
+        assert pd_term_orders(_Terms(), r) == pd_term_orders(ReferenceTerms(), r), render(r)
+
+    def test_random_trees(self):
+        for seed in range(240):
+            self.assert_agrees(random_expr(1 + seed % 12, ["a", "b", "c"][: 1 + seed % 3], seed=9900 + seed))
+
+    def test_lambda_and_empty_heavy_trees(self):
+        for seed in range(200):
+            self.assert_agrees(lambda_heavy_tree(random.Random(9700 + seed), 6))
+
+    def test_chains_and_witnesses(self):
+        for text in self.TEXTS:
+            self.assert_agrees(parse(text))
+        for r in TestTermTable.WITNESSES + [right_options(n) for n in (1, 2, 5, 12)]:
+            self.assert_agrees(r)
+
+    def test_text_tied_twins_keep_their_state_counts(self):
+        # the input term stays the initial state, so (a*b)c and its derivative
+        # by a, the same term right-associated, are still two states
+        assert len(construct_pd(parse("a*bc")).states) == 4
+        assert len(construct_pd(parse("a*(bc)")).states) == 3
+
+    def test_options_chain_table_is_linear(self):
+        # extending each prefix of the chain built a right-associated copy per
+        # prefix and derived term: 20 300 nodes for 201 states at n = 200
+        n = 200
+        terms = _Terms()
+        states, _ = pd_term_orders(terms, options_regex(n))
+        assert len(states) == n + 1
+        assert len(terms.nodes) <= 5 * n
 
 
 class TestBrzozowski:

@@ -15,7 +15,14 @@ from dataclasses import astuple
 
 import pytest
 
-from refa.constructions import construct_follow, construct_of, construct_position, derivative, partial_derivatives
+from refa.constructions import (
+    construct_follow,
+    construct_of,
+    construct_pd,
+    construct_position,
+    derivative,
+    partial_derivatives,
+)
 from refa.elimination import simplify
 from refa.expressions import (
     EMPTY,
@@ -36,7 +43,7 @@ from refa.expressions import (
     ssnf,
     unmark,
 )
-from refa.families import buffer_regex
+from refa.families import buffer_regex, options_regex
 
 from conftest import _aci, lambda_heavy_tree, rebuild
 
@@ -230,6 +237,19 @@ DEPTH_BEFORE_DERIVATIVE_MEMO = [
 # before it too, but took about 40 s there; it must now end within the
 # thread timeout below.
 DEPTH_AFTER_TERM_TABLE = [("partial_derivatives-b-star", pd_b, star_chain, 249)]
+
+
+def a_chain(n: int):
+    return parse("a" * n)  # n symbols, concatenated to the left
+
+
+# The deepest left-nested chains construct_pd handled while the linear form of
+# `(L)·x` extended the form of L by x, bisected the same way; it now takes the
+# form of the right-associated equal, which reached 989 on both.
+DEPTH_BEFORE_LINEAR_CHAINS = [
+    ("construct_pd-a-chain", construct_pd, a_chain, 987),
+    ("construct_pd-options", construct_pd, options_regex, 987),
+]
 # _aci and simplify rebuild their input through the constructors of a term
 # table on an explicit stack, so they take any depth.
 DEPTH_AFTER_NORMAL_TERMS = [
@@ -251,6 +271,7 @@ DEPTH_CASES = (
     + DEPTH_BEFORE_ARC_STORE
     + DEPTH_BEFORE_DERIVATIVE_MEMO
     + DEPTH_AFTER_TERM_TABLE
+    + DEPTH_BEFORE_LINEAR_CHAINS
     + DEPTH_AFTER_NORMAL_TERMS
     + DEPTH_AFTER_POSTORDER
 )
