@@ -15,6 +15,10 @@ import sys
 from . import automata, bench, digraphs, elimination, expressions, families
 from .constructions import CONSTRUCTION_NAMES, construct
 
+# the largest `toregex` output printed, by `measures(...).size`: about 5·10⁷
+# characters, far above the tests' and benchmark cases' largest, 1.3·10⁶
+MAX_RENDER_SIZE = 10**8
+
 
 @functools.cache  # one parser per process: building it costs more than a small command
 def _build_parser() -> argparse.ArgumentParser:
@@ -154,6 +158,11 @@ def _cmd_toregex(args) -> int:
     else:
         ranking = order if isinstance(order, list) else None
         expr = elimination.mcnaughton_yamada(automata.remove_lambda(aut), ranking, simplify_steps)
+    # each elimination step or matrix round makes labels of size ≤ 4m + 12 from
+    # labels of size ≤ m; the label is walked only where that bound passes the cap
+    n, cap = len(aut.states), MAX_RENDER_SIZE
+    if (n + 1) * 4**n * (4 * len(aut.alphabet) + 5) > cap and expressions.measures(expr).size > cap:
+        raise ValueError(f"expression size {expressions.measures(expr).size} is over the cap of {cap}; not printed")
     print(expressions.render(expr, unicode=args.unicode))
     return 0
 

@@ -17,6 +17,7 @@ in one label table per run (see `_Labels`):
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from functools import reduce
 from types import SimpleNamespace
@@ -329,11 +330,21 @@ def _eliminate(
 
     for q in prefix:
         step(q)
-    rest = sorted(set(aut.states).difference(prefix, suffix), key=_state_key)
-    while rest:
-        q = min(rest, key=lambda s: (score(ext, s), _state_key(s)))
-        rest.remove(q)
-        step(q)
+    rest = set(aut.states).difference(prefix, suffix)
+    # eliminating q rewrites only arcs between its neighbours, so only their
+    # scores change; an entry whose score is no longer current is skipped
+    scores = {s: score(ext, s) for s in rest}
+    heap = [(c, _state_key(s), s) for s, c in scores.items()]
+    heapq.heapify(heap)
+    while heap:
+        c, _, q = heapq.heappop(heap)
+        if q in rest and scores[q] == c:
+            near = {s for s in (*ext.out[q], *ext.into[q]) if s in rest and s != q}
+            rest.remove(q)
+            step(q)
+            for s in near:
+                scores[s] = score(ext, s)
+                heapq.heappush(heap, (scores[s], _state_key(s), s))
     for q in suffix:
         step(q)
     return order, ext
@@ -403,19 +414,26 @@ def arden_solve(aut: Automaton, simplify_steps: bool = True) -> RegEx:
 # McNaughton-Yamada matrix iteration
 
 
-def _mny_matrix(aut: Automaton, ranking: Sequence[State], terms) -> dict:
+def _mny_matrix(aut: Automaton, ranking: Sequence[State], terms, rows=None, cols=None) -> dict:
     """The expression matrix after one round per state of `ranking`, its
     entries built by the constructors of `terms` (a `_Labels` table, or
-    `_RAW` for raw entries)."""
+    `_RAW` for raw entries).  Only the entries in `rows` and `cols` (every
+    state by default) are wanted at the end, so each round builds only
+    those and the rows and columns of the pivots still to come, the only
+    entries that later rounds read."""
     states = sorted(aut.states, key=_state_key)
+    rows, cols = aut.states if rows is None else rows, aut.states if cols is None else cols
     ext = augment(aut)
     matrix: dict[tuple, RegEx] = {(p, q): terms.intern(ext.label(p, q)) for p in states for q in states}
+    pending = set(ranking)
 
     for i in ranking:
+        pending.remove(i)
         star = terms.star(matrix[(i, i)])
         new: dict[tuple, RegEx] = {}
-        for j in states:
-            for k in states:
+        ks = [k for k in states if k in cols or k in pending]
+        for j in [j for j in states if j in rows or j in pending]:
+            for k in ks:
                 if j == i and k == i:
                     entry: RegEx = terms.cat(star, matrix[(i, i)])
                 elif j == i:
@@ -446,7 +464,7 @@ def mcnaughton_yamada(
         ranking = list(ranking)
         if sorted(ranking, key=_state_key) != states:
             raise ValueError("ranking must be a permutation of the states")
-    matrix = _mny_matrix(aut, ranking, _Labels() if simplify_steps else _RAW)
+    matrix = _mny_matrix(aut, ranking, _Labels() if simplify_steps else _RAW, {aut.initial}, aut.finals)
     parts: list[RegEx] = []
     if aut.initial in aut.finals:
         parts.append(EPSILON)

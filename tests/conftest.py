@@ -32,7 +32,11 @@ normal form of one `_AciTerms` table, which only the memo tests ask for.
 table, finding duplicate branches by their text with union branches
 sorted; `reference_state_elimination`, `reference_arden_solve` and
 `reference_mcnaughton_yamada` build each label raw and pass it through
-it.  `commuted_duplicates_tree` builds trees that hold copies of their
+it.  `scan_eliminate` picks each state of a dynamic order by a scan that
+rescores every remaining state, and `full_mny_matrix` builds every matrix
+entry in every round: `elimination._eliminate` and `_mny_matrix` before
+the score heap and the pruning to the entries that reach the answer.
+`commuted_duplicates_tree` builds trees that hold copies of their
 own subterms with union branches commuted.
 """
 
@@ -63,7 +67,7 @@ from refa.constructions import (
     construct_position,
     position_sets,
 )
-from refa.elimination import SINK, SOURCE, ExtendedAutomaton, _plan, augment
+from refa.elimination import SINK, SOURCE, ExtendedAutomaton, _plan, augment, eliminate_state
 from refa.expressions import (
     EMPTY,
     EPSILON,
@@ -1149,6 +1153,50 @@ def reference_mcnaughton_yamada(aut: Automaton, ranking=None, simplify_steps: bo
     parts += [matrix[aut.initial, f] for f in sorted(aut.finals, key=_state_key)]
     parts = [e for e in parts if not isinstance(e, Empty)]
     return reduce(Union, parts) if parts else EMPTY
+
+
+def scan_eliminate(aut, prefix, score, suffix, simplify_labels=True):
+    """`elimination._eliminate` with each state of the dynamic middle the
+    (score, key) minimum of a scan over every remaining state."""
+    ext = augment(aut)
+    order = []
+    rest = sorted(set(aut.states).difference(prefix, suffix), key=_state_key)
+    for q in prefix:
+        ext = eliminate_state(ext, q, simplify_labels)
+        order.append(q)
+    while rest:
+        q = min(rest, key=lambda s: (score(ext, s), _state_key(s)))
+        rest.remove(q)
+        ext = eliminate_state(ext, q, simplify_labels)
+        order.append(q)
+    for q in suffix:
+        ext = eliminate_state(ext, q, simplify_labels)
+        order.append(q)
+    return order, ext
+
+
+def full_mny_matrix(aut, ranking, terms, rows=None, cols=None):
+    """`elimination._mny_matrix` building every entry in every round; the
+    wanted rows and columns are ignored."""
+    states = sorted(aut.states, key=_state_key)
+    ext = augment(aut)
+    matrix = {(p, q): terms.intern(ext.label(p, q)) for p in states for q in states}
+    for i in ranking:
+        star = terms.star(matrix[i, i])
+        new = {}
+        for j in states:
+            for k in states:
+                if j == i and k == i:
+                    entry = terms.cat(star, matrix[i, i])
+                elif j == i:
+                    entry = terms.cat(star, matrix[i, k])
+                elif k == i:
+                    entry = terms.cat(matrix[j, i], star)
+                else:
+                    entry = terms.union([matrix[j, k], terms.cat(terms.cat(matrix[j, i], star), matrix[i, k])])
+                new[j, k] = entry
+        matrix = new
+    return matrix
 
 
 def shuffled_unions(r: RegEx, rng: random.Random) -> RegEx:

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import refa
-from refa import digraphs
+from refa import cli, digraphs
 from refa.automata import Automaton, to_json
 from refa.bench import (
     bench_constructions,
@@ -20,7 +20,8 @@ from refa.bench import (
 from refa.cli import _build_parser, _read_direct, main
 from refa.constructions import CONSTRUCTION_NAMES
 from refa.elimination import STRATEGIES
-from refa.families import buffer_dfa, torus_dfa
+from refa.expressions import measures, parse
+from refa.families import buffer_dfa, hypercube_dfa, torus_dfa
 
 
 class TestBenchConstructions:
@@ -162,6 +163,32 @@ class TestCli:
         assert main(["toregex", str(buf), "--method", method, "--order", "bogus"]) == 1
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err == "error: unknown order 'bogus'\n"
+
+    @pytest.mark.parametrize("method", ["eliminate", "arden", "mny"])
+    @pytest.mark.parametrize("flags", [[], ["--no-simplify"]], ids=["simplified", "raw"])
+    def test_toregex_caps_the_printed_size(self, tmp_path, capsys, monkeypatch, method, flags):
+        buf = tmp_path / "b.json"
+        buf.write_text(to_json(torus_dfa(2, 3)))
+        argv = ["toregex", str(buf), "--method", method, *flags]
+        assert main(argv) == 0
+        text = capsys.readouterr().out
+        size = measures(parse(text.strip())).size
+        monkeypatch.setattr(cli, "MAX_RENDER_SIZE", size)
+        assert main(argv) == 0 and capsys.readouterr().out == text
+        monkeypatch.setattr(cli, "MAX_RENDER_SIZE", size - 1)
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: expression size {size} is over the cap of {size - 1}; not printed\n"
+
+    def test_toregex_refuses_to_print_a_label_of_size_7e9(self, tmp_path, capsys):
+        # the id-order label of hypercube_dfa(4) is a DAG of awidth 1.5·10⁹
+        cube = tmp_path / "cube.json"
+        cube.write_text(to_json(hypercube_dfa(4)))
+        assert main(["toregex", str(cube), "--order", "id"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: expression size 6969155638 is over the cap of {cli.MAX_RENDER_SIZE}; not printed\n"
 
     @pytest.mark.parametrize("order", ["greedy", "dm", "fixed:0,1,2,3"])
     def test_arden_ignores_a_valid_order(self, tmp_path, capsys, order):

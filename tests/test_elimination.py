@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import refa.elimination as elimination
 from refa.automata import Automaton, _state_key, equivalent, from_dict, load, remove_lambda
 from refa.cli import main
 from refa.constructions import construct_follow
@@ -28,6 +29,7 @@ from refa.families import buffer_dfa, hypercube_dfa, random_dfa, torus_dfa
 from conftest import (
     commuted_duplicates_tree,
     corpus,
+    full_mny_matrix,
     lambda_heavy_tree,
     lang,
     path_pairs,
@@ -35,6 +37,7 @@ from conftest import (
     reference_mcnaughton_yamada,
     reference_simplify,
     reference_state_elimination,
+    scan_eliminate,
 )
 
 
@@ -394,3 +397,53 @@ class TestAgainstReference:
         for seed in range(300):
             r = lambda_heavy_tree(random.Random(seed), 6)
             assert render(simplify(r)) == render(reference_simplify(r))
+
+
+def on_package_and_reference(monkeypatch, run):
+    """run() on the package, then with `scan_eliminate` and
+    `full_mny_matrix` in place of `_eliminate` and `_mny_matrix`."""
+    got = run()
+    with monkeypatch.context() as patched:
+        patched.setattr(elimination, "_eliminate", scan_eliminate)
+        patched.setattr(elimination, "_mny_matrix", full_mny_matrix)
+        return got, run()
+
+
+def random_dfas(seeds):
+    """Random DFAs of 1-9 states over 1-3 letters, `seeds` of each size."""
+    return [random_dfa(n, k, seed=5000 + 100 * n + 10 * k + i) for n in range(1, 10) for k in (1, 2, 3) for i in range(seeds)]
+
+
+class TestScoreHeapAndNeededEntries:
+    """Dynamic orders from the score heap, and McNaughton-Yamada on the
+    entries that reach the answer, give what the scan over every
+    remaining state and every entry of every round gave."""
+
+    def test_dynamic_orders_match_the_scan(self, monkeypatch):
+        tori = [torus_dfa(m, n) for n in range(1, 5) for m in range(1, min(n, 3) + 1)]
+        witnesses = [*(buffer_dfa(n) for n in range(1, 13)), *tori, hypercube_dfa(3), hypercube_dfa(4)]
+        for aut in random_dfas(14) + witnesses:
+            raw = len(aut.states) < 12
+
+            def run():
+                return [
+                    (make_ordering(aut, order), render(state_elimination(aut, order)),
+                     raw and render(state_elimination(aut, order, False)))
+                    for order in ("greedy", "dm", "indep", "bridge")
+                ]
+
+            got, want = on_package_and_reference(monkeypatch, run)
+            assert got == want, aut
+
+    def test_mcnaughton_yamada_matches_every_entry(self, monkeypatch):
+        small = [*(buffer_dfa(n) for n in range(1, 9)), torus_dfa(2, 4), torus_dfa(3, 3), hypercube_dfa(3)]
+        for seed, aut in enumerate(random_dfas(26) + small):
+            rng = random.Random(seed)
+            states = sorted(aut.states, key=_state_key)
+            rankings = [None, *(rng.sample(states, len(states)) for _ in range(2))]
+
+            def run():
+                return [render(mcnaughton_yamada(aut, r, s)) for r in rankings for s in (True, False)]
+
+            got, want = on_package_and_reference(monkeypatch, run)
+            assert got == want, (seed, aut)

@@ -27,8 +27,14 @@
   transitions (Glushkov 1961); the follow automaton (Ilie & Yu 2003) and
   the partial-derivative automaton (Antimirov 1996; Champarnaud & Ziadi
   2001) have no more states and no more transitions than it;
-  `construct_of` has at most 2·size states; and the five constructions
-  accept the same language.
+  `construct_of` has at most 2·size states; the five constructions
+  accept the same language; and `minimize` of the derivative DFA has no
+  more states and no more transitions than it.
+* The C10 bound: on random DFAs of n states over Σ, every ordering of
+  state elimination, `arden_solve` and `mcnaughton_yamada`, simplified
+  and raw, give awidth at most |Σ|·4ⁿ; on any automaton with λ and
+  parallel arcs, their size is at most (n + 1)·4ⁿ·(4·|Σ| + 5), the bound
+  below which `refa toregex` skips the walk that checks its size cap.
 * On digraphs of up to 7 vertices, `cycle_rank` equals the unmemoized
   deletion recursion, deleting any one vertex lowers it by at most one and
   never raises it (the floor its search relies on), and `sccs` agrees with
@@ -47,11 +53,12 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from refa.automata import Automaton, equivalent, from_dict, minimize, to_dict, to_json
+from refa.automata import Automaton, equivalent, from_dict, minimize, remove_lambda, to_dict, to_json
 from refa.constructions import (
     CONSTRUCTION_NAMES,
     _AciTerms,
     construct,
+    construct_brzozowski,
     construct_follow,
     construct_of,
     construct_pd,
@@ -83,10 +90,10 @@ STATE_KINDS = {"int": INTS, "str": NAMES, "mixed": STATES, "bool": st.booleans()
 
 
 @st.composite
-def automata(draw, states=STATES) -> Automaton:
+def automata(draw, states=STATES, letters=NAMES) -> Automaton:
     states = draw(st.lists(states, min_size=1, max_size=8, unique=True))
     # "" is no symbol: JSON writes λ as ""
-    alphabet = draw(st.lists(NAMES.filter(bool), max_size=4, unique=True))
+    alphabet = draw(st.lists(letters.filter(bool), max_size=4, unique=True))
     state = st.sampled_from(states)
     arc = st.tuples(state, st.sampled_from([None, *alphabet]), state)
     return Automaton.make(
@@ -198,6 +205,45 @@ def test_the_five_constructions_are_equivalent(tree):
     built = [construct(name, tree) for name in CONSTRUCTION_NAMES]
     for left, right in combinations(built, 2):
         assert equivalent(left, right)
+
+
+@settings(max_examples=100, deadline=None)
+@given(awidth=st.integers(1, 12), letters=st.sampled_from([2, 4]), seed=st.integers(0, 10**6))
+def test_minimize_never_grows_the_derivative_dfa(awidth, letters, seed):
+    dfa = construct_brzozowski(random_expr(awidth, ["a", "b", "c", "d"][:letters], seed))
+    smaller = minimize(dfa)
+    assert len(smaller.states) <= len(dfa.states)
+    assert len(smaller.transitions) <= len(dfa.transitions)
+
+
+def every_conversion(aut):
+    """Each ordering of state elimination, `arden_solve` and
+    `mcnaughton_yamada` (on the λ-free equal), simplified and raw."""
+    plain = remove_lambda(aut)
+    for simplify_steps in (True, False):
+        yield from (state_elimination(aut, order, simplify_steps) for order in STRATEGIES)
+        yield arden_solve(plain, simplify_steps)
+        yield mcnaughton_yamada(plain, None, simplify_steps)
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 7), letters=st.integers(1, 3), seed=st.integers(0, 10**6))
+def test_conversions_stay_within_the_c10_bound(n, letters, seed):
+    aut = random_dfa(n, letters, seed)
+    bound = len(aut.alphabet) * 4 ** len(aut.states)
+    for expr in every_conversion(aut):
+        assert measures(expr).awidth <= bound
+
+
+@settings(max_examples=100, deadline=None)
+@given(automata(st.integers(0, 7), st.sampled_from("abcd")))
+def test_conversions_stay_within_the_size_bound_of_the_toregex_cap(aut):
+    # each elimination step or matrix round builds labels of size at most
+    # 4m + 12 from labels of at most m; the initial ones are at most 4·|Σ| + 1
+    n = len(aut.states)
+    bound = (n + 1) * 4**n * (4 * len(aut.alphabet) + 5)
+    for expr in every_conversion(aut):
+        assert measures(expr).size <= bound
 
 
 @settings(max_examples=100, deadline=None)
