@@ -13,7 +13,7 @@ import os
 import sys
 
 from . import automata, bench, digraphs, elimination, expressions, families
-from .constructions import CONSTRUCTION_NAMES, construct
+from .constructions import CONSTRUCTION_NAMES, ConstructionError, construct
 
 # the largest `toregex` output printed, by `measures(...).size`: about 5·10⁷
 # characters, far above the tests' and benchmark cases' largest, 1.3·10⁶
@@ -280,9 +280,9 @@ def main(argv=None) -> int:
         if getattr(args, "seed", 0) is None:  # a --seed option left unset
             args.seed = int(seed)
         return _COMMANDS[args.command](args)
-    except (ValueError, OSError, KeyError, RecursionError) as exc:
+    except (ValueError, OSError, KeyError, RecursionError, ConstructionError) as exc:
         # RecursionError: the per-term walks recurse, so nesting deeper than
-        # the recursion limit is a domain error too
+        # the recursion limit is a domain error too, as is passing a state cap
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -556,15 +556,15 @@ class _AciTerms(_Terms):
     """The derivatives of one Brzozowski run, hash-consed in normal form under
     +-associativity/commutativity/idempotence and the unit/zero laws, which
     keeps the iterated derivatives finitely many.  The constructors apply
-    the laws as they build (Owens, Reppy & Turon, JFP 2009), so `derive`
+    the laws as they build (Owens, Reppy & Turon, JFP 2009), so `table`
     yields normal forms directly.  Every union term is built by `union`,
     which keeps its branches in `unions`, by id, in order, so a union is
-    never flattened twice; `derived` memoises `derive` by (id, letter)."""
+    never flattened twice; `tables` memoises `table` by id."""
 
     def __init__(self):
         super().__init__()
         self.unions: dict[int, dict[int, RegEx]] = {}
-        self.derived: dict[tuple[int, str], RegEx] = {}
+        self.tables: dict[int, dict[str, RegEx]] = {}
 
     def kids(self, node: RegEx) -> tuple[RegEx, ...]:
         """A union's kids are its maximal non-union subterms, so that a chain
@@ -602,31 +602,44 @@ class _AciTerms(_Terms):
 
     def derive(self, r: RegEx, a: str) -> RegEx:
         """The Brzozowski derivative of the term r by a."""
-        d = self.derived.get((id(r), a))
-        if d is None:
+        return self.table(r).get(a, EMPTY)
+
+    def table(self, r: RegEx) -> dict[str, RegEx]:
+        """The Brzozowski derivatives of the term r by every letter, letter ->
+        term, from the tables of its kids in one walk; a letter missing has
+        derivative ∅.  Stored tables are shared, so none is changed.  Loops
+        call `cat` and `union`: a comprehension would take one frame more."""
+        out = self.tables.get(id(r))
+        if out is None:
+            out = {}
             if isinstance(r, Sym):
-                d = EPSILON if r.name == a else EMPTY
+                out[r.name] = EPSILON
             elif isinstance(r, Union):
-                d = self.union([self.derive(b, a) for b in self.unions[id(r)].values()])
+                for b in self.unions[id(r)].values():
+                    for a, d in self.table(b).items():
+                        out.setdefault(a, []).append(d)
+                for a, ds in out.items():
+                    out[a] = ds[0] if len(ds) < 2 else self.union(ds)
             elif isinstance(r, Concat):
-                d = self.cat(self.derive(r.left, a), r.right)
+                for a, d in self.table(r.left).items():
+                    out[a] = self.cat(d, r.right)
                 if nullable(r.left):
-                    d = self.union([d, self.derive(r.right, a)])
+                    for a, d in self.table(r.right).items():
+                        out[a] = self.union([out[a], d]) if a in out else d
             elif isinstance(r, Star):
-                d = self.cat(self.derive(r.inner, a), r)
+                for a, d in self.table(r.inner).items():
+                    out[a] = self.cat(d, r)
             elif isinstance(r, Option):
-                d = self.derive(r.inner, a)
-            else:  # ∅ or λ
-                d = EMPTY
-            self.derived[(id(r), a)] = d
-        return d
+                out = self.table(r.inner)
+            self.tables[id(r)] = out
+        return out
 
 
 def derivative(r: RegEx, a: str) -> RegEx:
     """Brzozowski derivative in normal form (see `_AciTerms`), from a term
-    table of its own."""
+    table of its own; it computes the derivatives by every letter."""
     terms = _AciTerms()
-    return terms.derive(terms.intern(r), a)
+    return terms.table(terms.intern(r)).get(a, EMPTY)
 
 
 CONSTRUCTION_NAMES = ("of", "follow", "pos", "pd", "bdfa")
@@ -662,7 +675,8 @@ def construct_brzozowski(r: RegEx, cap: int = 10**6) -> Automaton:
         # the state numbered cap exists exactly when more than cap states do
         if next(explored) == cap:
             raise ConstructionError(f"derivative DFA exceeds {cap} states")
-        return [(a, terms.derive(term, a)) for a in letters]
+        t = terms.table(term)
+        return [(a, t.get(a, EMPTY)) for a in letters]
 
     states, transitions = _explore(terms.intern(r), moves, id)
     finals = {i for i, term in enumerate(states) if nullable(term)}

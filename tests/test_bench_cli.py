@@ -1,3 +1,4 @@
+import functools
 import importlib
 import json
 import os
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import refa
-from refa import cli, digraphs
+from refa import cli, constructions, digraphs
 from refa.automata import Automaton, to_json
 from refa.bench import (
     bench_constructions,
@@ -478,3 +479,13 @@ class TestDeepInputs:
         )
         assert run.returncode == 1 and run.stdout == ""
         assert len(run.stderr.splitlines()) == 1 and run.stderr.startswith("error: ")
+
+    def test_state_cap_ends_in_one_line(self, monkeypatch, capsys):
+        # construct reads the module's constructions when called, so a small
+        # cap reaches convert without building 10**6 states
+        capped = functools.partial(constructions.construct_brzozowski, cap=5)
+        monkeypatch.setattr(constructions, "construct_brzozowski", capped)
+        assert main(["convert", "(a+b)*a(a+b)(a+b)", "--to", "bdfa"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "error: derivative DFA exceeds 5 states\n"
+        assert main(["convert", "(a+b)*a", "--to", "bdfa"]) == 0

@@ -48,12 +48,14 @@ from conftest import (
     lang,
     pd_term_orders,
     rebuild,
+    reference_aci,
     reference_brzozowski,
     reference_cat,
     reference_construct_follow,
     reference_construct_of,
     reference_construct_pd,
     reference_construct_position,
+    reference_derivative,
     reference_position_sets,
     words_upto,
 )
@@ -568,6 +570,27 @@ class TestBrzozowski:
         exprs += [lambda_heavy_tree(random.Random(7900 + seed), 6) for seed in range(100)]
         for r in exprs + list(TestTermTable.WITNESSES):
             assert to_dict(construct_brzozowski(r)) == to_dict(reference_brzozowski(r)), render(r)
+
+    # one derivative table per term serves every letter, so the risk lies in
+    # wide alphabets: up to 40 letters here, against 3 above
+    WIDE = (
+        [options_regex(n) for n in range(1, 41)]
+        + [row1_regex(n) for n in range(1, 6)]
+        + [row2_regex(8, 8), row3_regex(16)]
+        + [random_expr(1 + seed % 12, list("abcdefgh")[: 2 + seed % 7], seed=6600 + seed) for seed in range(300)]
+    )
+
+    def test_wide_alphabets_equal_the_reference_automaton(self):
+        for r in self.WIDE:
+            assert to_dict(construct_brzozowski(r)) == to_dict(reference_brzozowski(r)), render(r)
+
+    def test_wide_alphabet_derivatives_equal_the_reference(self):
+        # derivative takes the derivative of r's normal form
+        for r in self.WIDE:
+            normal = reference_aci(rebuild(r))
+            for a in sorted(symbols_of(r)) + ["z"]:
+                d, fresh = derivative(r, a), reference_derivative(normal, a)
+                assert d == fresh and render(d) == render(fresh), (render(r), a)
 
     def test_equal_states_are_one_object(self):
         terms = _AciTerms()

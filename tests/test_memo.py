@@ -16,6 +16,7 @@ from dataclasses import astuple
 import pytest
 
 from refa.constructions import (
+    construct_brzozowski,
     construct_follow,
     construct_of,
     construct_pd,
@@ -250,6 +251,13 @@ DEPTH_BEFORE_LINEAR_CHAINS = [
     ("construct_pd-a-chain", construct_pd, a_chain, 987),
     ("construct_pd-options", construct_pd, options_regex, 987),
 ]
+# The deepest input construct_brzozowski handled while it derived each term
+# by one letter at a time, bisected the same way; on one derivative table per
+# term it reached 494 and 988.  buffer_regex reached 1500 on both.
+DEPTH_BEFORE_DERIVATIVE_TABLES = [
+    ("construct_brzozowski-star", construct_brzozowski, star_chain, 330),
+    ("construct_brzozowski-option", construct_brzozowski, option_chain, 987),
+]
 # _aci and simplify rebuild their input through the constructors of a term
 # table on an explicit stack, so they take any depth.
 DEPTH_AFTER_NORMAL_TERMS = [
@@ -272,6 +280,7 @@ DEPTH_CASES = (
     + DEPTH_BEFORE_DERIVATIVE_MEMO
     + DEPTH_AFTER_TERM_TABLE
     + DEPTH_BEFORE_LINEAR_CHAINS
+    + DEPTH_BEFORE_DERIVATIVE_TABLES
     + DEPTH_AFTER_NORMAL_TERMS
     + DEPTH_AFTER_POSTORDER
 )
