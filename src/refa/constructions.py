@@ -19,6 +19,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from itertools import count
+from typing import Callable
 
 from .automata import Automaton, _explore, _reach
 from .expressions import (
@@ -559,28 +560,41 @@ class _AciTerms(_Terms):
     the laws as they build (Owens, Reppy & Turon, JFP 2009), so `table`
     yields normal forms directly.  Every union term is built by `union`,
     which keeps its branches in `unions`, by id, in order, so a union is
-    never flattened twice; `tables` memoises `table` by id."""
+    never flattened twice; `tables` memoises `table` by id.  `union` sorts
+    branches by `branch_key`, text by default: any fixed order gives one
+    object per set of branches, which is all ACI needs, and a table whose
+    terms are never printed can sort by `id`.  With `chains`, `intern` takes
+    a concatenation chain whole (179 nodes for `options_regex(60)`, not 1 890)."""
 
-    def __init__(self):
+    chains = True
+
+    def __init__(self, branch_key: Callable | None = None):
         super().__init__()
+        self.branch_key = branch_key or _render
         self.unions: dict[int, dict[int, RegEx]] = {}
         self.tables: dict[int, dict[str, RegEx]] = {}
 
     def kids(self, node: RegEx) -> tuple[RegEx, ...]:
         """A union's kids are its maximal non-union subterms, so that a chain
-        of k branches is sorted once, not k times."""
-        return tuple(_operands(node, Union)) if isinstance(node, Union) else super().kids(node)
+        of k branches is sorted once, not k times; with `chains`, likewise a
+        concatenation's, so that no prefix of the chain is built."""
+        if isinstance(node, Union) or self.chains and isinstance(node, Concat):
+            return tuple(_operands(node, type(node)))
+        return super().kids(node)
 
     def join(self, node: RegEx, terms: list[RegEx]) -> RegEx:
         if isinstance(node, Union):
             return self.union(terms)
         if isinstance(node, Concat):
-            return self.cat(*terms)
+            out = terms[-1]  # `cat` right-associates, so prefix by prefix gives this too
+            for t in terms[-2::-1]:
+                out = self.cat(t, out)
+            return out
         return self.star(*terms) if isinstance(node, Star) else self.make(Option, *terms)
 
     def union(self, terms: list[RegEx]) -> RegEx:
         """The left-associated union of the distinct branches of the terms,
-        ∅ dropped, sorted by text."""
+        ∅ dropped, sorted by `branch_key`."""
         branches: dict[int, RegEx] = {}
         for t in terms:
             if id(t) in self.unions:
@@ -589,7 +603,7 @@ class _AciTerms(_Terms):
                 branches[id(t)] = t
         if len(branches) < 2:
             return next(iter(branches.values()), EMPTY)
-        ordered = sorted(branches.values(), key=_render)
+        ordered = sorted(branches.values(), key=self.branch_key)
         out = ordered[0]
         for b in ordered[1:]:
             out = self.make(Union, out, b)
@@ -664,11 +678,13 @@ def construct_brzozowski(r: RegEx, cap: int = 10**6) -> Automaton:
 
     The states are the iterated derivatives in normal form, held once each
     in one term table (see `_AciTerms`) and keyed by identity; they are
-    numbered by :func:`_explore`, successors by letter.  Raises
-    :class:`ConstructionError` when more than `cap` states appear.
+    numbered by :func:`_explore`, successors by letter, so the table sorts
+    union branches by `id` and renders nothing: the automaton is the one text
+    order gives wherever texts tell terms apart (`a1` renders as `a`).
+    Raises :class:`ConstructionError` when more than `cap` states appear.
     """
     letters = sorted(symbols_of(r))
-    terms = _AciTerms()
+    terms = _AciTerms(id)
     explored = count()
 
     def moves(term: RegEx) -> list[tuple[str, RegEx]]:

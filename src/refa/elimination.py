@@ -68,6 +68,8 @@ class _Labels(_AciTerms):
     symbol's by its name, so `a` and a marked `a1` are duplicates.  A
     union term keeps its branches in `unions`, by class, in order."""
 
+    chains = False  # `cat` keeps the input's nesting
+
     def __init__(self):
         super().__init__()
         self.numbers: dict = {}  # class key -> class number

@@ -27,7 +27,9 @@ the states of an automaton, to names that `state_names` draws.
 `ReferenceInductiveBuilder` and `ReferenceFollowBuilder`, which write every
 leaf's arc at once and move arcs by merges, build a union of each merged
 state's arcs, and test an arc's uniqueness by set equality.  `_aci` is the
-normal form of one `_AciTerms` table, which only the memo tests ask for.
+normal form of one `_AciTerms` table, which only the memo tests ask for;
+`prefix_intern` interns into such a table as `_AciTerms.intern` did before
+it took a concatenation chain whole, one left-nested prefix at a time.
 `reference_simplify` rewrites a tree as `simplify` did before the label
 table, finding duplicate branches by their text with union branches
 sorted; `reference_state_elimination`, `reference_arden_solve` and
@@ -80,6 +82,7 @@ from refa.expressions import (
     Star,
     Sym,
     Union,
+    _operands,
     _postorder,
     mark,
     nullable,
@@ -385,6 +388,32 @@ def follow_quotient(r: RegEx) -> Automaton:
 def _aci(r: RegEx) -> RegEx:
     """The normal form of r, from a term table of its own."""
     return _AciTerms().intern(r)
+
+
+def prefix_intern(terms: _AciTerms, r: RegEx) -> RegEx:
+    """The term of r in `terms`, built as `_AciTerms.intern` built it before
+    it took a concatenation chain whole: a union's kids are its maximal
+    non-union subterms, a concatenation's its two fields, so each prefix of
+    a left-nested chain is right-associated by `cat` in turn."""
+    done: dict[int, RegEx] = {}
+
+    def kids(node):
+        return tuple(_operands(node, Union)) if isinstance(node, Union) else _Terms.kids(terms, node)
+
+    for node in _postorder(r, lambda node: done.get(id(node)), kids):
+        if isinstance(node, Sym):
+            done[id(node)] = terms.nodes.setdefault((Sym, node.name, node.pos), node)
+        elif isinstance(node, (Empty, Epsilon)):
+            done[id(node)] = EMPTY if isinstance(node, Empty) else EPSILON
+        else:
+            parts = [done[id(kid)] for kid in kids(node)]
+            if isinstance(node, Union):
+                done[id(node)] = terms.union(parts)
+            elif isinstance(node, Concat):
+                done[id(node)] = terms.cat(*parts)
+            else:
+                done[id(node)] = terms.star(*parts) if isinstance(node, Star) else terms.make(Option, *parts)
+    return done[id(r)]
 
 
 def reference_cat(left, right):

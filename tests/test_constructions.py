@@ -4,7 +4,18 @@ from collections import deque
 
 import pytest
 
-from refa.automata import Automaton, accepts, equivalent, fa_measures, remove_lambda, subset_construction, to_dict, to_json
+import refa.constructions as constructions
+from refa.automata import (
+    Automaton,
+    accepts,
+    equivalent,
+    fa_measures,
+    minimize,
+    remove_lambda,
+    subset_construction,
+    to_dict,
+    to_json,
+)
 from refa.constructions import (
     ConstructionError,
     _AciTerms,
@@ -47,6 +58,7 @@ from conftest import (
     lambda_heavy_tree,
     lang,
     pd_term_orders,
+    prefix_intern,
     rebuild,
     reference_aci,
     reference_brzozowski,
@@ -601,6 +613,57 @@ class TestBrzozowski:
         assert d is terms.derive(term, "b") and render(d) == "(ab)*+b"
         assert terms.derive(terms.derive(d, "a"), "b") is terms.intern(parse("(ab)*")) is term.right.left
         assert terms.intern(parse("(#+&)*(a?)")) is terms.make(Option, terms.intern(Sym("a")))
+
+
+class TestIdentityOrder:
+    """construct_brzozowski's table orders union branches by identity and
+    interns a concatenation chain whole; the terms are the ones a text-ordered
+    table builds prefix by prefix, and no term is rendered."""
+
+    INPUTS = (
+        TestBrzozowski.WIDE[:47]
+        + TestTermTable.WITNESSES
+        + [parse(text) for text in TestLeftNestedChains.TEXTS]
+        + [right_options(n) for n in (1, 2, 5, 12)]
+        + [lambda_heavy_tree(random.Random(5100 + seed), 6) for seed in range(100)]
+        + [mark(random_expr(1 + seed % 8, ["a", "b"], seed=5300 + seed)).tree for seed in range(100)]
+    )
+
+    def test_chains_interned_whole_are_the_prefix_by_prefix_terms(self):
+        for r in self.INPUTS:
+            for key in (None, id):
+                terms = _AciTerms(key)
+                assert terms.intern(r) is prefix_intern(terms, r), render(r)
+            # texts only in text order: an order by identity differs between tables
+            assert render(_AciTerms().intern(r)) == render(prefix_intern(_AciTerms(), r)), render(r)
+
+    def test_options_chain_table_is_small(self):
+        # one prefix at a time left 1 890 nodes for this input of 180 distinct nodes
+        prefixes, terms = _AciTerms(), _AciTerms(id)
+        prefix_intern(prefixes, options_regex(60))
+        assert len(prefixes.nodes) == 1890
+        terms.intern(options_regex(60))
+        assert len(terms.nodes) <= 179
+
+    def test_no_term_is_rendered(self, monkeypatch):
+        def refuse(r):
+            raise AssertionError(f"rendered {r!r}")
+
+        monkeypatch.setattr(constructions, "_render", refuse)
+        for r in TestBrzozowski.WIDE:
+            construct_brzozowski(r)
+
+    def test_positioned_symbols_are_taken_modulo_aci(self):
+        # `a1` and `a2` both render as `a`: a text order kept tied branches in
+        # the order they were met, so one set of branches could make two
+        # states, and this tree had 7
+        t = mark(random_expr(6, ["a", "b"], 70220)).tree
+        assert render(t) == "b?a*?+b*+b+b*?a*?"
+        dfa = construct_brzozowski(t)
+        assert len(dfa.states) == 6
+        assert equivalent(dfa, reference_brzozowski(t))
+        assert equivalent(dfa, subset_construction(remove_lambda(construct_of(t))))
+        assert len(minimize(dfa).states) == 3
 
 
 class TestAllConstructionsAgree:

@@ -23,7 +23,7 @@ from refa.elimination import (
     simplify,
     state_elimination,
 )
-from refa.expressions import EPSILON, Sym, measures, parse, render
+from refa.expressions import EPSILON, Concat, Sym, measures, parse, render
 from refa.families import buffer_dfa, hypercube_dfa, random_dfa, torus_dfa
 
 from conftest import (
@@ -75,6 +75,13 @@ class TestSimplify:
     def test_size_nonincreasing(self, small_corpus):
         for r in small_corpus:
             assert measures(simplify(r)).size <= measures(r).size
+
+    def test_concatenations_keep_their_nesting(self):
+        # the label table interns a chain pair by pair; the derivative DFA's
+        # table, which takes it whole, right-associates it
+        assert simplify(parse("abc")) == Concat(Concat(Sym("a"), Sym("b")), Sym("c"))
+        assert simplify(parse("a(bc)")) == Concat(Sym("a"), Concat(Sym("b"), Sym("c")))
+        assert simplify(parse("(&a)(b&)c")) == Concat(Concat(Sym("a"), Sym("b")), Sym("c"))
 
     def test_language_preserved(self):
         for r in corpus(80, seed=7700, max_awidth=6):

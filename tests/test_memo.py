@@ -258,6 +258,13 @@ DEPTH_BEFORE_DERIVATIVE_TABLES = [
     ("construct_brzozowski-star", construct_brzozowski, star_chain, 330),
     ("construct_brzozowski-option", construct_brzozowski, option_chain, 987),
 ]
+# The deepest input construct_brzozowski handles with union branches ordered
+# by identity and concatenation chains interned whole, bisected the same way
+# (494 and 988 with one derivative table per term before that).
+DEPTH_AFTER_IDENTITY_ORDER = [
+    ("construct_brzozowski-star-identity-order", construct_brzozowski, star_chain, 494),
+    ("construct_brzozowski-option-identity-order", construct_brzozowski, option_chain, 989),
+]
 # _aci and simplify rebuild their input through the constructors of a term
 # table on an explicit stack, so they take any depth.
 DEPTH_AFTER_NORMAL_TERMS = [
@@ -281,6 +288,7 @@ DEPTH_CASES = (
     + DEPTH_AFTER_TERM_TABLE
     + DEPTH_BEFORE_LINEAR_CHAINS
     + DEPTH_BEFORE_DERIVATIVE_TABLES
+    + DEPTH_AFTER_IDENTITY_ORDER
     + DEPTH_AFTER_NORMAL_TERMS
     + DEPTH_AFTER_POSTORDER
 )

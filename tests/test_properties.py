@@ -13,6 +13,8 @@
 * The derivatives that one term table, shared across calls as in
   `construct_brzozowski`, builds in normal form for every iterated
   derivative of a tree equal the raw derivatives normalised afterwards.
+* The derivative DFA, whose table orders union branches by identity, is
+  the reference automaton built from text-ordered normal forms.
 * `minimize` is canonical under renaming: a random DFA, complete or
   partial, with its states renamed by a seeded bijection onto ints or
   strings minimizes to the same automaton, in both modes.
@@ -75,6 +77,7 @@ from conftest import (
     naive_cycle_rank,
     rebuild,
     reference_aci,
+    reference_brzozowski,
     reference_derivative,
     reference_simplify,
     reference_to_dict,
@@ -159,6 +162,12 @@ def test_shared_memo_derivatives_equal_unmemoised_ones(tree):
             if id(d) not in seen:
                 seen.add(id(d))
                 queue.append(d)
+
+
+@settings(max_examples=100, deadline=None)
+@given(TREES)
+def test_derivative_dfa_is_the_reference_automaton(tree):
+    assert to_dict(construct_brzozowski(tree)) == to_dict(reference_brzozowski(tree))
 
 
 @pytest.mark.parametrize("rewrite", [simplify, ssnf], ids=["simplify", "ssnf"])
