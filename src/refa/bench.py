@@ -61,12 +61,8 @@ def to_csv(records: list[BenchRecord]) -> str:
     return buf.getvalue()
 
 
-def bench_constructions(
-    families: dict[str, list[int]],
-    constructions: tuple[str, ...] = ("of", "follow", "pos", "pd"),
-    check_trends: bool = True,
-) -> list[BenchRecord]:
-    """Sizes of the chosen constructions over expression families.
+def bench_constructions(families: dict[str, list[int]]) -> list[BenchRecord]:
+    """Sizes of the of, follow, pos and pd constructions over expression families.
 
     `families` maps a family name (buffer/options/row1/row2/row3) to the
     list of parameters to run.  When the quadratic and square-root
@@ -79,7 +75,7 @@ def bench_constructions(
             if expr is None:
                 raise ValueError(f"family {family} has no expression form")
             report = measures(expr)
-            for name in constructions:
+            for name in ("of", "follow", "pos", "pd"):
                 start = time.perf_counter()
                 aut = construct(name, expr)
                 micros = int((time.perf_counter() - start) * 1e6)
@@ -90,11 +86,10 @@ def bench_constructions(
                         report.awidth, report.height, micros,
                     )
                 )
-    if check_trends:
-        trend_families = {k: v for k, v in families.items() if k in ("options", "row3")}
-        for name, ratio, limit, ok in verify_trends(trend_families):
-            if not ok:
-                raise AssertionError(f"growth trend {name}: ratio {ratio:.2f} vs {limit}")
+    trend_families = {k: v for k, v in families.items() if k in ("options", "row3")}
+    for name, ratio, limit, ok in verify_trends(trend_families):
+        if not ok:
+            raise AssertionError(f"growth trend {name}: ratio {ratio:.2f} vs {limit}")
     return records
 
 
@@ -134,13 +129,12 @@ def bench_orderings(
     strategies: tuple[str, ...] = STRATEGIES,
     automata: dict[str, Automaton] | None = None,
     fixed_orders: dict[str, list] | None = None,
-    verify: bool = True,
 ) -> list[BenchRecord]:
     """Expression sizes per elimination strategy.
 
     Runs the named strategies (and any explicit fixed orders) over random
     DFAs, or over the given automata instead; every produced expression is
-    checked equivalent to its source automaton unless `verify` is false.
+    checked equivalent to its source automaton.
     """
     if automata is None:
         automata = {
@@ -155,7 +149,7 @@ def bench_orderings(
             start = time.perf_counter()
             expr = state_elimination(aut, order)
             micros = int((time.perf_counter() - start) * 1e6)
-            if verify and not equivalent(construct_follow(expr), aut):
+            if not equivalent(construct_follow(expr), aut):
                 raise AssertionError(f"{label} produced an inequivalent expression on {name}")
             report = measures(expr)
             fm = fa_measures(aut)

@@ -130,9 +130,15 @@ def _emit(text: str, output: str | None):
         print(text, end="" if text.endswith("\n") else "\n")
 
 
+def _is_int_text(text: str) -> bool:
+    """At most one leading ``-``, then one or more ASCII digits."""
+    digits = text[1:] if text.startswith("-") else text
+    return digits.isascii() and digits.isdigit()
+
+
 def _parse_order(spec: str):
     if spec.startswith("fixed:"):
-        return [int(s) if s.lstrip("-").isdigit() else s for s in spec[len("fixed:") :].split(",")]
+        return [int(s) if _is_int_text(s) else s for s in spec[len("fixed:") :].split(",")]
     if spec in elimination.STRATEGIES:
         return spec
     raise ValueError(f"unknown order {spec!r}")
@@ -275,7 +281,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         seed = os.environ.get("REFA_SEED", "1")
-        if not seed.lstrip("-").isdigit():
+        if not _is_int_text(seed):
             raise ValueError(f"REFA_SEED must be an integer, not {seed!r}")
         if getattr(args, "seed", 0) is None:  # a --seed option left unset
             args.seed = int(seed)

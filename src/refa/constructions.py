@@ -614,10 +614,6 @@ class _AciTerms(_Terms):
     def star(self, inner: RegEx) -> RegEx:
         return EPSILON if inner is EMPTY or inner is EPSILON else self.make(Star, inner)
 
-    def derive(self, r: RegEx, a: str) -> RegEx:
-        """The Brzozowski derivative of the term r by a."""
-        return self.table(r).get(a, EMPTY)
-
     def table(self, r: RegEx) -> dict[str, RegEx]:
         """The Brzozowski derivatives of the term r by every letter, letter ->
         term, from the tables of its kids in one walk; a letter missing has

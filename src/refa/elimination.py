@@ -416,15 +416,14 @@ def arden_solve(aut: Automaton, simplify_steps: bool = True) -> RegEx:
 # McNaughton-Yamada matrix iteration
 
 
-def _mny_matrix(aut: Automaton, ranking: Sequence[State], terms, rows=None, cols=None) -> dict:
+def _mny_matrix(aut: Automaton, ranking: Sequence[State], terms, rows, cols) -> dict:
     """The expression matrix after one round per state of `ranking`, its
     entries built by the constructors of `terms` (a `_Labels` table, or
-    `_RAW` for raw entries).  Only the entries in `rows` and `cols` (every
-    state by default) are wanted at the end, so each round builds only
-    those and the rows and columns of the pivots still to come, the only
-    entries that later rounds read."""
+    `_RAW` for raw entries).  Only the entries in `rows` and `cols` are
+    wanted at the end, so each round builds only those and the rows and
+    columns of the pivots still to come, the only entries that later
+    rounds read."""
     states = sorted(aut.states, key=_state_key)
-    rows, cols = aut.states if rows is None else rows, aut.states if cols is None else cols
     ext = augment(aut)
     matrix: dict[tuple, RegEx] = {(p, q): terms.intern(ext.label(p, q)) for p in states for q in states}
     pending = set(ranking)
@@ -465,7 +464,7 @@ def mcnaughton_yamada(
     else:
         ranking = list(ranking)
         if sorted(ranking, key=_state_key) != states:
-            raise ValueError("ranking must be a permutation of the states")
+            raise ValueError("order must be a permutation of the states")
     matrix = _mny_matrix(aut, ranking, _Labels() if simplify_steps else _RAW, {aut.initial}, aut.finals)
     parts: list[RegEx] = []
     if aut.initial in aut.finals:

@@ -454,69 +454,57 @@ def unmark(m: MarkedRegEx) -> RegEx:
 # Strong star normal form
 
 
-def _purge_units(r: RegEx) -> RegEx:
-    """Remove ∅ and λ from inside non-atomic expressions.
+def ssnf(r: RegEx) -> RegEx:
+    """Strong star normal form: language-preserving, never larger, idempotent.
 
-    ``s+λ`` and ``λ+s`` become ``s?`` on the way.  The result is either an
-    atomic ∅ / λ or an expression containing neither.
-    """
-    done: list[RegEx] = []
-    for node in _postorder(r):
-        cls = type(node)
-        if cls is Star or cls is Option:
-            done[-1] = EPSILON if isinstance(done[-1], (Empty, Epsilon)) else cls(done[-1])
-        elif cls is not Union and cls is not Concat:
-            done.append(node)
-        else:
-            right = done.pop()
-            left = done[-1]  # and then the result, which replaces it
-            if cls is Union:
-                if isinstance(left, Empty):
-                    left = right
-                elif isinstance(left, Epsilon):
-                    left = EPSILON if isinstance(right, (Empty, Epsilon)) else Option(right)
-                elif not isinstance(right, Empty):
-                    left = Option(left) if isinstance(right, Epsilon) else Union(left, right)
-            elif isinstance(left, Empty) or isinstance(right, Empty):
-                left = EMPTY
-            elif isinstance(left, Epsilon):
-                left = right
-            elif not isinstance(right, Epsilon):
-                left = Concat(left, right)
-            done[-1] = left
-    return done[0]
+    One walk applies the unit rules and builds r• (Brüggemann-Klein's star
+    normal form step, with (F*)• = (F•°)*).  ∅ annihilates a concatenation
+    and λ is its unit; ∅ is the unit of a union, whose ``s+λ`` and ``λ+s``
+    become ``s?``; ∅*, λ*, ∅? and λ? become λ.  `done` holds the • of each
+    finished kid and beside it the ° of that •: F° drops the stars and
+    options of F and splits a nullable concatenation into a union, keeping
+    a non-nullable one whole.  A kid is a unit when its • is an atomic ∅ or
+    λ.  A node and its • denote one language, so nullability is asked of
+    the node."""
 
+    def option(kid: RegEx, pair: tuple[RegEx, RegEx]) -> tuple[RegEx, RegEx]:
+        # the pair of kid?, for a kid that is no unit
+        return pair if nullable(kid) else (Option(pair[0]), pair[1])
 
-def _bullet(r: RegEx) -> RegEx:
-    """r• (Brüggemann-Klein's star normal form step), with (F*)• = (F•°)*.
-    `done` holds the • of each finished kid and beside it the ° of that •:
-    F° drops the stars and options of F and splits a nullable concatenation
-    into a union, keeping a non-nullable one whole.  A node and its • denote
-    one language, so nullability is asked of the node."""
     done: list[tuple[RegEx, RegEx]] = []
     for node in _postorder(r):
         cls = type(node)
         if cls is Union or cls is Concat:
-            b2, c2 = done.pop()
-            b1, c1 = done.pop()
-            b = cls(b1, b2)
-            if cls is Concat and not nullable(node):
-                done.append((b, b))
+            right = done.pop()
+            (b1, c1), (b2, c2) = done[-1], right  # the result replaces the left pair
+            if cls is Union:
+                if isinstance(b1, Empty):
+                    done[-1] = right
+                elif isinstance(b1, Epsilon):
+                    done[-1] = (EPSILON, EPSILON) if isinstance(b2, (Empty, Epsilon)) else option(node.right, right)
+                elif isinstance(b2, Epsilon):
+                    done[-1] = option(node.left, done[-1])
+                elif not isinstance(b2, Empty):
+                    b = Union(b1, b2)
+                    done[-1] = (b, b if c1 is b1 and c2 is b2 else Union(c1, c2))
+            elif isinstance(b1, Empty) or isinstance(b2, Empty):
+                done[-1] = (EMPTY, EMPTY)
+            elif isinstance(b1, Epsilon):
+                done[-1] = right
+            elif not isinstance(b2, Epsilon):
+                b = Concat(b1, b2)
+                done[-1] = (b, Union(c1, c2) if nullable(node) else b)
+        elif cls is Star or cls is Option:
+            b, c = done[-1]
+            if isinstance(b, (Empty, Epsilon)):
+                done[-1] = (EPSILON, EPSILON)
+            elif cls is Star:
+                done[-1] = (Star(c), c)
             else:
-                done.append((b, b if cls is Union and c1 is b1 and c2 is b2 else Union(c1, c2)))
-        elif cls is Star:
-            done[-1] = (Star(done[-1][1]), done[-1][1])
-        elif cls is Option:
-            if not nullable(node.inner):
-                done[-1] = (Option(done[-1][0]), done[-1][1])
+                done[-1] = option(node.inner, done[-1])
         else:
             done.append((node, node))
     return done[0][0]
-
-
-def ssnf(r: RegEx) -> RegEx:
-    """Strong star normal form: language-preserving, never larger, idempotent."""
-    return _bullet(_purge_units(r))
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,9 @@ rescores every remaining state, and `full_mny_matrix` builds every matrix
 entry in every round: `elimination._eliminate` and `_mny_matrix` before
 the score heap and the pruning to the entries that reach the answer.
 `commuted_duplicates_tree` builds trees that hold copies of their
-own subterms with union branches commuted.
+own subterms with union branches commuted.  `reference_ssnf` is the strong
+star normal form as two walks, a unit-free copy and then the star normal
+form step on it, and `scatter_units` puts ∅ and λ all through a tree.
 """
 
 import random
@@ -1262,3 +1264,88 @@ def commuted_duplicates_tree(rng: random.Random, depth: int) -> RegEx:
     if kind == 4:
         return Union(Concat(y, Star(y)), Union(EPSILON, x))
     return Option(Union(Star(Star(x)), Star(y)))
+
+
+def _reference_purge_units(r: RegEx) -> RegEx:
+    """r with ∅ and λ removed from inside non-atomic expressions, ``s+λ``
+    and ``λ+s`` made ``s?``: an atomic ∅ / λ or an expression holding neither."""
+    done: list[RegEx] = []
+    for node in _postorder(r):
+        cls = type(node)
+        if cls is Star or cls is Option:
+            done[-1] = EPSILON if isinstance(done[-1], (Empty, Epsilon)) else cls(done[-1])
+        elif cls is not Union and cls is not Concat:
+            done.append(node)
+        else:
+            right = done.pop()
+            left = done[-1]  # and then the result, which replaces it
+            if cls is Union:
+                if isinstance(left, Empty):
+                    left = right
+                elif isinstance(left, Epsilon):
+                    left = EPSILON if isinstance(right, (Empty, Epsilon)) else Option(right)
+                elif not isinstance(right, Empty):
+                    left = Option(left) if isinstance(right, Epsilon) else Union(left, right)
+            elif isinstance(left, Empty) or isinstance(right, Empty):
+                left = EMPTY
+            elif isinstance(left, Epsilon):
+                left = right
+            elif not isinstance(right, Epsilon):
+                left = Concat(left, right)
+            done[-1] = left
+    return done[0]
+
+
+def _reference_bullet(r: RegEx) -> RegEx:
+    """r•, with (F*)• = (F•°)*, on a tree the unit rules have been applied to.
+    `done` holds the • of each finished kid and beside it the ° of that •."""
+    done: list[tuple[RegEx, RegEx]] = []
+    for node in _postorder(r):
+        cls = type(node)
+        if cls is Union or cls is Concat:
+            b2, c2 = done.pop()
+            b1, c1 = done.pop()
+            b = cls(b1, b2)
+            if cls is Concat and not nullable(node):
+                done.append((b, b))
+            else:
+                done.append((b, b if cls is Union and c1 is b1 and c2 is b2 else Union(c1, c2)))
+        elif cls is Star:
+            done[-1] = (Star(done[-1][1]), done[-1][1])
+        elif cls is Option:
+            if not nullable(node.inner):
+                done[-1] = (Option(done[-1][0]), done[-1][1])
+        else:
+            done.append((node, node))
+    return done[0][0]
+
+
+def reference_ssnf(r: RegEx) -> RegEx:
+    """`ssnf` as two walks: the unit rules make a unit-free copy of r, and
+    the star normal form step then walks that copy."""
+    return _reference_bullet(_reference_purge_units(r))
+
+
+def scatter_units(r: RegEx, rng: random.Random) -> RegEx:
+    """A copy of r with ∅ and λ scattered through it: as leaves in place of
+    symbols, as the branch or factor beside a node (``s+&``, ``&+s``,
+    ``s+#``, ``#s``, ``s&``), and as ``&*``, ``#*``, ``&?`` and ``#?``."""
+    units = [EPSILON, EMPTY, Star(EPSILON), Star(EMPTY), Option(EPSILON), Option(EMPTY)]
+
+    def walk(node: RegEx) -> RegEx:
+        if isinstance(node, (Union, Concat)):
+            node = type(node)(walk(node.left), walk(node.right))
+        elif isinstance(node, (Star, Option)):
+            node = type(node)(walk(node.inner))
+        elif rng.random() < 0.1:
+            node = rng.choice(units)
+        kind = rng.randrange(12)
+        if kind < 4:
+            unit = rng.choice(units[:2] if kind < 2 else units)
+            node = Union(node, unit) if kind % 2 else Union(unit, node)
+        elif kind < 6:
+            unit = EMPTY if rng.random() < 0.1 else rng.choice([EPSILON, Star(EMPTY), Option(EMPTY)])
+            node = Concat(node, unit) if kind % 2 else Concat(unit, node)
+        return node
+
+    return walk(r)

@@ -109,6 +109,23 @@ class TestCli:
         assert main(["toregex", "--method", "mny", "--order", "fixed:3,2,1,0", "--unicode", str(buf)]) == 0
         assert capsys.readouterr().out.strip() == "λ+(a(a(ab)*b)*b)*a(a(ab)*b)*b"
 
+    @pytest.mark.parametrize("entry", ["--1", "²", "x"])
+    @pytest.mark.parametrize("method", ["eliminate", "mny"])
+    def test_toregex_fixed_order_not_of_states(self, tmp_path, capsys, method, entry):
+        buf = tmp_path / "b2.json"
+        main(["gen", "buffer", "2", "-o", str(buf)])
+        capsys.readouterr()
+        assert main(["toregex", str(buf), "--method", method, "--order", f"fixed:{entry},0,1"]) == 1
+        assert capsys.readouterr().err == "error: order must be a permutation of the states\n"
+
+    def test_toregex_arden_ignores_fixed_order(self, tmp_path, capsys):
+        buf = tmp_path / "b2.json"
+        main(["gen", "buffer", "2", "-o", str(buf)])
+        assert main(["toregex", str(buf), "--method", "arden"]) == 0
+        expected = capsys.readouterr().out
+        assert main(["toregex", str(buf), "--method", "arden", "--order", "fixed:--1,0,1"]) == 0
+        assert capsys.readouterr().out == expected
+
     def test_convert_json_loads(self, capsys):
         assert main(["convert", "--to", "pos", "(ab)*"]) == 0
         data = json.loads(capsys.readouterr().out)
@@ -131,12 +148,20 @@ class TestCli:
         assert main(["gen", "random", "5", "2"]) == 0
         assert capsys.readouterr().out == explicit
 
+    @pytest.mark.parametrize("seed", ["x", "--5", "²", "-", ""])
     @pytest.mark.parametrize("argv", [["measure", "a"], ["gen", "random", "5", "2"]])
-    def test_bad_seed_in_environment(self, monkeypatch, capsys, argv):
-        monkeypatch.setenv("REFA_SEED", "x")
+    def test_bad_seed_in_environment(self, monkeypatch, capsys, argv, seed):
+        monkeypatch.setenv("REFA_SEED", seed)
         assert main(argv) == 1
         err = capsys.readouterr().err
-        assert err == "error: REFA_SEED must be an integer, not 'x'\n"
+        assert err == f"error: REFA_SEED must be an integer, not {seed!r}\n"
+
+    def test_negative_seed_in_environment(self, monkeypatch, capsys):
+        assert main(["gen", "random", "5", "2", "--seed", "-5"]) == 0
+        explicit = capsys.readouterr().out
+        monkeypatch.setenv("REFA_SEED", "-5")
+        assert main(["gen", "random", "5", "2"]) == 0
+        assert capsys.readouterr().out == explicit
 
     def test_gen_wrong_parameter_count(self, capsys):
         assert main(["gen", "torus", "3"]) == 1

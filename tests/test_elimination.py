@@ -292,8 +292,9 @@ class TestMcNaughtonYamada:
     def test_intermediate_matrices(self):
         from refa.elimination import _Labels, _mny_matrix
 
-        first = _mny_matrix(buffer_dfa(3), [3], _Labels())
-        second = _mny_matrix(buffer_dfa(3), [3, 2], _Labels())
+        aut = buffer_dfa(3)
+        first = _mny_matrix(aut, [3], _Labels(), aut.states, aut.states)
+        second = _mny_matrix(aut, [3, 2], _Labels(), aut.states, aut.states)
         assert render(first[(2, 2)]) == "ab"
         assert render(first[(3, 2)]) == "b"
         assert render(first[(2, 3)]) == "a"

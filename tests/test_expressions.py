@@ -27,7 +27,7 @@ from refa.automata import accepts, equivalent
 
 from refa.families import buffer_regex
 
-from conftest import corpus, lang, reference_parse
+from conftest import corpus, lang, reference_parse, reference_ssnf, scatter_units
 
 # The message and offset of malformed inputs, recorded from the recursive
 # descent parser that the one-loop parser replaced; they must not change.
@@ -293,6 +293,13 @@ class TestSsnf:
     def test_language_preserved_oracle(self):
         for r in corpus(40, seed=601, max_awidth=8):
             assert equivalent(construct_position(r), construct_position(ssnf(r)))
+
+    def test_one_walk_equals_two_walk_reference(self):
+        rng = random.Random(602)
+        for seed in range(10_000):
+            r = scatter_units(random_expr(rng.randint(1, 8), ["a", "b", "c"], seed), rng)
+            got, want = ssnf(r), reference_ssnf(r)
+            assert got == want and repr(got) == repr(want), render(r)
 
 
 class TestRandomExpr:
