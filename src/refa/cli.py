@@ -131,7 +131,8 @@ def _emit(text: str, output: str | None):
 
 
 def _is_int_text(text: str) -> bool:
-    """At most one leading ``-``, then one or more ASCII digits."""
+    """Whether a `fixed:` entry names an int state: at most one leading
+    ``-``, then one or more ASCII digits."""
     digits = text[1:] if text.startswith("-") else text
     return digits.isascii() and digits.isdigit()
 
@@ -280,11 +281,13 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        seed = os.environ.get("REFA_SEED", "1")
-        if not _is_int_text(seed):
-            raise ValueError(f"REFA_SEED must be an integer, not {seed!r}")
+        text = os.environ.get("REFA_SEED", "1")
+        try:
+            seed = int(text)  # as argparse reads --seed
+        except ValueError:
+            raise ValueError(f"REFA_SEED must be an integer, not {text!r}") from None
         if getattr(args, "seed", 0) is None:  # a --seed option left unset
-            args.seed = int(seed)
+            args.seed = seed
         return _COMMANDS[args.command](args)
     except (ValueError, OSError, KeyError, RecursionError, ConstructionError) as exc:
         # RecursionError: the per-term walks recurse, so nesting deeper than

@@ -97,26 +97,36 @@ class _Labels(_AciTerms):
     def union(self, terms: list[RegEx]) -> RegEx:
         """The left-associated union of the branches of the terms, ∅
         dropped and the first of each class kept; with λ among them, the
-        first branch x·x* (or x*·x) becomes x* and λ goes."""
-        branches: dict[int, RegEx] = {}
-        for t in terms:
+        first branch x·x* (or x*·x) becomes x* and λ goes.
+
+        When the first term is a union of the table, its chain is extended
+        by the new branches: the rule did not fire on its own branches if λ
+        is among them, so then only the new ones are scanned."""
+        first = self.unions.get(id(terms[0]))
+        branches = {} if first is None else dict(first)
+        new = []
+        for t in terms if first is None else terms[1:]:
             for b in self.unions[id(t)].values() if id(t) in self.unions else (t,):
                 if b is not EMPTY:
-                    branches.setdefault(self._class(b), b)
-        if self.classes[id(EPSILON)] in branches:
-            for b in branches.values():
+                    c = self._class(b)
+                    if c not in branches:
+                        branches[c] = b
+                        new.append(b)
+        lam = self.classes[id(EPSILON)]
+        if lam in branches:
+            for b in new if first is not None and lam in first else branches.values():
                 body = _absorbed_star_body(b)
                 if body is not None:
                     kept = [self.star(body) if x is b else x for x in branches.values() if x is not EPSILON]
                     branches = {}
                     for x in kept:
                         branches.setdefault(self._class(x), x)
+                    first, new = None, list(branches.values())  # no chain to extend
                     break
         if len(branches) < 2:
             return next(iter(branches.values()), EMPTY)
-        parts = iter(branches.values())
-        out = next(parts)
-        for b in parts:
+        out, new = (new[0], new[1:]) if first is None else (terms[0], new)
+        for b in new:
             out = self.make(Union, out, b)
         if id(out) not in self.classes:
             self.unions[id(out)] = branches
@@ -207,8 +217,11 @@ def augment(aut: Automaton) -> ExtendedAutomaton:
         old = out[p].get(q)
         out[p][q] = into[q][p] = expr if old is None else Union(old, expr)
 
+    letters = {"": EPSILON}  # one node per letter, so a label table interns each once
     for p, a, q in _sorted_triples(aut)[0]:  # "" is λ
-        add(p, q, Sym(a) if a else EPSILON)
+        if a not in letters:
+            letters[a] = Sym(a)
+        add(p, q, letters[a])
     add(SOURCE, aut.initial, EPSILON)
     for f in sorted(aut.finals, key=_state_key):
         add(f, SINK, EPSILON)
@@ -226,30 +239,41 @@ def eliminate_state(ext: ExtendedAutomaton, q, simplify_labels: bool = True) -> 
         raise ValueError("source and sink cannot be eliminated")
     if q not in ext.states:
         raise ValueError(f"{q!r} is not a state")
-    terms = ext.terms if simplify_labels else _RAW
-    loop = ext.out[q].get(q)
-    star = None if loop is None else terms.star(terms.intern(loop))
-    ins = sorted((p for p in ext.into[q] if p != q), key=_state_key)
-    outs = sorted((k for k in ext.out[q] if k != q), key=_state_key)
     out, into = dict(ext.out), dict(ext.into)
-    del out[q], into[q]
+    for p in ext.into[q]:
+        out[p] = dict(out[p])
+    for k in ext.out[q]:
+        into[k] = dict(into[k])
+    _step(out, into, q, ext.terms if simplify_labels else _RAW)
+    return ExtendedAutomaton(ext.states - {q}, out, into, ext.terms)
+
+
+def _step(out: dict, into: dict, q, terms) -> None:
+    """Remove q from the rows `out` and `into` in place: drop q's row and
+    column, and rewrite the rows of q's neighbours, labels built by the
+    constructors of `terms`."""
+    row, col = out.pop(q), into.pop(q)
+    loop = row.get(q)
+    star = None if loop is None else terms.star(terms.intern(loop))
+    ins = sorted((p for p in col if p != q), key=_state_key)
+    outs = sorted((k for k in row if k != q), key=_state_key)
     for k in outs:
-        into[k] = {p: e for p, e in into[k].items() if p != q}
+        del into[k][q]
     for p in ins:
-        out[p] = {k: e for k, e in out[p].items() if k != q}
-        lin = terms.intern(ext.into[q][p])
+        p_out = out[p]
+        del p_out[q]
+        lin = terms.intern(col[p])
         if star is not None:
             lin = terms.cat(lin, star)
         for k in outs:
-            path = terms.cat(lin, terms.intern(ext.out[q][k]))
-            old = out[p].get(k)
+            path = terms.cat(lin, terms.intern(row[k]))
+            old = p_out.get(k)
             new = path if old is None else terms.union([terms.intern(old), path])
             if isinstance(new, Empty):
-                out[p].pop(k, None)
+                p_out.pop(k, None)
                 into[k].pop(p, None)
             else:
-                out[p][k] = into[k][p] = new
-    return ExtendedAutomaton(ext.states - {q}, out, into, ext.terms)
+                p_out[k] = into[k][p] = new
 
 
 STRATEGIES = ("id", "greedy", "dm", "cycles", "indep", "bridge")
@@ -320,14 +344,15 @@ def _plan(aut: Automaton, order: str | Sequence[State]) -> tuple[list, object, l
 def _eliminate(
     aut: Automaton, prefix: list, score, suffix: list, simplify_labels: bool = True
 ) -> tuple[list, ExtendedAutomaton]:
-    """Eliminate `prefix`, then the rest by `score`, then `suffix`; return
-    the order taken and the final carrier."""
+    """Eliminate `prefix`, then the rest by `score`, then `suffix`, on one
+    carrier stepped in place (its `states` is set at the end: the scores
+    read only its rows); return the order taken and the final carrier."""
     ext = augment(aut)
+    terms = ext.terms if simplify_labels else _RAW
     order = []
 
     def step(q):
-        nonlocal ext
-        ext = eliminate_state(ext, q, simplify_labels)
+        _step(ext.out, ext.into, q, terms)
         order.append(q)
 
     for q in prefix:
@@ -349,7 +374,7 @@ def _eliminate(
                 heapq.heappush(heap, (scores[s], _state_key(s), s))
     for q in suffix:
         step(q)
-    return order, ext
+    return order, ExtendedAutomaton(frozenset(ext.out), ext.out, ext.into, ext.terms)
 
 
 def make_ordering(aut: Automaton, strategy: str) -> list[State]:

@@ -38,6 +38,8 @@ it.  `scan_eliminate` picks each state of a dynamic order by a scan that
 rescores every remaining state, and `full_mny_matrix` builds every matrix
 entry in every round: `elimination._eliminate` and `_mny_matrix` before
 the score heap and the pruning to the entries that reach the answer.
+`reference_labels_union` is `_Labels.union` before it extended the chain
+of a union passed first, gathering every branch afresh.
 `commuted_duplicates_tree` builds trees that hold copies of their
 own subterms with union branches commuted.  `reference_ssnf` is the strong
 star normal form as two walks, a unit-free copy and then the star normal
@@ -71,7 +73,15 @@ from refa.constructions import (
     construct_position,
     position_sets,
 )
-from refa.elimination import SINK, SOURCE, ExtendedAutomaton, _plan, augment, eliminate_state
+from refa.elimination import (
+    SINK,
+    SOURCE,
+    ExtendedAutomaton,
+    _absorbed_star_body,
+    _plan,
+    augment,
+    eliminate_state,
+)
 from refa.expressions import (
     EMPTY,
     EPSILON,
@@ -1204,6 +1214,36 @@ def scan_eliminate(aut, prefix, score, suffix, simplify_labels=True):
         ext = eliminate_state(ext, q, simplify_labels)
         order.append(q)
     return order, ext
+
+
+def reference_labels_union(table, terms: list[RegEx]) -> RegEx:
+    """`elimination._Labels.union` on `table` with the branches of every
+    term gathered afresh and, with λ among them, every branch scanned for
+    x·x* (or x*·x)."""
+    branches: dict[int, RegEx] = {}
+    for t in terms:
+        for b in table.unions[id(t)].values() if id(t) in table.unions else (t,):
+            if b is not EMPTY:
+                branches.setdefault(table._class(b), b)
+    if table.classes[id(EPSILON)] in branches:
+        for b in branches.values():
+            body = _absorbed_star_body(b)
+            if body is not None:
+                kept = [table.star(body) if x is b else x for x in branches.values() if x is not EPSILON]
+                branches = {}
+                for x in kept:
+                    branches.setdefault(table._class(x), x)
+                break
+    if len(branches) < 2:
+        return next(iter(branches.values()), EMPTY)
+    parts = iter(branches.values())
+    out = next(parts)
+    for b in parts:
+        out = table.make(Union, out, b)
+    if id(out) not in table.classes:
+        table.unions[id(out)] = branches
+        table.classes[id(out)] = table._number(frozenset(branches))
+    return out
 
 
 def full_mny_matrix(aut, ranking, terms, rows=None, cols=None):

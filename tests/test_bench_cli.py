@@ -141,10 +141,12 @@ class TestCli:
         assert main(["gen", "random", "5", "2", "--seed", "9"]) == 0
         assert capsys.readouterr().out == first
 
-    def test_seed_from_environment(self, monkeypatch, capsys):
-        assert main(["gen", "random", "5", "2", "--seed", "9"]) == 0
+    @pytest.mark.parametrize("seed", ["9", "1_0", " 7 ", "+2"])
+    def test_seed_from_environment(self, monkeypatch, capsys, seed):
+        # REFA_SEED is read as `--seed` is, by int()
+        assert main(["gen", "random", "5", "2", "--seed", seed]) == 0
         explicit = capsys.readouterr().out
-        monkeypatch.setenv("REFA_SEED", "9")
+        monkeypatch.setenv("REFA_SEED", seed)
         assert main(["gen", "random", "5", "2"]) == 0
         assert capsys.readouterr().out == explicit
 
@@ -215,6 +217,16 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: expression size 6969155638 is over the cap of {cli.MAX_RENDER_SIZE}; not printed\n"
+
+    def test_toregex_refuses_the_id_order_label_of_buffer_2000(self, tmp_path, capsys):
+        # the carrier is stepped in place, so this takes well under a second
+        assert main(["gen", "buffer", "2000"]) == 0
+        buf = tmp_path / "b2000.json"
+        buf.write_text(capsys.readouterr().out)
+        assert main(["toregex", str(buf), "--order", "id"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: expression size 29371345001 is over the cap of 100000000; not printed\n"
 
     @pytest.mark.parametrize("order", ["greedy", "dm", "fixed:0,1,2,3"])
     def test_arden_ignores_a_valid_order(self, tmp_path, capsys, order):

@@ -23,7 +23,7 @@ from refa.elimination import (
     simplify,
     state_elimination,
 )
-from refa.expressions import EPSILON, Concat, Sym, measures, parse, render
+from refa.expressions import EMPTY, EPSILON, Concat, Star, Sym, Union, measures, parse, render
 from refa.families import buffer_dfa, hypercube_dfa, random_dfa, torus_dfa
 
 from conftest import (
@@ -34,6 +34,7 @@ from conftest import (
     lang,
     path_pairs,
     reference_arden_solve,
+    reference_labels_union,
     reference_mcnaughton_yamada,
     reference_simplify,
     reference_state_elimination,
@@ -88,6 +89,65 @@ class TestSimplify:
             assert lang(simplify(r), 5) == lang(r, 5)
 
 
+class TestLabelUnionChains:
+    """`_Labels.union` extends the chain of a union passed first; it must
+    give what gathering every branch afresh gave, on a twin table."""
+
+    LEAVES = [Sym("a"), Sym("b"), Sym("c"), Sym("d"), Sym("a", 1), EPSILON, EMPTY]
+
+    def branch(self, rng, depth=2):
+        roll = rng.random()
+        if depth == 0 or roll < 0.35:
+            return rng.choice(self.LEAVES)
+        x = self.branch(rng, depth - 1)
+        if roll < 0.55:
+            return Concat(x, Star(x)) if rng.random() < 0.5 else Concat(Star(x), x)
+        if roll < 0.7:
+            return Star(x)
+        if roll < 0.85:
+            return Concat(x, self.branch(rng, depth - 1))
+        return Union(x, self.branch(rng, depth - 1))  # a union as a later argument
+
+    @staticmethod
+    def grow(table, union, recipes) -> list:
+        """The text and branch texts of each step's label, for a union that
+        grows by one recipe a step, built on `table` with `union`."""
+
+        def build(r):
+            if isinstance(r, Union):
+                return union(table, [build(r.left), build(r.right)])
+            if isinstance(r, Concat):
+                return table.cat(build(r.left), build(r.right))
+            if isinstance(r, Star):
+                return table.star(build(r.inner))
+            return table.intern(r)  # `a1` is a second term of the class of `a`
+
+        def seen(t):
+            return render(t), [render(b) for b in table.unions[id(t)].values()] if id(t) in table.unions else None
+
+        acc = build(recipes[0])
+        out = [seen(acc)]
+        for i in range(1, len(recipes)):
+            parts = [acc, build(recipes[i])]
+            if i % 7 == 3:
+                parts.append(build(recipes[i // 2]))  # a class met before
+            acc = union(table, parts)
+            out.append(seen(acc))
+        return out
+
+    def test_growing_chains_match_the_reference(self):
+        rng = random.Random(2810)
+        for trial in range(60):
+            recipes = [self.branch(rng) for _ in range(rng.randint(1, 300))]
+            lam = trial % 3  # λ first, λ last, or only where a branch brings it
+            if lam == 0:
+                recipes.insert(0, EPSILON)
+            elif lam == 1:
+                recipes.append(EPSILON)
+            got = self.grow(elimination._Labels(), elimination._Labels.union, recipes)
+            assert got == self.grow(elimination._Labels(), reference_labels_union, recipes), trial
+
+
 class TestAugment:
     def test_self_loop_automaton(self):
         aut = Automaton.make([0], {"a"}, 0, {0}, [(0, "a", 0)])
@@ -126,6 +186,25 @@ class TestEliminateState:
         ext = augment(buffer_dfa(1))
         with pytest.raises(ValueError):
             eliminate_state(ext, SOURCE)
+
+
+    def test_leaves_its_argument_unchanged(self):
+        # the step rewrites rows in place, so eliminate_state must copy each
+        # row it touches; labels are compared by identity
+        def snapshot(ext):
+            rows = [[(p, [(k, id(e)) for k, e in row.items()]) for p, row in side.items()] for side in (ext.out, ext.into)]
+            return ext.states, rows
+
+        auts = [random_dfa(n, k, seed=6300 + 10 * n + k) for n in range(1, 8) for k in (1, 2)]
+        for aut in [*auts, buffer_dfa(8), torus_dfa(3, 3)]:
+            for simplify_labels in (True, False):
+                ext = augment(aut)
+                for q in sorted(aut.states, key=_state_key):
+                    before = snapshot(ext)
+                    for other in ext.states - {SOURCE, SINK}:
+                        eliminate_state(ext, other, simplify_labels)
+                        assert snapshot(ext) == before, (aut, other)
+                    ext = eliminate_state(ext, q, simplify_labels)
 
 
 class TestStateElimination:
@@ -167,13 +246,13 @@ class TestStateElimination:
         import refa.elimination as elimination
 
         calls = []
-        step = elimination.eliminate_state
+        step = elimination._step
 
-        def counted(*args, **kwargs):
-            calls.append(args[1])
-            return step(*args, **kwargs)
+        def counted(out, into, q, terms):
+            calls.append(q)
+            return step(out, into, q, terms)
 
-        monkeypatch.setattr(elimination, "eliminate_state", counted)
+        monkeypatch.setattr(elimination, "_step", counted)
         for aut in (hypercube_dfa(3), buffer_dfa(6), random_dfa(7, 2, seed=31)):
             for strategy in ("greedy", "dm", "indep", "bridge"):
                 calls.clear()
