@@ -146,7 +146,7 @@ def _parse_order(spec: str):
 
 
 def _cmd_convert(args) -> int:
-    aut = construct(args.to, expressions.parse(args.regex))
+    aut = construct(args.to, args.regex)
     if args.format == "dot":
         _emit(automata.to_dot(aut), args.output)
     else:

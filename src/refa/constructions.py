@@ -36,8 +36,11 @@ from .expressions import (
     Union,
     _operands,
     _postorder,
+    _read,
     _render,
+    _replay,
     nullable,
+    parse,
     symbols_of,
 )
 
@@ -72,9 +75,10 @@ class _InductiveNfaBuilder:
     that no arc enters the entry and none leaves the exit; this is what makes
     plain state sharing at the endpoints sound.  Arcs go to one list, and a
     merge of state `old` into `new` is an entry in a union-find alias map
-    that `automaton` resolves once.  `build` is the one loop of both
-    builders; the follow builder's concatenation contracts λ-arcs only where
-    one touches its middle state, as no other arc is ever a candidate.
+    that `automaton` resolves once.  The makers `leaf`, `star`, `option`,
+    `concat` and `union` build both automata, kids first; the follow
+    builder's concatenation contracts λ-arcs only where one touches its
+    middle state, as no other arc is ever a candidate.
     """
 
     def __init__(self):
@@ -82,6 +86,7 @@ class _InductiveNfaBuilder:
         self.arcs: list[tuple] = []
         self.alias: dict[int, int] = {}
         self.letters: set[str] = set()  # the symbols built so far
+        self.held = None  # the unwritten arc of the leaf made last, until the next maker
 
     def arc(self, p: int, a, q: int):
         self.arcs.append((p, a, q))
@@ -89,39 +94,30 @@ class _InductiveNfaBuilder:
     def merge(self, old: int, new: int):
         self.alias[old] = new
 
-    def build(self, r: RegEx) -> tuple[int, int]:
-        """The fragment of r, built in post-order; a leaf's arc is written where
-        it lands.  This loop serves both builders, with its methods bound once."""
-        frags: list[tuple[int, int]] = []
-        held = None  # the unwritten arc of the leaf on top of the stack, if any
-        arc, union, concat, star, letters = self.arc, self._union, self._concat, self._star, self.letters
-        for node in _postorder(r):
-            cls = type(node)
-            leaf_arc, held = held, None
-            if cls is Union or cls is Concat:
-                b = frags.pop()
-                frags[-1] = (union if cls is Union else concat)(frags[-1], b, leaf_arc)
-                continue
-            if leaf_arc:
-                arc(*leaf_arc)
-            if cls is Star:
-                frags[-1] = star(frags[-1])
-            elif cls is Option:
-                i, f = frags[-1]
-                arc(i, None, f)  # union with λ
-            else:
-                i, f = self.n, self.n + 1
-                self.n += 2
-                if cls is Sym:
-                    letters.add(node.name)
-                if cls is not Empty:
-                    held = (i, None if cls is Epsilon else node.name, f)
-                frags.append((i, f))
-        if held:
-            arc(*held)
-        return frags[0]
+    def build(self, r: RegEx | str) -> tuple[int, int]:
+        """The fragment of r: the reader of `parse` calls the makers below on
+        a text as `_replay` calls them on a tree, in the same order."""
+        makers = self.leaf, self.star, self.option, self.concat, self.union
+        frag = _read(r, *makers) if isinstance(r, str) else _replay(r, *makers)
+        if self.held:
+            self.arc(*self.held)
+        return frag
 
-    def _union(self, a: tuple[int, int], b: tuple[int, int], leaf_arc: tuple | None) -> tuple[int, int]:
+    def leaf(self, name: str) -> tuple[int, int]:
+        """The fragment of a symbol, `#` or `&`.  Its arc is held back: a union
+        or concatenation that takes it as right operand writes it where it
+        lands, and any other maker writes it as it is."""
+        if self.held:
+            self.arc(*self.held)
+        i = self.n
+        self.n += 2
+        if name != "#" and name != "&":
+            self.letters.add(name)
+        self.held = None if name == "#" else (i, None if name == "&" else name, i + 1)
+        return i, i + 1
+
+    def union(self, a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
+        leaf_arc, self.held = self.held, None
         if leaf_arc:
             self.arc(a[0], leaf_arc[1], a[1])
         else:
@@ -129,14 +125,25 @@ class _InductiveNfaBuilder:
             self.merge(b[1], a[1])
         return a
 
-    def _concat(self, a: tuple[int, int], b: tuple[int, int], leaf_arc: tuple | None) -> tuple[int, int]:
+    def concat(self, a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
+        leaf_arc, self.held = self.held, None
         if leaf_arc:
             self.arc(a[1], leaf_arc[1], b[1])
         else:
             self.merge(b[0], a[1])
         return a[0], b[1]
 
-    def _star(self, a: tuple[int, int]) -> tuple[int, int]:
+    def option(self, a: tuple[int, int]) -> tuple[int, int]:
+        leaf_arc, self.held = self.held, None
+        if leaf_arc:
+            self.arc(*leaf_arc)
+        self.arc(a[0], None, a[1])  # union with λ
+        return a
+
+    def star(self, a: tuple[int, int]) -> tuple[int, int]:
+        leaf_arc, self.held = self.held, None
+        if leaf_arc:
+            self.arc(*leaf_arc)
         m = a[0]
         self.merge(a[1], m)
         i, f = self.n, self.n + 1
@@ -173,7 +180,7 @@ class _FollowBuilder(_InductiveNfaBuilder):
     `out[p]` and `inn[q]` hold the arcs leaving p and entering q, every arc
     in both: an arc is the only one into q when `inn[q]` has size 1, and a
     merge re-points each arc of the merged state in place in the other
-    endpoint's set, at the cost of its degree.  Leaf arcs land as in `build`.
+    endpoint's set, at the cost of its degree.  Leaf arcs land as in `leaf`.
     A concatenation contracts only if a λ-arc touches its middle state m:
     `_contract` takes λ-arcs at m alone, so with none there it would change
     no arc and no state id, and skipping it leaves the output as it was.
@@ -214,8 +221,9 @@ class _FollowBuilder(_InductiveNfaBuilder):
                 p_out.add(arc)
                 new_inn.add(arc)
 
-    def _concat(self, a: tuple[int, int], b: tuple[int, int], leaf_arc: tuple | None) -> tuple[int, int]:
+    def concat(self, a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
         m = a[1]
+        leaf_arc, self.held = self.held, None
         if leaf_arc:
             self.arc(m, leaf_arc[1], b[1])
         else:  # a rename: b's entry has no in-arc and m no out-arc, so only b's out-arcs move
@@ -228,8 +236,8 @@ class _FollowBuilder(_InductiveNfaBuilder):
                     return self._contract(frag, m, enclosed=True)
         return frag
 
-    def _star(self, a: tuple[int, int]) -> tuple[int, int]:
-        frag = super()._star(a)
+    def star(self, a: tuple[int, int]) -> tuple[int, int]:
+        frag = super().star(a)
         self._collapse_lambda_cycle(a[0], frag[0])
         return frag
 
@@ -248,43 +256,46 @@ class _FollowBuilder(_InductiveNfaBuilder):
         state sharing of enclosing operators would become unsound.  On the
         finished automaton m is the start state, the arcs out of it are
         tried, and their target survives as the new start state.  Only λ-arcs
-        at m are candidates, so `_concat` calls this only when one touches m.
+        at m are candidates, so `concat` calls this only when one touches m.
         """
         init, fin = frag
         out, inn = self.out, self.inn
         while True:
-            # an arc in both of m's sets is a self-loop, which is never tried
-            sets = (out.get(m, ()), inn.get(m, ())) if enclosed else (out.get(m, ()),)
-            candidates = [t for arcs in sets for t in arcs if t[1] is None and t[0] != t[2]]
-            if len(candidates) > 1:
-                candidates.sort(key=repr)
-            for arc in candidates:
-                p, _, q = arc
-                in_unique = len(inn[q]) == 1
-                out_unique = len(out[p]) == 1
-                # forward merge needs a non-accepting source: a final p keeps
-                # words alive that q alone would not accept
-                if not (in_unique or (out_unique and p != fin)):
-                    continue
-                if enclosed and (
-                    (p == init and not in_unique)
-                    or (q == fin and not out_unique)
-                    # an entry-to-exit arc stays: merging would make the entry
-                    # the exit, and an enclosing union would then loop its
-                    # other branch
-                    or (p == init and q == fin)
-                ):
-                    continue
-                keep = m if enclosed else q
-                gone = p + q - keep
-                self._drop(arc)
-                self.merge(gone, keep)
-                init = keep if init == gone else init
-                fin = keep if fin == gone else fin
-                m = keep
-                break
-            else:
+            # one scan keeps the repr-least eligible λ-arc; an arc in both of
+            # m's sets is a self-loop, which is never tried
+            best = None
+            for arcs in (out.get(m, ()), inn.get(m, ())) if enclosed else (out.get(m, ()),):
+                for arc in arcs:
+                    p, a, q = arc
+                    if a is not None or p == q:
+                        continue
+                    in_unique = len(inn[q]) == 1
+                    out_unique = len(out[p]) == 1
+                    # forward merge needs a non-accepting source: a final p keeps
+                    # words alive that q alone would not accept
+                    if not (in_unique or (out_unique and p != fin)):
+                        continue
+                    if enclosed and (
+                        (p == init and not in_unique)
+                        or (q == fin and not out_unique)
+                        # an entry-to-exit arc stays: merging would make the entry
+                        # the exit, and an enclosing union would then loop its
+                        # other branch
+                        or (p == init and q == fin)
+                    ):
+                        continue
+                    if best is None or repr(arc) < repr(best):
+                        best = arc
+            if best is None:
                 return init, fin
+            p, _, q = best
+            keep = m if enclosed else q
+            gone = p + q - keep
+            self._drop(best)
+            self.merge(gone, keep)
+            init = keep if init == gone else init
+            fin = keep if fin == gone else fin
+            m = keep
 
     def _collapse_lambda_cycle(self, m: int, entry: int):
         """Merge the λ-cycles through m into m; the star's new entry lies on none."""
@@ -304,14 +315,16 @@ class _FollowBuilder(_InductiveNfaBuilder):
             self.merge(c, m)
 
 
-def construct_of(r: RegEx) -> Automaton:
-    """Inductive λ-NFA; linear in the size of the expression."""
+def construct_of(r: RegEx | str) -> Automaton:
+    """Inductive λ-NFA; linear in the size of the expression.  A text is
+    read straight into the builder, with no tree in between."""
     builder = _InductiveNfaBuilder()
     return builder.automaton(builder.build(r), builder.letters)
 
 
-def construct_follow(r: RegEx) -> Automaton:
-    """Follow automaton: λ-free, at most as many states as positions.  Its
+def construct_follow(r: RegEx | str) -> Automaton:
+    """Follow automaton: λ-free, at most as many states as positions; a text
+    is read straight into the builder, as in `construct_of`.  Its
     states are numbered by :func:`_explore` on the builder's arc index, each
     with the symbol arcs out of its λ-closure in (label, target) order.  λ-arcs
     are contracted as the expression is built, at each concatenation where
@@ -436,24 +449,27 @@ class _Terms:
 
     def intern(self, r: RegEx) -> RegEx:
         """The term of r: `join` makes each node's term from the terms of
-        its `kids`, once per distinct node."""
+        its `kids`, once per distinct node; each node is split into its kids
+        once, when the walk meets it."""
         done: dict[int, RegEx] = {}
-        for node in _postorder(r, lambda node: done.get(id(node)), self.kids):
+        split: dict[int, tuple[RegEx, ...]] = {}  # the kids of each union and concatenation on the walk's stack
+        for node in _postorder(r, lambda node: done.get(id(node)), lambda n: split.setdefault(id(n), self.kids(n))):
             if isinstance(node, Sym):
                 done[id(node)] = self.nodes.setdefault((Sym, node.name, node.pos), node)
             elif isinstance(node, (Empty, Epsilon)):
                 done[id(node)] = EMPTY if isinstance(node, Empty) else EPSILON
             else:
-                done[id(node)] = self.join(node, [done[id(kid)] for kid in self.kids(node)])
+                parts = split.pop(id(node), None) or (node.inner,)
+                done[id(node)] = self.join(node, parts, [done[id(kid)] for kid in parts])
         return done[id(r)]
 
     def kids(self, node: RegEx) -> tuple[RegEx, ...]:
         """The nodes whose terms make the term of a compound node."""
         return (node.left, node.right) if isinstance(node, (Union, Concat)) else (node.inner,)
 
-    def join(self, node: RegEx, terms: list[RegEx]) -> RegEx:
-        """The term equal to node; node itself when its children are terms."""
-        term = node if all(t is kid for t, kid in zip(terms, self.kids(node))) else type(node)(*terms)
+    def join(self, node: RegEx, kids: tuple[RegEx, ...], terms: list[RegEx]) -> RegEx:
+        """The term equal to node, from its kids' terms; node itself when they are its kids."""
+        term = node if all(t is kid for t, kid in zip(terms, kids)) else type(node)(*terms)
         return self.nodes.setdefault((type(node), *map(id, terms)), term)
 
     def cat(self, left: RegEx, right: RegEx) -> RegEx:
@@ -582,7 +598,7 @@ class _AciTerms(_Terms):
             return tuple(_operands(node, type(node)))
         return super().kids(node)
 
-    def join(self, node: RegEx, terms: list[RegEx]) -> RegEx:
+    def join(self, node: RegEx, kids: tuple[RegEx, ...], terms: list[RegEx]) -> RegEx:
         if isinstance(node, Union):
             return self.union(terms)
         if isinstance(node, Concat):
@@ -655,8 +671,9 @@ def derivative(r: RegEx, a: str) -> RegEx:
 CONSTRUCTION_NAMES = ("of", "follow", "pos", "pd", "bdfa")
 
 
-def construct(name: str, r: RegEx) -> Automaton:
-    """Dispatch on a construction name from CONSTRUCTION_NAMES."""
+def construct(name: str, r: RegEx | str) -> Automaton:
+    """Dispatch on a construction name from CONSTRUCTION_NAMES; `of` and
+    `follow` read a text into their builder, the others take it parsed."""
     table = {
         "of": construct_of,
         "follow": construct_follow,
@@ -666,6 +683,8 @@ def construct(name: str, r: RegEx) -> Automaton:
     }
     if name not in table:
         raise ValueError(f"unknown construction {name!r}")
+    if isinstance(r, str) and name not in ("of", "follow"):
+        r = parse(r)
     return table[name](r)
 
 

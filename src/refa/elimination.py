@@ -74,6 +74,7 @@ class _Labels(_AciTerms):
         super().__init__()
         self.numbers: dict = {}  # class key -> class number
         self.classes: dict[int, int] = {id(EMPTY): self._number("#"), id(EPSILON): self._number("&")}
+        self.symbols: list[Sym] = []  # those classed by `_class`, held so that no filed id is reused
 
     def _number(self, key) -> int:
         return self.numbers.setdefault(key, len(self.numbers))
@@ -82,6 +83,7 @@ class _Labels(_AciTerms):
         c = self.classes.get(id(term))
         if c is None:  # a symbol, classed on first use
             c = self.classes[id(term)] = self._number(term.name)
+            self.symbols.append(term)
         return c
 
     def intern(self, r: RegEx) -> RegEx:

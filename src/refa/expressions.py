@@ -148,6 +148,7 @@ class Option(RegEx):
 
 EMPTY = Empty()
 EPSILON = Epsilon()
+_ATOMS = {"#": EMPTY, "&": EPSILON}  # the leaves that are no symbol, by their text
 
 
 def _valid_symbol(name: str) -> bool:
@@ -227,31 +228,42 @@ def parse(text: str) -> RegEx:
     """Parse concrete syntax into an AST.
 
     Star/option bind tighter than concatenation, which binds tighter than
-    union; binary operators group to the left.  One loop reads an operand,
-    its postfix operators and the `)` that close groups after it, then the
-    operator that follows; each open `(` is a frame on an explicit stack
-    (its offset, and the union and the concatenation before it), so nesting
-    costs no stack frames.  Each symbol name gets one `Sym` per parse, shared
-    by its occurrences, which the tree walks still visit one by one.
+    union; binary operators group to the left.  Each symbol name gets one
+    `Sym` per parse, shared by its occurrences, which the tree walks still
+    visit one by one.
+    """
+    return _read(text, Sym, Star, Option, Concat, Union, _ATOMS.copy())
+
+
+def _read(text: str, leaf, star, option, concat, union, leaves: dict | None = None):
+    """The one reader of the concrete syntax.  It calls the node makers on
+    what it reads, kids first, left kid first (so in post-order), `leaf` on
+    a symbol name, `#` or `&`, and returns the root's value.  `leaves`, when
+    given, holds the leaves made so far by their text, `#` and `&` among
+    them, so that a symbol's occurrences share one leaf.
+
+    One loop reads an operand, its postfix operators and the `)` that close
+    groups after it, then the operator that follows; each open `(` is a
+    frame on an explicit stack (its offset, and the union and the
+    concatenation before it), so nesting costs no stack frames.
     """
     n = len(text)
     i = _skip_spaces(text, 0)
     if i == n:
         raise RegexSyntaxError("empty expression", 0)
-    frames: list[tuple[int, RegEx | None, RegEx | None]] = []
-    union = term = None  # the current group's union and concatenation so far
-    leaves: dict[str, Sym] = {}
+    frames: list[tuple] = []
+    head = term = None  # the current group's union and concatenation so far
     while True:
         if i < n and text[i] == " ":
             i = _skip_spaces(text, i)
         c = text[i] if i < n else None
         if c == "(":
-            frames.append((i, union, term))
-            union = term = None
+            frames.append((i, head, term))
+            head = term = None
             i += 1
             continue
         if c == "#" or c == "&":
-            node = EMPTY if c == "#" else EPSILON
+            node = leaf(c) if leaves is None else leaves[c]
             i += 1
         elif c is not None and c.isalpha() and c.isascii():
             start = i
@@ -259,7 +271,7 @@ def parse(text: str) -> RegEx:
             while i < n and text[i].isdigit():
                 i += 1
             name = text[start:i]
-            node = leaves.get(name) or leaves.setdefault(name, Sym(name))
+            node = leaf(name) if leaves is None else leaves.get(name) or leaves.setdefault(name, leaf(name))
         elif c is None:
             raise RegexSyntaxError("unexpected end of input", i)
         else:
@@ -269,19 +281,19 @@ def parse(text: str) -> RegEx:
                 i = _skip_spaces(text, i)
             c = text[i] if i < n else None
             if c == "*":
-                node = Star(node)
+                node = star(node)
             elif c == "?":
-                node = Option(node)
+                node = option(node)
             elif c == ")" and frames:
-                node = node if term is None else Concat(term, node)
-                node = node if union is None else Union(union, node)
-                _, union, term = frames.pop()
+                node = node if term is None else concat(term, node)
+                node = node if head is None else union(head, node)
+                _, head, term = frames.pop()
             else:
                 break
             i += 1
-        term = node if term is None else Concat(term, node)
+        term = node if term is None else concat(term, node)
         if c == "+":
-            union = term if union is None else Union(union, term)
+            head = term if head is None else union(head, term)
             term = None
             i += 1
         elif c == "·":
@@ -293,7 +305,23 @@ def parse(text: str) -> RegEx:
                 raise RegexSyntaxError(f"unbalanced '(' opened at offset {frames[-1][0]}", i)
             if c is not None:
                 raise RegexSyntaxError(f"unexpected {c!r}", i)
-            return term if union is None else Union(union, term)
+            return term if head is None else union(head, term)
+
+
+def _replay(r: RegEx, leaf, star, option, concat, union):
+    """The node makers called on the nodes of the tree r as `_read` calls
+    them on a text, kids first, `leaf` on each leaf's text."""
+    done: list = []
+    for node in _postorder(r):
+        cls = type(node)
+        if cls is Union or cls is Concat:
+            right = done.pop()
+            done[-1] = (union if cls is Union else concat)(done[-1], right)
+        elif cls is Star or cls is Option:
+            done[-1] = (star if cls is Star else option)(done[-1])
+        else:
+            done.append(leaf(node._text))
+    return done[0]
 
 
 def _skip_spaces(text: str, i: int) -> int:
@@ -424,30 +452,20 @@ def symbols_of(r: RegEx) -> frozenset[str]:
 
 
 def _rewrite_symbols(r: RegEx, leaf) -> RegEx:
-    """A copy of r with each symbol leaf replaced by `leaf(sym)`, called on
+    """A copy of r with each symbol leaf replaced by `leaf(name)`, called on
     the leaves left to right."""
-    built: list[RegEx] = []
-    for node in _postorder(r):
-        cls = type(node)
-        if cls is Union or cls is Concat:
-            right = built.pop()
-            built[-1] = cls(built[-1], right)
-        elif cls is Star or cls is Option:
-            built[-1] = cls(built[-1])
-        else:
-            built.append(leaf(node) if cls is Sym else node)
-    return built[0]
+    return _replay(r, lambda text: _ATOMS.get(text) or leaf(text), Star, Option, Concat, Union)
 
 
 def mark(r: RegEx) -> MarkedRegEx:
     """Attach position indices 1..awidth to the symbol leaves, left to right."""
     positions = itertools.count(1)
-    return MarkedRegEx(_rewrite_symbols(r, lambda s: Sym(s.name, next(positions))), r)
+    return MarkedRegEx(_rewrite_symbols(r, lambda name: Sym(name, next(positions))), r)
 
 
 def unmark(m: MarkedRegEx) -> RegEx:
     """Erase position indices; inverse of :func:`mark`."""
-    return _rewrite_symbols(m.tree, lambda s: Sym(s.name))
+    return _rewrite_symbols(m.tree, Sym)
 
 
 # ---------------------------------------------------------------------------

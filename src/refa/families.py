@@ -78,7 +78,7 @@ def row1_regex(n: int) -> RegEx:
     _check(n >= 1, "n must be >= 1")
     r: RegEx = Star(Union(Sym("a1"), EPSILON))
     for k in range(1, n):
-        shifted = _rewrite_symbols(r, lambda s: Sym(f"a{int(s.name[1:]) + 2 ** (k - 1)}"))
+        shifted = _rewrite_symbols(r, lambda name: Sym(f"a{int(name[1:]) + 2 ** (k - 1)}"))
         r = Star(Union(r, shifted))
     return r
 

@@ -24,6 +24,8 @@ from refa.elimination import STRATEGIES
 from refa.expressions import measures, parse
 from refa.families import buffer_dfa, hypercube_dfa, torus_dfa
 
+from test_expressions import SYNTAX_ERRORS
+
 
 class TestBenchConstructions:
     def test_rows_and_header(self):
@@ -303,6 +305,13 @@ class TestCli:
     def test_syntax_error_exit_code(self, capsys):
         assert main(["measure", "(a"]) == 1
         assert "offset 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("route", ["of", "follow"])
+    def test_convert_syntax_errors_end_in_one_line(self, capsys, route):
+        # these routes read the text into their builder, with no tree between
+        for text, message, _ in SYNTAX_ERRORS:
+            assert main(["convert", text, "--to", route]) == 1, text
+            assert capsys.readouterr() == ("", f"error: {message}\n"), text
 
     @pytest.mark.parametrize(
         "document,argv,field",

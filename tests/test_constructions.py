@@ -1,9 +1,14 @@
+import contextlib
+import importlib
+import io
 import random
 import sys
-from collections import deque
+from collections import Counter, deque
+from pathlib import Path
 
 import pytest
 
+import refa
 import refa.constructions as constructions
 from refa.automata import (
     Automaton,
@@ -16,6 +21,7 @@ from refa.automata import (
     to_dict,
     to_json,
 )
+from refa.cli import main
 from refa.constructions import (
     ConstructionError,
     _AciTerms,
@@ -37,6 +43,7 @@ from refa.expressions import (
     Empty,
     Epsilon,
     Option,
+    RegexSyntaxError,
     Star,
     Sym,
     Union,
@@ -68,9 +75,11 @@ from conftest import (
     reference_construct_pd,
     reference_construct_position,
     reference_derivative,
+    reference_parse,
     reference_position_sets,
     words_upto,
 )
+from test_expressions import SYNTAX_ERRORS
 
 
 class TestOttFeinstein:
@@ -179,6 +188,26 @@ class TestFollow:
             assert to_json(construct_follow(r)) == to_json(reference_construct_follow(r)), render(r)
             assert to_json(construct_of(r)) == to_json(reference_construct_of(r)), render(r)
 
+    def test_contract_takes_the_repr_least_eligible_arc(self):
+        # six λ-arcs leave the start state 0, each the only arc into its
+        # target, so all are eligible, and each merge hands the rest to the
+        # survivor; (0, None, 1) is the least by repr, but 1 has a second
+        # in-arc, so it waits until it is the only arc out of its source.
+        # The merges follow repr order, which is neither numeric nor set order
+        merges = []
+
+        class RecordingFollowBuilder(_FollowBuilder):
+            def merge(self, old, new):
+                merges.append((old, new))
+                super().merge(old, new)
+
+        builder = RecordingFollowBuilder()
+        for q in (7, 10, 12, 30, 100, 200, 1):
+            builder.arc(0, None, q)
+        builder.arc(2, "a", 1)
+        assert builder._contract((0, 1), 0, enclosed=False) == (1, 1)
+        assert merges == [(0, 10), (10, 100), (100, 12), (12, 200), (200, 30), (30, 7), (7, 1)]
+
     def test_fragments_keep_entry_and_exit_bare(self, builder_inputs):
         # plain state sharing at fragment endpoints, and so the guards of
         # `_contract` and the concatenation's merge of b's entry as a rename
@@ -191,14 +220,15 @@ class TestFollow:
                 assert not self.out.get(f), f"arcs leave the exit: {sorted(self.out[f], key=repr)}"
                 return frag
 
-            def _concat(self, a, b, leaf_arc):
-                return self._bare(super()._concat(a, b, leaf_arc))
+            def concat(self, a, b):
+                return self._bare(super().concat(a, b))
 
-            def _star(self, a):
-                return self._bare(super()._star(a))
+            def star(self, a):
+                return self._bare(super().star(a))
 
         for r in builder_inputs:
             CheckedFollowBuilder().build(r)
+            CheckedFollowBuilder().build(render(r))
 
     def test_against_quotient_oracle(self):
         # the quotient by equal follow sets is the coarsest valid merge; the
@@ -231,6 +261,59 @@ class TestFollow:
                 {(rep(p), a, rep(q)) for p, a, q in pos.transitions},
             )
             assert merged == construct_follow(buffer_regex(n))
+
+
+class TestTextRoute:
+    """construct_of and construct_follow read a text straight into their
+    builder: the automaton, or the syntax error, is the one the reference
+    builders give on the reference parser's tree."""
+
+    @pytest.fixture
+    def round_trip_texts(self, tmp_path, monkeypatch):
+        """The 75 labels that perfbench's seed-1 eliminate workload converts
+        back with `convert --to follow`, up to 2 539 symbols wide."""
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        monkeypatch.chdir(tmp_path)
+        workload = importlib.import_module("workloads").build("eliminate", 1, refa, tmp_path / "eliminate", tmp_path)
+        texts = []
+        for first, *round_trip in workload.units:
+            if round_trip:
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out):
+                    assert main(first.argv) == 0
+                texts.append(out.getvalue().strip())
+        assert len(texts) == 75
+        return texts
+
+    def test_equals_the_reference_on_the_parsed_tree(self, round_trip_texts):
+        def outcome(construct, text):
+            try:
+                return to_json(construct(text))
+            except RegexSyntaxError as err:
+                return str(err), err.offset
+
+        families = [(options_regex, (1, 8, 40, 200)), (buffer_regex, (1, 8, 64, 300))]
+        families += [(row, (1, 4, 8)) for row in (row1_regex, row2_regex, row3_regex)]
+        texts = round_trip_texts + [render(family(n)) for family, sizes in families for n in sizes]
+        texts += ["&&+a", "a?*", "·", "#", "&", " a ", "a · b", " ( a+& )* ", "a+&&", "(&&+a)*", "(#a)*", "((&)*a)*"]
+        texts += [text for text, _, _ in SYNTAX_ERRORS]
+        # rendered trees, then the same texts with spaces and `·` put
+        # anywhere, which also makes syntax errors
+        rng = random.Random(43)
+        for seed in range(2000):
+            if seed % 3:
+                tree = random_expr(1 + seed % 12, ["a", "b", "a1"], seed)
+            else:
+                tree = lambda_heavy_tree(random.Random(seed), 4)
+            text = render(tree)
+            texts.append(text)
+            texts.append("".join(c + rng.choice(["", "", "", " ", "·"]) for c in text))
+        assert len(texts) >= 4000
+        for text in texts:
+            want_of = outcome(lambda t: reference_construct_of(reference_parse(t)), text)
+            want_follow = outcome(lambda t: reference_construct_follow(reference_parse(t)), text)
+            assert outcome(construct_of, text) == want_of, text
+            assert outcome(construct_follow, text) == want_follow, text
 
 
 class TestPositionSets:
@@ -637,6 +720,20 @@ class TestIdentityOrder:
                 assert terms.intern(r) is prefix_intern(terms, r), render(r)
             # texts only in text order: an order by identity differs between tables
             assert render(_AciTerms().intern(r)) == render(prefix_intern(_AciTerms(), r)), render(r)
+
+    def test_each_chain_is_split_once(self, monkeypatch):
+        # the walk's split of a node serves `join` too: 61 `_operands` calls
+        # for the 61 unions and chains of options_regex(60), not 122
+        split = Counter()
+
+        def operands(node, cls):
+            split[id(node)] += 1
+            return _operands(node, cls)
+
+        _operands = constructions._operands
+        monkeypatch.setattr(constructions, "_operands", operands)
+        _AciTerms(id).intern(options_regex(60))
+        assert len(split) == 61 and set(split.values()) == {1}
 
     def test_options_chain_table_is_small(self):
         # one prefix at a time left 1 890 nodes for this input of 180 distinct nodes

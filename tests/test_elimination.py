@@ -1,7 +1,9 @@
 import contextlib
+import gc
 import io
 import json
 import random
+import weakref
 from pathlib import Path
 
 import pytest
@@ -146,6 +148,18 @@ class TestLabelUnionChains:
                 recipes.append(EPSILON)
             got = self.grow(elimination._Labels(), elimination._Labels.union, recipes)
             assert got == self.grow(elimination._Labels(), reference_labels_union, recipes), trial
+
+
+    def test_classed_symbols_are_held(self):
+        # a class is filed under the symbol's id, so the table must hold the
+        # symbol: a freed one could hand its class to a node that reuses the id
+        table = elimination._Labels()
+        b = Sym("b")
+        table.union([b, EMPTY])  # b is classed, and built into no node
+        held = weakref.ref(b)
+        del b
+        gc.collect()
+        assert held() is not None
 
 
 class TestAugment:

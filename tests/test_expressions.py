@@ -22,7 +22,7 @@ from refa.expressions import (
     tokenize_word,
     unmark,
 )
-from refa.constructions import construct_position
+from refa.constructions import construct_follow, construct_of, construct_position
 from refa.automata import accepts, equivalent
 
 from refa.families import buffer_regex
@@ -143,10 +143,12 @@ class TestParse:
         for r in corpus(120, seed=31):
             assert parse(render(r)) == r
 
-    def test_syntax_errors_are_unchanged(self):
+    @pytest.mark.parametrize("read", [parse, construct_of, construct_follow], ids=["parse", "of", "follow"])
+    def test_syntax_errors_are_unchanged(self, read):
+        # construct_of and construct_follow read a text with parse's reader
         for text, message, offset in SYNTAX_ERRORS:
             with pytest.raises(RegexSyntaxError) as err:
-                parse(text)
+                read(text)
             assert (str(err.value), err.value.offset) == (message, offset), text
 
     def test_shared_leaves_count_as_occurrences(self):
