@@ -175,7 +175,7 @@ def _cmd_toregex(args) -> int:
 
 
 def _cmd_measure(args) -> int:
-    report = expressions.measures(expressions.parse(args.regex))
+    report = expressions.measures(args.regex)
     for field in ("size", "rpn", "awidth", "height"):
         print(f"{field}: {getattr(report, field)}")
     return 0

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
+from functools import partial
 from itertools import count
 from typing import Callable
 
@@ -40,8 +41,6 @@ from .expressions import (
     _render,
     _replay,
     nullable,
-    parse,
-    symbols_of,
 )
 
 __all__ = [
@@ -370,55 +369,74 @@ class PositionSets:
 
 def position_sets(marked: MarkedRegEx) -> PositionSets:
     """The sets of a marked expression."""
-    first, last, _, transitions, letters = _position_walk(marked.tree, marked=True)
-    follow = frozenset((i, j) for i, _, j in transitions)
-    return PositionSets(frozenset(j for _, j in first), frozenset(last), follow, frozenset(letters))
+
+    def positions():
+        for node in _postorder(marked.tree):
+            if type(node) is Sym:
+                if node.pos is None:
+                    raise ValueError("position_sets expects a marked expression")
+                yield node.pos
+
+    walk = _PositionWalk(positions())
+    first, last, _ = _replay(marked.tree, *walk.makers())
+    follow = frozenset((i, j) for i, _, j in walk.transitions)
+    return PositionSets(frozenset(j for _, j in first), frozenset(last), follow, frozenset(walk.letters))
 
 
-def _position_walk(tree: RegEx, marked: bool) -> tuple[set, set, bool, set, dict[int, str]]:
-    """First, last, nullable, follow and each position's letter, from one walk that
-    numbers unmarked leaves 1, 2, … as met (left to right, like :func:`mark`).  First
-    sets hold (letter, position) pairs, so follow pairs go in as transitions (i, a, j)."""
-    done: list[tuple[set, set, bool]] = []
-    transitions: set[tuple[int, str, int]] = set()
-    letters: dict[int, str] = {}
-    for node in _postorder(tree):
-        cls = type(node)
-        if cls is Sym:
-            pos = node.pos if marked else len(letters) + 1
-            if pos is None:
-                raise ValueError("position_sets expects a marked expression")
-            letters[pos] = node.name
-            done.append(({(node.name, pos)}, {pos}, False))
-        elif cls is Union or cls is Concat:
-            f2, l2, n2 = done.pop()
-            f1, l1, n1 = done.pop()
-            if cls is Union:
-                done.append((_merge(f1, f2), _merge(l1, l2), n1 or n2))
-            else:
-                transitions.update([(i, a, j) for i in l1 for a, j in f2])
-                done.append((_merge(f1, f2) if n1 else f1, _merge(l1, l2) if n2 else l2, n1 and n2))
-        elif cls is Star or cls is Option:
-            first, last, _ = done[-1]
-            if cls is Star:
-                transitions.update([(i, a, j) for i in last for a, j in first])
-            done[-1] = (first, last, True)
-        else:
-            done.append((set(), set(), cls is Epsilon))
-    return *done[0], transitions, letters
+class _PositionWalk:
+    """The makers of one position walk, called kids first: a fragment is its
+    first set, last set and nullability; first sets hold (letter, position)
+    pairs, so follow pairs go into `transitions` as (i, a, j).  Symbol leaves
+    take the positions 1, 2, … as met (left to right, like :func:`mark`), or
+    the next of `positions`; `letters` holds each position's letter."""
+
+    def __init__(self, positions=None):
+        self.transitions: set[tuple[int, str, int]] = set()
+        self.letters: dict[int, str] = {}
+        self.positions = positions
+
+    def makers(self) -> tuple:
+        return self.leaf, self.star, self.option, self.concat, self.union
+
+    def leaf(self, name: str) -> tuple[set, set, bool]:
+        if name == "#" or name == "&":
+            return set(), set(), name == "&"
+        pos = len(self.letters) + 1 if self.positions is None else next(self.positions)
+        self.letters[pos] = name
+        return {(name, pos)}, {pos}, False
+
+    def union(self, a: tuple, b: tuple) -> tuple[set, set, bool]:
+        return _merge(a[0], b[0]), _merge(a[1], b[1]), a[2] or b[2]
+
+    def concat(self, a: tuple, b: tuple) -> tuple[set, set, bool]:
+        (f1, l1, n1), (f2, l2, n2) = a, b
+        self.transitions.update([(i, x, j) for i in l1 for x, j in f2])
+        return _merge(f1, f2) if n1 else f1, _merge(l1, l2) if n2 else l2, n1 and n2
+
+    def star(self, a: tuple) -> tuple[set, set, bool]:
+        first, last, _ = a
+        self.transitions.update([(i, x, j) for i in last for x, j in first])
+        return first, last, True
+
+    def option(self, a: tuple) -> tuple[set, set, bool]:
+        return a[0], a[1], True
 
 
 def _merge(a: set, b: set) -> set:
-    """a | b, made in the larger of two popped kids' sets: linear on a union chain."""
+    """a | b, made in the larger of two kids' sets, which no other fragment
+    holds: linear on a union chain."""
     if len(a) < len(b):
         a, b = b, a
     a |= b
     return a
 
 
-def construct_position(r: RegEx) -> Automaton:
-    """Glushkov automaton: state 0 plus one state per symbol occurrence."""
-    first, last, empty_word, transitions, letters = _position_walk(r, marked=False)
+def construct_position(r: RegEx | str) -> Automaton:
+    """Glushkov automaton: state 0 plus one state per symbol occurrence.  A
+    text is read straight into the walk, as in `construct_of`."""
+    walk = _PositionWalk()
+    first, last, empty_word = _read(r, *walk.makers()) if isinstance(r, str) else _replay(r, *walk.makers())
+    transitions, letters = walk.transitions, walk.letters
     transitions.update([(0, a, j) for a, j in first])
     finals = last | {0} if empty_word else last
     return Automaton.make(range(len(letters) + 1), letters.values(), 0, finals, transitions)
@@ -430,16 +448,18 @@ def construct_position(r: RegEx) -> Automaton:
 
 class _Terms:
     """The derived terms of one partial-derivative run, hash-consed: `make`
-    gives one node per class and children compared by identity, so once
-    `intern` has rebuilt the input through it, equal terms are one object,
-    keyed by `id` and rendered once.  `cats` and `forms` memoise `cat` and
-    the linear forms.  The table holds every node it keys, so no `id` is
-    reused; it lives for one construction."""
+    gives one node per class and children compared by identity, so the
+    terms `intern` builds through the makers below are one object each when
+    equal, keyed by `id` and rendered once.  `cats` and `forms` memoise `cat`
+    and the linear forms; `letters` holds the names of the symbols made.
+    The table holds every node it keys, so no `id` is reused; it lives for
+    one construction."""
 
     def __init__(self):
         self.nodes: dict[tuple, RegEx] = {}
         self.cats: dict[tuple[int, int], RegEx] = {}
         self.forms: dict[int, dict[str, dict[int, RegEx]]] = {}
+        self.letters: set[str] = set()
 
     def make(self, cls: type, *kids: RegEx) -> RegEx:
         key = (cls, *map(id, kids))
@@ -447,30 +467,58 @@ class _Terms:
             self.nodes[key] = cls(*kids)
         return self.nodes[key]
 
-    def intern(self, r: RegEx) -> RegEx:
-        """The term of r: `join` makes each node's term from the terms of
-        its `kids`, once per distinct node; each node is split into its kids
-        once, when the walk meets it."""
+    def intern(self, r: RegEx | str) -> RegEx:
+        """The term of r.  A text is read straight into the makers; on a tree
+        the makers take each distinct node once, kids first, each union and
+        concatenation split into its `kids` once, when the walk meets it, and
+        the value its chain of makers gives is made a term by `term`."""
+        leaf, star, option, concat, alt = makers = self.makers()
+        if isinstance(r, str):
+            return self.term(_read(r, *makers, {"#": EMPTY, "&": EPSILON}))
         done: dict[int, RegEx] = {}
         split: dict[int, tuple[RegEx, ...]] = {}  # the kids of each union and concatenation on the walk's stack
         for node in _postorder(r, lambda node: done.get(id(node)), lambda n: split.setdefault(id(n), self.kids(n))):
-            if isinstance(node, Sym):
-                done[id(node)] = self.nodes.setdefault((Sym, node.name, node.pos), node)
-            elif isinstance(node, (Empty, Epsilon)):
-                done[id(node)] = EMPTY if isinstance(node, Empty) else EPSILON
+            cls = type(node)
+            if cls is Sym:
+                term = leaf(node.name, node)
+            elif cls is Empty or cls is Epsilon:
+                term = EMPTY if cls is Empty else EPSILON
+            elif cls is Star or cls is Option:
+                term = (star if cls is Star else option)(done[id(node.inner)])
             else:
-                parts = split.pop(id(node), None) or (node.inner,)
-                done[id(node)] = self.join(node, parts, [done[id(kid)] for kid in parts])
+                join = alt if cls is Union else concat
+                term, *rest = [done[id(kid)] for kid in split.pop(id(node))]
+                for t in rest:
+                    term = join(term, t)
+                term = self.term(term)
+            done[id(node)] = term
         return done[id(r)]
 
     def kids(self, node: RegEx) -> tuple[RegEx, ...]:
-        """The nodes whose terms make the term of a compound node."""
-        return (node.left, node.right) if isinstance(node, (Union, Concat)) else (node.inner,)
+        """The nodes whose terms make the term of a union or concatenation."""
+        return node.left, node.right
 
-    def join(self, node: RegEx, kids: tuple[RegEx, ...], terms: list[RegEx]) -> RegEx:
-        """The term equal to node, from its kids' terms; node itself when they are its kids."""
-        term = node if all(t is kid for t, kid in zip(terms, kids)) else type(node)(*terms)
-        return self.nodes.setdefault((type(node), *map(id, terms)), term)
+    def leaf(self, name: str, sym: Sym | None = None) -> Sym:
+        """The term of a symbol read as `name`, or of a tree's symbol `sym`,
+        which is kept as the term when it is the first of its kind, so a
+        table that files terms by id (`_Labels`) knows it when it comes
+        back; its name is a letter of the run."""
+        key = (Sym, name, None if sym is None else sym.pos)
+        node = self.nodes.get(key)
+        if node is None:
+            node = self.nodes[key] = sym or Sym(name)
+            self.letters.add(name)
+        return node
+
+    def makers(self) -> tuple:
+        """The makers of a leaf, star, option, concatenation and union, in
+        the order `_read` takes them."""
+        make = self.make
+        return self.leaf, partial(make, Star), partial(make, Option), partial(make, Concat), partial(make, Union)
+
+    def term(self, value: RegEx) -> RegEx:
+        """The term a maker's value stands for: here the value itself."""
+        return value
 
     def cat(self, left: RegEx, right: RegEx) -> RegEx:
         """Right-associated concatenation of terms with λ-units dropped and ∅
@@ -545,9 +593,10 @@ def partial_derivatives(r: RegEx, a: str) -> frozenset[RegEx]:
     return frozenset(out.values())
 
 
-def construct_pd(r: RegEx) -> Automaton:
+def construct_pd(r: RegEx | str) -> Automaton:
     """Partial derivative automaton; states are the iterated derived terms,
-    held once each in one term table (see `_Terms`) and keyed by identity.
+    held once each in one term table (see `_Terms`), which reads a text
+    straight in, and keyed by identity.
     They are numbered by :func:`_explore`, successors by letter, then by text
     (stable, so equal texts keep the linear form's order); a letter's single
     term is not rendered."""
@@ -562,11 +611,19 @@ def construct_pd(r: RegEx) -> Automaton:
 
     states, transitions = _explore(terms.intern(r), moves, id)
     finals = {i for i, term in enumerate(states) if nullable(term)}
-    return Automaton.make(range(len(states)), symbols_of(r), 0, finals, transitions)
+    return Automaton.make(range(len(states)), terms.letters, 0, finals, transitions)
 
 
 # ---------------------------------------------------------------------------
 # Brzozowski derivatives
+
+
+class _Cat(list):
+    """The terms of a concatenation chain, collected whole while they are made."""
+
+
+class _Alt(list):
+    """The terms of a union chain, collected whole while they are made."""
 
 
 class _AciTerms(_Terms):
@@ -579,8 +636,11 @@ class _AciTerms(_Terms):
     never flattened twice; `tables` memoises `table` by id.  `union` sorts
     branches by `branch_key`, text by default: any fixed order gives one
     object per set of branches, which is all ACI needs, and a table whose
-    terms are never printed can sort by `id`.  With `chains`, `intern` takes
-    a concatenation chain whole (179 nodes for `options_regex(60)`, not 1 890)."""
+    terms are never printed can sort by `id`.  The concatenation and union
+    makers collect a chain whole (`_chain`), and `term` folds it once, when
+    another maker takes it (179 nodes for `options_regex(60)`, not 1 890 one
+    prefix at a time); with `chains` off, a tree's concatenations are taken
+    pair by pair."""
 
     chains = True
 
@@ -598,15 +658,38 @@ class _AciTerms(_Terms):
             return tuple(_operands(node, type(node)))
         return super().kids(node)
 
-    def join(self, node: RegEx, kids: tuple[RegEx, ...], terms: list[RegEx]) -> RegEx:
-        if isinstance(node, Union):
-            return self.union(terms)
-        if isinstance(node, Concat):
-            out = terms[-1]  # `cat` right-associates, so prefix by prefix gives this too
-            for t in terms[-2::-1]:
+    def _chain(self, cls: type, left, right) -> list:
+        # the chain of left and right; a maker's value is taken once, so it grows in place
+        chain = left if type(left) is cls else cls((self.term(left),))
+        if type(right) is cls:
+            chain += right
+        else:
+            chain.append(self.term(right))
+        return chain
+
+    def makers(self) -> tuple:
+        # a maker's value may be a chain, which the star and option makers fold first
+        term, make, star = self.term, self.make, self.star
+        return (
+            self.leaf,
+            lambda inner: star(term(inner)),
+            lambda inner: make(Option, term(inner)),
+            partial(self._chain, _Cat),
+            partial(self._chain, _Alt),
+        )
+
+    def term(self, value) -> RegEx:
+        """The term of a maker's value: a union chain is joined by `union`,
+        a concatenation chain right-associated by `cat`."""
+        cls = type(value)
+        if cls is _Alt:
+            return self.union(value)
+        if cls is _Cat:
+            out = value[-1]
+            for t in value[-2::-1]:
                 out = self.cat(t, out)
             return out
-        return self.star(*terms) if isinstance(node, Star) else self.make(Option, *terms)
+        return value
 
     def union(self, terms: list[RegEx]) -> RegEx:
         """The left-associated union of the distinct branches of the terms,
@@ -672,8 +755,9 @@ CONSTRUCTION_NAMES = ("of", "follow", "pos", "pd", "bdfa")
 
 
 def construct(name: str, r: RegEx | str) -> Automaton:
-    """Dispatch on a construction name from CONSTRUCTION_NAMES; `of` and
-    `follow` read a text into their builder, the others take it parsed."""
+    """Dispatch on a construction name from CONSTRUCTION_NAMES; each route
+    reads a text straight into its own makers, with no syntax tree.  The
+    functions are looked up when called, so a replaced one is called."""
     table = {
         "of": construct_of,
         "follow": construct_follow,
@@ -683,23 +767,23 @@ def construct(name: str, r: RegEx | str) -> Automaton:
     }
     if name not in table:
         raise ValueError(f"unknown construction {name!r}")
-    if isinstance(r, str) and name not in ("of", "follow"):
-        r = parse(r)
     return table[name](r)
 
 
-def construct_brzozowski(r: RegEx, cap: int = 10**6) -> Automaton:
+def construct_brzozowski(r: RegEx | str, cap: int = 10**6) -> Automaton:
     """Complete DFA whose states are derivatives modulo ACI.
 
     The states are the iterated derivatives in normal form, held once each
-    in one term table (see `_AciTerms`) and keyed by identity; they are
+    in one term table (see `_AciTerms`), which reads a text straight in,
+    and keyed by identity; they are
     numbered by :func:`_explore`, successors by letter, so the table sorts
     union branches by `id` and renders nothing: the automaton is the one text
     order gives wherever texts tell terms apart (`a1` renders as `a`).
     Raises :class:`ConstructionError` when more than `cap` states appear.
     """
-    letters = sorted(symbols_of(r))
     terms = _AciTerms(id)
+    start = terms.intern(r)
+    letters = sorted(terms.letters)
     explored = count()
 
     def moves(term: RegEx) -> list[tuple[str, RegEx]]:
@@ -709,6 +793,6 @@ def construct_brzozowski(r: RegEx, cap: int = 10**6) -> Automaton:
         t = terms.table(term)
         return [(a, t.get(a, EMPTY)) for a in letters]
 
-    states, transitions = _explore(terms.intern(r), moves, id)
+    states, transitions = _explore(start, moves, id)
     finals = {i for i, term in enumerate(states) if nullable(term)}
     return Automaton.make(range(len(states)), letters, 0, finals, transitions)

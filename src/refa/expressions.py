@@ -7,13 +7,19 @@ optional digits (`a`, `b2`, `a17`), so families over growing alphabets
 remain writable without quoting.
 
 Every walk over a whole expression is a loop over `_postorder`, one
-generator on an explicit stack, so no walk is limited by the recursion
-depth.  A tree walk (marking, building an automaton, ssnf) handles each
-occurrence of a node; a walk that stores a value on each node (`measures`,
-`nullable`, rendering) skips the nodes that hold theirs, so each distinct
-node of a shared expression is visited once.  The walks on one term at a
-time (the linear forms and derivatives) recurse: they are memoised and
-hot, and on them CPython's recursion is cheaper than any explicit stack.
+generator on an explicit stack, or `_read`, the one reader of the text,
+which keeps its open groups on a stack too; so no walk is limited by the
+recursion depth.  A text is read straight into the node rules of its
+consumer (`measures`, each automaton construction), kids first, with no
+tree in between; on a tree the consumer's walk calls the same rules
+(`_replay` calls them as `_read` would on the tree's text), so each rule
+is written once.  A tree walk (marking, building an automaton, ssnf)
+handles each occurrence of a node; a walk that stores a value on each
+node (`measures`, `nullable`, rendering, the term tables) skips the nodes
+that hold theirs, so each distinct node of a shared expression is visited
+once.  The walks on one term at a time (the linear forms and derivatives)
+recurse: they are memoised and hot, and on them CPython's recursion is
+cheaper than any explicit stack.
 """
 
 from __future__ import annotations
@@ -152,9 +158,11 @@ _ATOMS = {"#": EMPTY, "&": EPSILON}  # the leaves that are no symbol, by their t
 
 
 def _valid_symbol(name: str) -> bool:
+    """Whether name is an ASCII letter and then ASCII digits only: `str.isdigit`
+    alone also takes `²` and `١`."""
     if not name or not (name[0].isalpha() and name[0].isascii()):
         return False
-    return name[1:] == "" or name[1:].isdigit()
+    return name[1:] == "" or name[1:].isascii() and name[1:].isdigit()
 
 
 class MeasureReport(NamedTuple):
@@ -268,7 +276,7 @@ def _read(text: str, leaf, star, option, concat, union, leaves: dict | None = No
         elif c is not None and c.isalpha() and c.isascii():
             start = i
             i += 1
-            while i < n and text[i].isdigit():
+            while i < n and "0" <= text[i] <= "9":
                 i += 1
             name = text[start:i]
             node = leaf(name) if leaves is None else leaves.get(name) or leaves.setdefault(name, leaf(name))
@@ -339,7 +347,7 @@ def tokenize_word(text: str) -> list[str]:
         if not (c.isalpha() and c.isascii()):
             raise RegexSyntaxError(f"unexpected {c!r} in word", i)
         j = i + 1
-        while j < len(text) and text[j].isdigit():
+        while j < len(text) and "0" <= text[j] <= "9":
             j += 1
         out.append(text[i:j])
         i = j
@@ -406,30 +414,44 @@ def _render(r: RegEx) -> str:
 # Measures
 
 
-def measures(r: RegEx) -> MeasureReport:
+def measures(r: RegEx | str) -> MeasureReport:
     """Size (fully bracketed symbol count), rpn, alphabetic width, star height.
 
     The size convention charges atoms 1, binary nodes 3 (operator plus the
     surrounding parentheses, with concatenation written `·`), and unary
-    nodes 3.  Option is transparent for star height.  The report of a
-    compound node is kept on it.
+    nodes 3.  Option is transparent for star height.  A text is read
+    straight into the rules below; on a tree, the report of a compound node
+    is kept on it.
     """
+    if isinstance(r, str):
+        leaves = {"#": Empty._measures, "&": Epsilon._measures}
+        return _read(r, _symbol_measures, _star_measures, _option_measures, _pair_measures, _pair_measures, leaves)
     if r._measures is None:
         for node in _postorder(r, attrgetter("_measures")):
-            if isinstance(node, (Union, Concat)):
-                a, b = node.left._measures, node.right._measures
-                report = MeasureReport(
-                    a.size + b.size + 3,
-                    a.rpn + b.rpn + 1,
-                    a.awidth + b.awidth,
-                    max(a.height, b.height),
-                )
+            cls = type(node)
+            if cls is Union or cls is Concat:
+                report = _pair_measures(node.left._measures, node.right._measures)
             else:
-                inner = node.inner._measures
-                bump = 1 if isinstance(node, Star) else 0
-                report = MeasureReport(inner.size + 3, inner.rpn + 1, inner.awidth, inner.height + bump)
+                report = (_star_measures if cls is Star else _option_measures)(node.inner._measures)
             _set(node, "_measures", report)
     return r._measures
+
+
+def _symbol_measures(name: str) -> MeasureReport:
+    return Sym._measures
+
+
+def _pair_measures(a: MeasureReport, b: MeasureReport) -> MeasureReport:
+    """The report of a union or concatenation of a and b."""
+    return MeasureReport(a.size + b.size + 3, a.rpn + b.rpn + 1, a.awidth + b.awidth, max(a.height, b.height))
+
+
+def _star_measures(a: MeasureReport) -> MeasureReport:
+    return MeasureReport(a.size + 3, a.rpn + 1, a.awidth, a.height + 1)
+
+
+def _option_measures(a: MeasureReport) -> MeasureReport:
+    return MeasureReport(a.size + 3, a.rpn + 1, a.awidth, a.height)
 
 
 def nullable(r: RegEx) -> bool:

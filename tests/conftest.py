@@ -410,6 +410,8 @@ def prefix_intern(terms: _AciTerms, r: RegEx) -> RegEx:
     done: dict[int, RegEx] = {}
 
     def kids(node):
+        if isinstance(node, (Star, Option)):
+            return (node.inner,)
         return tuple(_operands(node, Union)) if isinstance(node, Union) else _Terms.kids(terms, node)
 
     for node in _postorder(r, lambda node: done.get(id(node)), kids):

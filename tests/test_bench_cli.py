@@ -306,12 +306,26 @@ class TestCli:
         assert main(["measure", "(a"]) == 1
         assert "offset 2" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("route", ["of", "follow"])
+    @pytest.mark.parametrize("route", [*CONSTRUCTION_NAMES, None], ids=[*CONSTRUCTION_NAMES, "measure"])
     def test_convert_syntax_errors_end_in_one_line(self, capsys, route):
-        # these routes read the text into their builder, with no tree between
+        # every route, and measure, reads the text into its makers, with no tree between
         for text, message, _ in SYNTAX_ERRORS:
-            assert main(["convert", text, "--to", route]) == 1, text
+            assert main(["measure", text] if route is None else ["convert", text, "--to", route]) == 1, text
             assert capsys.readouterr() == ("", f"error: {message}\n"), text
+
+    @pytest.mark.parametrize("route", [*CONSTRUCTION_NAMES, None], ids=[*CONSTRUCTION_NAMES, "measure"])
+    def test_non_ascii_digits_end_in_one_line(self, capsys, route):
+        for text, digit in (("a²", "²"), ("a١+b", "١")):
+            assert main(["measure", text] if route is None else ["convert", text, "--to", route]) == 1, text
+            assert capsys.readouterr() == ("", f"error: unexpected {digit!r} at offset 1\n"), text
+
+    def test_toregex_refuses_a_non_ascii_digit_symbol(self, tmp_path, capsys):
+        path = tmp_path / "sup.json"
+        path.write_text(json.dumps(
+            {"states": [0, 1], "alphabet": ["a²"], "initial": 0, "finals": [1], "transitions": [[0, "a²", 1]]}
+        ))
+        assert main(["toregex", str(path)]) == 1
+        assert capsys.readouterr() == ("", "error: invalid symbol name 'a²'\n")
 
     @pytest.mark.parametrize(
         "document,argv,field",

@@ -264,9 +264,10 @@ class TestFollow:
 
 
 class TestTextRoute:
-    """construct_of and construct_follow read a text straight into their
-    builder: the automaton, or the syntax error, is the one the reference
-    builders give on the reference parser's tree."""
+    """Every construction and `measures` read a text straight into their
+    makers: the automaton or report, or the syntax error, is the one the
+    reference builders (for `of` and `follow`) or the same function give on
+    the reference parser's tree."""
 
     @pytest.fixture
     def round_trip_texts(self, tmp_path, monkeypatch):
@@ -286,11 +287,12 @@ class TestTextRoute:
         return texts
 
     def test_equals_the_reference_on_the_parsed_tree(self, round_trip_texts):
-        def outcome(construct, text):
+        def outcome(read, text):
             try:
-                return to_json(construct(text))
+                out = read(text)
             except RegexSyntaxError as err:
                 return str(err), err.offset
+            return to_json(out) if isinstance(out, Automaton) else out
 
         families = [(options_regex, (1, 8, 40, 200)), (buffer_regex, (1, 8, 64, 300))]
         families += [(row, (1, 4, 8)) for row in (row1_regex, row2_regex, row3_regex)]
@@ -309,11 +311,12 @@ class TestTextRoute:
             texts.append(text)
             texts.append("".join(c + rng.choice(["", "", "", " ", "·"]) for c in text))
         assert len(texts) >= 4000
+        routes = [(construct_of, reference_construct_of), (construct_follow, reference_construct_follow)]
+        routes += [(route, route) for route in (construct_position, construct_pd, construct_brzozowski, measures)]
         for text in texts:
-            want_of = outcome(lambda t: reference_construct_of(reference_parse(t)), text)
-            want_follow = outcome(lambda t: reference_construct_follow(reference_parse(t)), text)
-            assert outcome(construct_of, text) == want_of, text
-            assert outcome(construct_follow, text) == want_follow, text
+            for route, on_tree in routes:
+                want = outcome(lambda t: on_tree(reference_parse(t)), text)
+                assert outcome(route, text) == want, (route.__name__, text)
 
 
 class TestPositionSets:
@@ -741,6 +744,10 @@ class TestIdentityOrder:
         prefix_intern(prefixes, options_regex(60))
         assert len(prefixes.nodes) == 1890
         terms.intern(options_regex(60))
+        assert len(terms.nodes) <= 179
+        # read from the text, each chain is collected whole before it is folded
+        terms = _AciTerms(id)
+        terms.intern(render(options_regex(60)))
         assert len(terms.nodes) <= 179
 
     def test_no_term_is_rendered(self, monkeypatch):

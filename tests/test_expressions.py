@@ -22,7 +22,13 @@ from refa.expressions import (
     tokenize_word,
     unmark,
 )
-from refa.constructions import construct_follow, construct_of, construct_position
+from refa.constructions import (
+    construct_brzozowski,
+    construct_follow,
+    construct_of,
+    construct_pd,
+    construct_position,
+)
 from refa.automata import accepts, equivalent
 
 from refa.families import buffer_regex
@@ -87,6 +93,11 @@ SYNTAX_ERRORS = [
 ]
 
 
+# every function that reads a text, each with its route name
+TEXT_READERS = [parse, construct_of, construct_follow, construct_position, construct_pd, construct_brzozowski, measures]
+TEXT_READER_IDS = ["parse", "of", "follow", "pos", "pd", "bdfa", "measures"]
+
+
 def _positions(tree):
     """The position indices of the symbol leaves, left to right."""
     if isinstance(tree, Sym):
@@ -143,9 +154,9 @@ class TestParse:
         for r in corpus(120, seed=31):
             assert parse(render(r)) == r
 
-    @pytest.mark.parametrize("read", [parse, construct_of, construct_follow], ids=["parse", "of", "follow"])
+    @pytest.mark.parametrize("read", TEXT_READERS, ids=TEXT_READER_IDS)
     def test_syntax_errors_are_unchanged(self, read):
-        # construct_of and construct_follow read a text with parse's reader
+        # every construction and measures read a text with parse's reader
         for text, message, offset in SYNTAX_ERRORS:
             with pytest.raises(RegexSyntaxError) as err:
                 read(text)
@@ -189,6 +200,28 @@ class TestParse:
         assert tokenize_word("") == []
         with pytest.raises(RegexSyntaxError):
             tokenize_word("a1+")
+
+    @pytest.mark.parametrize("read", TEXT_READERS, ids=TEXT_READER_IDS)
+    def test_digits_are_ascii(self, read):
+        # SYMBOL := [A-Za-z][0-9]*, though `str.isdigit` also takes these
+        for text, message, offset in (
+            ("a²", "unexpected '²' at offset 1", 1),
+            ("a١+b", "unexpected '١' at offset 1", 1),
+            ("b+a1٣", "unexpected '٣' at offset 4", 4),
+            ("(a𝟙)", "unbalanced '(' opened at offset 0 at offset 2", 2),
+        ):
+            with pytest.raises(RegexSyntaxError) as err:
+                read(text)
+            assert (str(err.value), err.value.offset) == (message, offset), text
+        read("a19+b0")  # ASCII digits are still read
+
+    def test_symbol_names_take_ascii_digits_only(self):
+        for name in ("a²", "a١", "b1٣", "a𝟙"):
+            with pytest.raises(ValueError, match="invalid symbol name"):
+                Sym(name)
+            with pytest.raises(RegexSyntaxError, match="in word at offset"):
+                tokenize_word(name)
+        assert Sym("a0123456789").name == "a0123456789"
 
 
 class TestMeasures:

@@ -8,6 +8,7 @@ copies and pickles.
 """
 
 import copy
+import functools
 import pickle
 import random
 import threading
@@ -16,6 +17,7 @@ from dataclasses import astuple
 import pytest
 
 from refa.constructions import (
+    construct,
     construct_brzozowski,
     construct_follow,
     construct_of,
@@ -281,6 +283,25 @@ DEPTH_AFTER_POSTORDER = [
     ("ssnf-any-depth", ssnf, star_chain, 10**4),
     ("render-any-depth", render, buffer_regex, 3000),
 ]
+
+
+def star_text(n: int) -> str:
+    return render(star_chain(n))
+
+
+def option_text(n: int) -> str:
+    return render(option_chain(n))
+
+
+# The deepest text `construct` took on pd and bdfa, bisected the same way,
+# both while it parsed the text first and now that each route reads the
+# text into its term table (the same depths on both).
+DEPTH_TEXT_ROUTES = [
+    ("construct-pd-star-text", functools.partial(construct, "pd"), star_text, 492),
+    ("construct-pd-option-text", functools.partial(construct, "pd"), option_text, 987),
+    ("construct-bdfa-star-text", functools.partial(construct, "bdfa"), star_text, 494),
+    ("construct-bdfa-option-text", functools.partial(construct, "bdfa"), option_text, 988),
+]
 DEPTH_CASES = (
     DEPTH_BEFORE_MEMO
     + DEPTH_BEFORE_ARC_STORE
@@ -291,6 +312,7 @@ DEPTH_CASES = (
     + DEPTH_AFTER_IDENTITY_ORDER
     + DEPTH_AFTER_NORMAL_TERMS
     + DEPTH_AFTER_POSTORDER
+    + DEPTH_TEXT_ROUTES
 )
 
 
