@@ -15,6 +15,8 @@ from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from typing import Callable, Iterable, NamedTuple, Sequence
 
+from .expressions import _valid_symbol
+
 __all__ = [
     "Automaton",
     "FaMeasures",
@@ -475,8 +477,12 @@ def save(aut: Automaton, path) -> None:
 
 
 def load(path) -> Automaton:
+    """The automaton in a JSON file; its letters must be symbols, as `Sym` takes them."""
     with open(path, encoding="utf-8") as fh:
-        return from_dict(json.load(fh))
+        aut = from_dict(json.load(fh))
+    if not all(map(_valid_symbol, aut.alphabet)):
+        raise ValueError(f"invalid symbol name {min(a for a in aut.alphabet if not _valid_symbol(a))!r}")
+    return aut
 
 
 def to_dot(aut: Automaton) -> str:

@@ -35,11 +35,10 @@ from .expressions import (
     Star,
     Sym,
     Union,
-    _operands,
-    _postorder,
+    _ATOMS,
+    _fold,
     _read,
     _render,
-    _replay,
     nullable,
 )
 
@@ -61,6 +60,13 @@ __all__ = [
 
 class ConstructionError(RuntimeError):
     pass
+
+
+def _walk(r: RegEx | str, leaf, star, option, concat, union):
+    """The makers called kids first on the text r by `_read`, or on each
+    occurrence of a node of the tree r by `_fold`, `leaf` on a leaf's text."""
+    makers = star, option, concat, union
+    return _read(r, leaf, *makers) if isinstance(r, str) else _fold(r, lambda node: leaf(node._text), *makers)
 
 
 # ---------------------------------------------------------------------------
@@ -94,10 +100,8 @@ class _InductiveNfaBuilder:
         self.alias[old] = new
 
     def build(self, r: RegEx | str) -> tuple[int, int]:
-        """The fragment of r: the reader of `parse` calls the makers below on
-        a text as `_replay` calls them on a tree, in the same order."""
-        makers = self.leaf, self.star, self.option, self.concat, self.union
-        frag = _read(r, *makers) if isinstance(r, str) else _replay(r, *makers)
+        """The fragment of r, which `_walk` reads into the makers below."""
+        frag = _walk(r, self.leaf, self.star, self.option, self.concat, self.union)
         if self.held:
             self.arc(*self.held)
         return frag
@@ -369,16 +373,14 @@ class PositionSets:
 
 def position_sets(marked: MarkedRegEx) -> PositionSets:
     """The sets of a marked expression."""
+    walk = _PositionWalk()
 
-    def positions():
-        for node in _postorder(marked.tree):
-            if type(node) is Sym:
-                if node.pos is None:
-                    raise ValueError("position_sets expects a marked expression")
-                yield node.pos
+    def leaf(node: RegEx) -> tuple[set, set, bool]:
+        if type(node) is Sym and node.pos is None:
+            raise ValueError("position_sets expects a marked expression")
+        return walk.leaf(node._text, node.pos if type(node) is Sym else None)
 
-    walk = _PositionWalk(positions())
-    first, last, _ = _replay(marked.tree, *walk.makers())
+    first, last, _ = _fold(marked.tree, leaf, *walk.makers()[1:])
     follow = frozenset((i, j) for i, _, j in walk.transitions)
     return PositionSets(frozenset(j for _, j in first), frozenset(last), follow, frozenset(walk.letters))
 
@@ -388,20 +390,19 @@ class _PositionWalk:
     first set, last set and nullability; first sets hold (letter, position)
     pairs, so follow pairs go into `transitions` as (i, a, j).  Symbol leaves
     take the positions 1, 2, … as met (left to right, like :func:`mark`), or
-    the next of `positions`; `letters` holds each position's letter."""
+    the `pos` a marked tree gives; `letters` holds each position's letter."""
 
-    def __init__(self, positions=None):
+    def __init__(self):
         self.transitions: set[tuple[int, str, int]] = set()
         self.letters: dict[int, str] = {}
-        self.positions = positions
 
     def makers(self) -> tuple:
         return self.leaf, self.star, self.option, self.concat, self.union
 
-    def leaf(self, name: str) -> tuple[set, set, bool]:
+    def leaf(self, name: str, pos: int | None = None) -> tuple[set, set, bool]:
         if name == "#" or name == "&":
             return set(), set(), name == "&"
-        pos = len(self.letters) + 1 if self.positions is None else next(self.positions)
+        pos = len(self.letters) + 1 if pos is None else pos
         self.letters[pos] = name
         return {(name, pos)}, {pos}, False
 
@@ -435,7 +436,7 @@ def construct_position(r: RegEx | str) -> Automaton:
     """Glushkov automaton: state 0 plus one state per symbol occurrence.  A
     text is read straight into the walk, as in `construct_of`."""
     walk = _PositionWalk()
-    first, last, empty_word = _read(r, *walk.makers()) if isinstance(r, str) else _replay(r, *walk.makers())
+    first, last, empty_word = _walk(r, *walk.makers())
     transitions, letters = walk.transitions, walk.letters
     transitions.update([(0, a, j) for a, j in first])
     finals = last | {0} if empty_word else last
@@ -468,35 +469,13 @@ class _Terms:
         return self.nodes[key]
 
     def intern(self, r: RegEx | str) -> RegEx:
-        """The term of r.  A text is read straight into the makers; on a tree
-        the makers take each distinct node once, kids first, each union and
-        concatenation split into its `kids` once, when the walk meets it, and
-        the value its chain of makers gives is made a term by `term`."""
-        leaf, star, option, concat, alt = makers = self.makers()
+        """The term of r: the value the makers give, kids first, made a term
+        by `term`.  A text is read straight into the makers; on a tree
+        they take each distinct node once."""
+        leaf, *makers = self.makers()
         if isinstance(r, str):
-            return self.term(_read(r, *makers, {"#": EMPTY, "&": EPSILON}))
-        done: dict[int, RegEx] = {}
-        split: dict[int, tuple[RegEx, ...]] = {}  # the kids of each union and concatenation on the walk's stack
-        for node in _postorder(r, lambda node: done.get(id(node)), lambda n: split.setdefault(id(n), self.kids(n))):
-            cls = type(node)
-            if cls is Sym:
-                term = leaf(node.name, node)
-            elif cls is Empty or cls is Epsilon:
-                term = EMPTY if cls is Empty else EPSILON
-            elif cls is Star or cls is Option:
-                term = (star if cls is Star else option)(done[id(node.inner)])
-            else:
-                join = alt if cls is Union else concat
-                term, *rest = [done[id(kid)] for kid in split.pop(id(node))]
-                for t in rest:
-                    term = join(term, t)
-                term = self.term(term)
-            done[id(node)] = term
-        return done[id(r)]
-
-    def kids(self, node: RegEx) -> tuple[RegEx, ...]:
-        """The nodes whose terms make the term of a union or concatenation."""
-        return node.left, node.right
+            return self.term(_read(r, leaf, *makers, _ATOMS.copy()))
+        return self.term(_fold(r, lambda node: _ATOMS.get(node._text) or leaf(node.name, node), *makers, {}))
 
     def leaf(self, name: str, sym: Sym | None = None) -> Sym:
         """The term of a symbol read as `name`, or of a tree's symbol `sym`,
@@ -618,11 +597,11 @@ def construct_pd(r: RegEx | str) -> Automaton:
 # Brzozowski derivatives
 
 
-class _Cat(list):
+class _Cat(tuple):
     """The terms of a concatenation chain, collected whole while they are made."""
 
 
-class _Alt(list):
+class _Alt(tuple):
     """The terms of a union chain, collected whole while they are made."""
 
 
@@ -639,10 +618,8 @@ class _AciTerms(_Terms):
     terms are never printed can sort by `id`.  The concatenation and union
     makers collect a chain whole (`_chain`), and `term` folds it once, when
     another maker takes it (179 nodes for `options_regex(60)`, not 1 890 one
-    prefix at a time); with `chains` off, a tree's concatenations are taken
-    pair by pair."""
-
-    chains = True
+    prefix at a time).  A chain is a tuple, extended into a new one, so a
+    shared node's chain stays whole for each of its parents."""
 
     def __init__(self, branch_key: Callable | None = None):
         super().__init__()
@@ -650,22 +627,10 @@ class _AciTerms(_Terms):
         self.unions: dict[int, dict[int, RegEx]] = {}
         self.tables: dict[int, dict[str, RegEx]] = {}
 
-    def kids(self, node: RegEx) -> tuple[RegEx, ...]:
-        """A union's kids are its maximal non-union subterms, so that a chain
-        of k branches is sorted once, not k times; with `chains`, likewise a
-        concatenation's, so that no prefix of the chain is built."""
-        if isinstance(node, Union) or self.chains and isinstance(node, Concat):
-            return tuple(_operands(node, type(node)))
-        return super().kids(node)
-
-    def _chain(self, cls: type, left, right) -> list:
-        # the chain of left and right; a maker's value is taken once, so it grows in place
-        chain = left if type(left) is cls else cls((self.term(left),))
-        if type(right) is cls:
-            chain += right
-        else:
-            chain.append(self.term(right))
-        return chain
+    def _chain(self, cls: type, left, right) -> tuple:
+        # a new tuple: on a tree, a shared node's chain goes to each of its parents
+        head = left if type(left) is cls else (self.term(left),)
+        return cls((*head, *right) if type(right) is cls else (*head, self.term(right)))
 
     def makers(self) -> tuple:
         # a maker's value may be a chain, which the star and option makers fold first

@@ -66,9 +66,8 @@ class _Labels(_AciTerms):
     shared by the terms that are equal modulo the order of union branches:
     a union's class is keyed by the set of its branches' classes, and a
     symbol's by its name, so `a` and a marked `a1` are duplicates.  A
-    union term keeps its branches in `unions`, by class, in order."""
-
-    chains = False  # `cat` keeps the input's nesting
+    union term keeps its branches in `unions`, by class, in order; `cat`
+    makes each concatenation as it comes, keeping the input's nesting."""
 
     def __init__(self):
         super().__init__()
@@ -89,6 +88,10 @@ class _Labels(_AciTerms):
     def intern(self, r: RegEx) -> RegEx:
         """The term of r; r itself when it is a term of this table."""
         return r if id(r) in self.classes else super().intern(r)
+
+    def makers(self) -> tuple:
+        leaf, star, option, _, union = super().makers()
+        return leaf, star, option, lambda left, right: self.cat(self.term(left), self.term(right)), union
 
     def make(self, cls: type, *kids: RegEx) -> RegEx:
         node = super().make(cls, *kids)

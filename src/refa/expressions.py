@@ -9,17 +9,16 @@ remain writable without quoting.
 Every walk over a whole expression is a loop over `_postorder`, one
 generator on an explicit stack, or `_read`, the one reader of the text,
 which keeps its open groups on a stack too; so no walk is limited by the
-recursion depth.  A text is read straight into the node rules of its
-consumer (`measures`, each automaton construction), kids first, with no
-tree in between; on a tree the consumer's walk calls the same rules
-(`_replay` calls them as `_read` would on the tree's text), so each rule
-is written once.  A tree walk (marking, building an automaton, ssnf)
-handles each occurrence of a node; a walk that stores a value on each
-node (`measures`, `nullable`, rendering, the term tables) skips the nodes
-that hold theirs, so each distinct node of a shared expression is visited
-once.  The walks on one term at a time (the linear forms and derivatives)
-recurse: they are memoised and hot, and on them CPython's recursion is
-cheaper than any explicit stack.
+recursion depth.  A consumer's node rules (`measures`, each automaton
+construction, the term tables, marking) are makers called kids first: on
+a text by `_read`, with no tree in between, and on a tree by `_fold`, so
+each rule is written once.  Without a memo `_fold` calls them on each
+occurrence of a node (marking, building an automaton); with one it calls
+them once on each distinct node of a shared expression (the term
+tables), as a walk that stores a value on each node does (`measures`,
+`nullable`, rendering).  The walks on one term at a time (the linear
+forms and derivatives) recurse: they are memoised and hot, and on them
+CPython's recursion is cheaper than any explicit stack.
 """
 
 from __future__ import annotations
@@ -160,9 +159,7 @@ _ATOMS = {"#": EMPTY, "&": EPSILON}  # the leaves that are no symbol, by their t
 def _valid_symbol(name: str) -> bool:
     """Whether name is an ASCII letter and then ASCII digits only: `str.isdigit`
     alone also takes `²` and `١`."""
-    if not name or not (name[0].isalpha() and name[0].isascii()):
-        return False
-    return name[1:] == "" or name[1:].isascii() and name[1:].isdigit()
+    return name.isascii() and name[:1].isalpha() and (len(name) == 1 or name[1:].isdigit())
 
 
 class MeasureReport(NamedTuple):
@@ -316,19 +313,35 @@ def _read(text: str, leaf, star, option, concat, union, leaves: dict | None = No
             return term if head is None else union(head, term)
 
 
-def _replay(r: RegEx, leaf, star, option, concat, union):
-    """The node makers called on the nodes of the tree r as `_read` calls
-    them on a text, kids first, `leaf` on each leaf's text."""
+def _fold(r: RegEx, leaf, star, option, concat, union, memo: dict | None = None):
+    """The node makers called on the tree r as `_read` calls them on its
+    text, kids first, with `leaf` called on each leaf node.  Without `memo`
+    they are called on every occurrence of a node; with it, on each
+    distinct node once, its value kept in `memo` under its id and taken
+    again wherever the node recurs, so a value must be safe to share."""
     done: list = []
-    for node in _postorder(r):
+    known = None
+    if memo is not None:
+
+        def known(node):
+            # a node met before stands where its walk would have ended
+            value = memo.get(id(node))
+            if value is not None:
+                done.append(value)
+            return value
+
+    for node in _postorder(r, known):
         cls = type(node)
         if cls is Union or cls is Concat:
             right = done.pop()
-            done[-1] = (union if cls is Union else concat)(done[-1], right)
+            value = (union if cls is Union else concat)(done.pop(), right)
         elif cls is Star or cls is Option:
-            done[-1] = (star if cls is Star else option)(done[-1])
+            value = (star if cls is Star else option)(done.pop())
         else:
-            done.append(leaf(node._text))
+            value = leaf(node)
+        done.append(value)
+        if memo is not None:
+            memo[id(node)] = value
     return done[0]
 
 
@@ -476,7 +489,7 @@ def symbols_of(r: RegEx) -> frozenset[str]:
 def _rewrite_symbols(r: RegEx, leaf) -> RegEx:
     """A copy of r with each symbol leaf replaced by `leaf(name)`, called on
     the leaves left to right."""
-    return _replay(r, lambda text: _ATOMS.get(text) or leaf(text), Star, Option, Concat, Union)
+    return _fold(r, lambda node: leaf(node.name) if type(node) is Sym else node, Star, Option, Concat, Union)
 
 
 def mark(r: RegEx) -> MarkedRegEx:
@@ -497,54 +510,45 @@ def unmark(m: MarkedRegEx) -> RegEx:
 def ssnf(r: RegEx) -> RegEx:
     """Strong star normal form: language-preserving, never larger, idempotent.
 
-    One walk applies the unit rules and builds r• (Brüggemann-Klein's star
-    normal form step, with (F*)• = (F•°)*).  ∅ annihilates a concatenation
-    and λ is its unit; ∅ is the unit of a union, whose ``s+λ`` and ``λ+s``
-    become ``s?``; ∅*, λ*, ∅? and λ? become λ.  `done` holds the • of each
-    finished kid and beside it the ° of that •: F° drops the stars and
-    options of F and splits a nullable concatenation into a union, keeping
-    a non-nullable one whole.  A kid is a unit when its • is an atomic ∅ or
-    λ.  A node and its • denote one language, so nullability is asked of
-    the node."""
+    One walk (`_fold` through the makers below) applies the unit rules and
+    builds r• (Brüggemann-Klein's star normal form step, with (F*)• =
+    (F•°)*).  ∅ annihilates a concatenation and λ is its unit; ∅ is the unit
+    of a union, whose ``s+λ`` and ``λ+s`` become ``s?``; ∅*, λ*, ∅? and λ?
+    become λ.  A maker's value is the • of its node and beside it the ° of
+    that •: F° drops the stars and options of F and splits a nullable
+    concatenation into a union, keeping a non-nullable one whole.  A kid is
+    a unit when its • is an atomic ∅ or λ, and is nullable when its • is."""
 
-    def option(kid: RegEx, pair: tuple[RegEx, RegEx]) -> tuple[RegEx, RegEx]:
-        # the pair of kid?, for a kid that is no unit
-        return pair if nullable(kid) else (Option(pair[0]), pair[1])
+    def option(pair: tuple[RegEx, RegEx]) -> tuple[RegEx, RegEx]:
+        b = pair[0]
+        if isinstance(b, (Empty, Epsilon)):
+            return EPSILON, EPSILON
+        return pair if nullable(b) else (Option(b), pair[1])
 
-    done: list[tuple[RegEx, RegEx]] = []
-    for node in _postorder(r):
-        cls = type(node)
-        if cls is Union or cls is Concat:
-            right = done.pop()
-            (b1, c1), (b2, c2) = done[-1], right  # the result replaces the left pair
-            if cls is Union:
-                if isinstance(b1, Empty):
-                    done[-1] = right
-                elif isinstance(b1, Epsilon):
-                    done[-1] = (EPSILON, EPSILON) if isinstance(b2, (Empty, Epsilon)) else option(node.right, right)
-                elif isinstance(b2, Epsilon):
-                    done[-1] = option(node.left, done[-1])
-                elif not isinstance(b2, Empty):
-                    b = Union(b1, b2)
-                    done[-1] = (b, b if c1 is b1 and c2 is b2 else Union(c1, c2))
-            elif isinstance(b1, Empty) or isinstance(b2, Empty):
-                done[-1] = (EMPTY, EMPTY)
-            elif isinstance(b1, Epsilon):
-                done[-1] = right
-            elif not isinstance(b2, Epsilon):
-                b = Concat(b1, b2)
-                done[-1] = (b, Union(c1, c2) if nullable(node) else b)
-        elif cls is Star or cls is Option:
-            b, c = done[-1]
-            if isinstance(b, (Empty, Epsilon)):
-                done[-1] = (EPSILON, EPSILON)
-            elif cls is Star:
-                done[-1] = (Star(c), c)
-            else:
-                done[-1] = option(node.inner, done[-1])
-        else:
-            done.append((node, node))
-    return done[0][0]
+    def star(pair: tuple[RegEx, RegEx]) -> tuple[RegEx, RegEx]:
+        return (EPSILON, EPSILON) if isinstance(pair[0], (Empty, Epsilon)) else (Star(pair[1]), pair[1])
+
+    def union(left: tuple[RegEx, RegEx], right: tuple[RegEx, RegEx]) -> tuple[RegEx, RegEx]:
+        (b1, c1), (b2, c2) = left, right
+        if isinstance(b1, Empty):
+            return right
+        if isinstance(b1, Epsilon) or isinstance(b2, Epsilon):
+            return option(right if isinstance(b1, Epsilon) else left)
+        if isinstance(b2, Empty):
+            return left
+        b = Union(b1, b2)
+        return b, b if c1 is b1 and c2 is b2 else Union(c1, c2)
+
+    def concat(left: tuple[RegEx, RegEx], right: tuple[RegEx, RegEx]) -> tuple[RegEx, RegEx]:
+        (b1, c1), (b2, c2) = left, right
+        if isinstance(b1, Empty) or isinstance(b2, Empty):
+            return EMPTY, EMPTY
+        if isinstance(b1, Epsilon) or isinstance(b2, Epsilon):
+            return right if isinstance(b1, Epsilon) else left
+        b = Concat(b1, b2)
+        return b, Union(c1, c2) if nullable(b) else b
+
+    return _fold(r, lambda node: (node, node), star, option, concat, union)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,9 @@ leaf's arc at once and move arcs by merges, build a union of each merged
 state's arcs, and test an arc's uniqueness by set equality.  `_aci` is the
 normal form of one `_AciTerms` table, which only the memo tests ask for;
 `prefix_intern` interns into such a table as `_AciTerms.intern` did before
-it took a concatenation chain whole, one left-nested prefix at a time.
+it took a concatenation chain whole, one left-nested prefix at a time, and
+`shared_kid_dags` are expressions in which two parents share a kid, whose
+value a table must take twice unchanged.
 `reference_simplify` rewrites a tree as `simplify` did before the label
 table, finding duplicate branches by their text with union branches
 sorted; `reference_state_elimination`, `reference_arden_solve` and
@@ -402,6 +404,19 @@ def _aci(r: RegEx) -> RegEx:
     return _AciTerms().intern(r)
 
 
+def shared_kid_dags() -> list[RegEx]:
+    """Expressions in which a concatenation or union is a kid of two parents:
+    abc+abd and (a+b+c)(a+b+d) with the shared ab and a+b one node each, and
+    (abc+(abd)*)*."""
+    a, b, c, d = map(Sym, "abcd")
+    x, y = Concat(a, b), Union(a, b)
+    return [
+        Union(Concat(x, c), Concat(x, d)),
+        Concat(Union(y, c), Union(y, d)),
+        Star(Union(Concat(x, c), Star(Concat(x, d)))),
+    ]
+
+
 def prefix_intern(terms: _AciTerms, r: RegEx) -> RegEx:
     """The term of r in `terms`, built as `_AciTerms.intern` built it before
     it took a concatenation chain whole: a union's kids are its maximal
@@ -412,7 +427,7 @@ def prefix_intern(terms: _AciTerms, r: RegEx) -> RegEx:
     def kids(node):
         if isinstance(node, (Star, Option)):
             return (node.inner,)
-        return tuple(_operands(node, Union)) if isinstance(node, Union) else _Terms.kids(terms, node)
+        return tuple(_operands(node, Union)) if isinstance(node, Union) else (node.left, node.right)
 
     for node in _postorder(r, lambda node: done.get(id(node)), kids):
         if isinstance(node, Sym):

@@ -319,12 +319,14 @@ class TestCli:
             assert main(["measure", text] if route is None else ["convert", text, "--to", route]) == 1, text
             assert capsys.readouterr() == ("", f"error: unexpected {digit!r} at offset 1\n"), text
 
-    def test_toregex_refuses_a_non_ascii_digit_symbol(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["toregex", "equiv", "rank"])
+    def test_toregex_refuses_a_non_ascii_digit_symbol(self, tmp_path, capsys, command):
+        # refused at load, so every command that reads an automaton prints the same line
         path = tmp_path / "sup.json"
         path.write_text(json.dumps(
             {"states": [0, 1], "alphabet": ["a²"], "initial": 0, "finals": [1], "transitions": [[0, "a²", 1]]}
         ))
-        assert main(["toregex", str(path)]) == 1
+        assert main([command, str(path)] + [str(path)] * (command == "equiv")) == 1
         assert capsys.readouterr() == ("", "error: invalid symbol name 'a²'\n")
 
     @pytest.mark.parametrize(

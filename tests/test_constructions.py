@@ -47,6 +47,7 @@ from refa.expressions import (
     Star,
     Sym,
     Union,
+    _postorder,
     mark,
     measures,
     nullable,
@@ -77,6 +78,7 @@ from conftest import (
     reference_derivative,
     reference_parse,
     reference_position_sets,
+    shared_kid_dags,
     words_upto,
 )
 from test_expressions import SYNTAX_ERRORS
@@ -533,6 +535,7 @@ class TestTermTable:
         + [row2_regex(n) for n in (1, 2, 3)]
         + [row3_regex(n) for n in (1, 2, 4)]
         + [parse(text) for text in ("(a(#b))*", "(a(#b))*c", "((a+&)(b+&))*(a+b)", "#", "&", "a#b*")]
+        + shared_kid_dags()
     )
 
     def test_equals_the_reference_automaton(self):
@@ -724,19 +727,25 @@ class TestIdentityOrder:
             # texts only in text order: an order by identity differs between tables
             assert render(_AciTerms().intern(r)) == render(prefix_intern(_AciTerms(), r)), render(r)
 
-    def test_each_chain_is_split_once(self, monkeypatch):
-        # the walk's split of a node serves `join` too: 61 `_operands` calls
-        # for the 61 unions and chains of options_regex(60), not 122
-        split = Counter()
+    def test_each_node_reaches_its_maker_once(self):
+        # on a tree each distinct union and concatenation is taken to its
+        # maker once, however many parents share it: abc+abd makes 4 calls,
+        # not one per occurrence of ab
+        for r in [options_regex(60), *shared_kid_dags()]:
+            terms, calls = _AciTerms(id), Counter()
+            leaf, star, option, concat, union = terms.makers()
 
-        def operands(node, cls):
-            split[id(node)] += 1
-            return _operands(node, cls)
+            def counted(cls, maker):
+                def call(left, right):
+                    calls[cls] += 1
+                    return maker(left, right)
 
-        _operands = constructions._operands
-        monkeypatch.setattr(constructions, "_operands", operands)
-        _AciTerms(id).intern(options_regex(60))
-        assert len(split) == 61 and set(split.values()) == {1}
+                return call
+
+            terms.makers = lambda: (leaf, star, option, counted(Concat, concat), counted(Union, union))
+            terms.intern(r)
+            distinct = {id(node): type(node) for node in _postorder(r)}
+            assert calls == Counter(c for c in distinct.values() if c is Union or c is Concat), render(r)
 
     def test_options_chain_table_is_small(self):
         # one prefix at a time left 1 890 nodes for this input of 180 distinct nodes

@@ -41,6 +41,7 @@ from conftest import (
     reference_simplify,
     reference_state_elimination,
     scan_eliminate,
+    shared_kid_dags,
 )
 
 
@@ -486,7 +487,8 @@ class TestAgainstReference:
         assert_converters_match_reference(named, STRATEGIES)
 
     def test_simplify_on_commuted_duplicates(self):
-        for r in [parse("(a+b)c+(b+a)c"), parse("((a+b)c+(b+a)c)*d((b+a)c+(a+b)c)"), parse("&+(a+b)(b+a)*")]:
+        texts = ["(a+b)c+(b+a)c", "((a+b)c+(b+a)c)*d((b+a)c+(a+b)c)", "&+(a+b)(b+a)*"]
+        for r in [*map(parse, texts), *shared_kid_dags()]:
             assert render(simplify(r)) == render(reference_simplify(r))
         for seed in range(400):
             r = commuted_duplicates_tree(random.Random(seed), 1 + seed % 4)
