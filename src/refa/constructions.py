@@ -81,9 +81,10 @@ class _InductiveNfaBuilder:
     plain state sharing at the endpoints sound.  Arcs go to one list, and a
     merge of state `old` into `new` is an entry in a union-find alias map
     that `automaton` resolves once.  The makers `leaf`, `star`, `option`,
-    `concat` and `union` build both automata, kids first; the follow
-    builder's concatenation contracts λ-arcs only where one touches its
-    middle state, as no other arc is ever a candidate.
+    `concat` and `union` build both automata, kids first: a leaf writes its
+    arc at once, a union merges its right operand's entry and exit into the
+    left one's, and a concatenation merges its right operand's entry into
+    the left one's exit.
     """
 
     def __init__(self):
@@ -91,7 +92,6 @@ class _InductiveNfaBuilder:
         self.arcs: list[tuple] = []
         self.alias: dict[int, int] = {}
         self.letters: set[str] = set()  # the symbols built so far
-        self.held = None  # the unwritten arc of the leaf made last, until the next maker
 
     def arc(self, p: int, a, q: int):
         self.arcs.append((p, a, q))
@@ -101,52 +101,32 @@ class _InductiveNfaBuilder:
 
     def build(self, r: RegEx | str) -> tuple[int, int]:
         """The fragment of r, which `_walk` reads into the makers below."""
-        frag = _walk(r, self.leaf, self.star, self.option, self.concat, self.union)
-        if self.held:
-            self.arc(*self.held)
-        return frag
+        return _walk(r, self.leaf, self.star, self.option, self.concat, self.union)
 
     def leaf(self, name: str) -> tuple[int, int]:
-        """The fragment of a symbol, `#` or `&`.  Its arc is held back: a union
-        or concatenation that takes it as right operand writes it where it
-        lands, and any other maker writes it as it is."""
-        if self.held:
-            self.arc(*self.held)
+        """The fragment of a symbol, `#` or `&`: one arc, none for `#`."""
         i = self.n
         self.n += 2
-        if name != "#" and name != "&":
-            self.letters.add(name)
-        self.held = None if name == "#" else (i, None if name == "&" else name, i + 1)
+        if name != "#":
+            if name != "&":
+                self.letters.add(name)
+            self.arc(i, None if name == "&" else name, i + 1)
         return i, i + 1
 
     def union(self, a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
-        leaf_arc, self.held = self.held, None
-        if leaf_arc:
-            self.arc(a[0], leaf_arc[1], a[1])
-        else:
-            self.merge(b[0], a[0])
-            self.merge(b[1], a[1])
+        self.merge(b[0], a[0])
+        self.merge(b[1], a[1])
         return a
 
     def concat(self, a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
-        leaf_arc, self.held = self.held, None
-        if leaf_arc:
-            self.arc(a[1], leaf_arc[1], b[1])
-        else:
-            self.merge(b[0], a[1])
+        self.merge(b[0], a[1])
         return a[0], b[1]
 
     def option(self, a: tuple[int, int]) -> tuple[int, int]:
-        leaf_arc, self.held = self.held, None
-        if leaf_arc:
-            self.arc(*leaf_arc)
         self.arc(a[0], None, a[1])  # union with λ
         return a
 
     def star(self, a: tuple[int, int]) -> tuple[int, int]:
-        leaf_arc, self.held = self.held, None
-        if leaf_arc:
-            self.arc(*leaf_arc)
         m = a[0]
         self.merge(a[1], m)
         i, f = self.n, self.n + 1
@@ -183,10 +163,8 @@ class _FollowBuilder(_InductiveNfaBuilder):
     `out[p]` and `inn[q]` hold the arcs leaving p and entering q, every arc
     in both: an arc is the only one into q when `inn[q]` has size 1, and a
     merge re-points each arc of the merged state in place in the other
-    endpoint's set, at the cost of its degree.  Leaf arcs land as in `leaf`.
-    A concatenation contracts only if a λ-arc touches its middle state m:
-    `_contract` takes λ-arcs at m alone, so with none there it would change
-    no arc and no state id, and skipping it leaves the output as it was.
+    endpoint's set, at the cost of its degree.  Each concatenation then
+    contracts the λ-arcs at its middle state.
     """
 
     def __init__(self):
@@ -225,19 +203,7 @@ class _FollowBuilder(_InductiveNfaBuilder):
                 new_inn.add(arc)
 
     def concat(self, a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
-        m = a[1]
-        leaf_arc, self.held = self.held, None
-        if leaf_arc:
-            self.arc(m, leaf_arc[1], b[1])
-        else:  # a rename: b's entry has no in-arc and m no out-arc, so only b's out-arcs move
-            self.merge(b[0], m)
-        frag = a[0], b[1]
-        # most middle states touch no λ-arc, and then there is nothing to contract
-        for arcs in (self.out.get(m, ()), self.inn.get(m, ())):
-            for arc in arcs:
-                if arc[1] is None:
-                    return self._contract(frag, m, enclosed=True)
-        return frag
+        return self._contract(super().concat(a, b), a[1], enclosed=True)
 
     def star(self, a: tuple[int, int]) -> tuple[int, int]:
         frag = super().star(a)
@@ -258,8 +224,8 @@ class _FollowBuilder(_InductiveNfaBuilder):
         would acquire incoming arcs (the exit outgoing ones) and the plain
         state sharing of enclosing operators would become unsound.  On the
         finished automaton m is the start state, the arcs out of it are
-        tried, and their target survives as the new start state.  Only λ-arcs
-        at m are candidates, so `concat` calls this only when one touches m.
+        tried, and their target survives as the new start state.  With no
+        eligible λ-arc at m the fragment comes back unchanged.
         """
         init, fin = frag
         out, inn = self.out, self.inn
@@ -330,8 +296,8 @@ def construct_follow(r: RegEx | str) -> Automaton:
     is read straight into the builder, as in `construct_of`.  Its
     states are numbered by :func:`_explore` on the builder's arc index, each
     with the symbol arcs out of its λ-closure in (label, target) order.  λ-arcs
-    are contracted as the expression is built, at each concatenation where
-    one touches the middle state (elsewhere there is nothing to contract)."""
+    are contracted as the expression is built, at each concatenation's middle
+    state."""
     builder = _FollowBuilder()
     frag = builder.build(r)
     # a λ-arc leaving the start state is contracted once construction is done
@@ -450,7 +416,7 @@ def construct_position(r: RegEx | str) -> Automaton:
 class _Terms:
     """The derived terms of one partial-derivative run, hash-consed: `make`
     gives one node per class and children compared by identity, so the
-    terms `intern` builds through the makers below are one object each when
+    terms `intern` builds through its `makers` are one object each when
     equal, keyed by `id` and rendered once.  `cats` and `forms` memoise `cat`
     and the linear forms; `letters` holds the names of the symbols made.
     The table holds every node it keys, so no `id` is reused; it lives for
@@ -461,6 +427,10 @@ class _Terms:
         self.cats: dict[tuple[int, int], RegEx] = {}
         self.forms: dict[int, dict[str, dict[int, RegEx]]] = {}
         self.letters: set[str] = set()
+        # the makers of a leaf, star, option, concatenation and union, in the
+        # order `_read` takes them
+        make = self.make
+        self.makers = self.leaf, partial(make, Star), partial(make, Option), partial(make, Concat), partial(make, Union)
 
     def make(self, cls: type, *kids: RegEx) -> RegEx:
         key = (cls, *map(id, kids))
@@ -472,7 +442,7 @@ class _Terms:
         """The term of r: the value the makers give, kids first, made a term
         by `term`.  A text is read straight into the makers; on a tree
         they take each distinct node once."""
-        leaf, *makers = self.makers()
+        leaf, *makers = self.makers
         if isinstance(r, str):
             return self.term(_read(r, leaf, *makers, _ATOMS.copy()))
         return self.term(_fold(r, lambda node: _ATOMS.get(node._text) or leaf(node.name, node), *makers, {}))
@@ -488,12 +458,6 @@ class _Terms:
             node = self.nodes[key] = sym or Sym(name)
             self.letters.add(name)
         return node
-
-    def makers(self) -> tuple:
-        """The makers of a leaf, star, option, concatenation and union, in
-        the order `_read` takes them."""
-        make = self.make
-        return self.leaf, partial(make, Star), partial(make, Option), partial(make, Concat), partial(make, Union)
 
     def term(self, value: RegEx) -> RegEx:
         """The term a maker's value stands for: here the value itself."""
@@ -626,22 +590,20 @@ class _AciTerms(_Terms):
         self.branch_key = branch_key or _render
         self.unions: dict[int, dict[int, RegEx]] = {}
         self.tables: dict[int, dict[str, RegEx]] = {}
-
-    def _chain(self, cls: type, left, right) -> tuple:
-        # a new tuple: on a tree, a shared node's chain goes to each of its parents
-        head = left if type(left) is cls else (self.term(left),)
-        return cls((*head, *right) if type(right) is cls else (*head, self.term(right)))
-
-    def makers(self) -> tuple:
         # a maker's value may be a chain, which the star and option makers fold first
         term, make, star = self.term, self.make, self.star
-        return (
+        self.makers = (
             self.leaf,
             lambda inner: star(term(inner)),
             lambda inner: make(Option, term(inner)),
             partial(self._chain, _Cat),
             partial(self._chain, _Alt),
         )
+
+    def _chain(self, cls: type, left, right) -> tuple:
+        # a new tuple: on a tree, a shared node's chain goes to each of its parents
+        head = left if type(left) is cls else (self.term(left),)
+        return cls((*head, *right) if type(right) is cls else (*head, self.term(right)))
 
     def term(self, value) -> RegEx:
         """The term of a maker's value: a union chain is joined by `union`,

@@ -74,6 +74,8 @@ class _Labels(_AciTerms):
         self.numbers: dict = {}  # class key -> class number
         self.classes: dict[int, int] = {id(EMPTY): self._number("#"), id(EPSILON): self._number("&")}
         self.symbols: list[Sym] = []  # those classed by `_class`, held so that no filed id is reused
+        leaf, star, option, _, union = self.makers
+        self.makers = leaf, star, option, lambda left, right: self.cat(self.term(left), self.term(right)), union
 
     def _number(self, key) -> int:
         return self.numbers.setdefault(key, len(self.numbers))
@@ -88,10 +90,6 @@ class _Labels(_AciTerms):
     def intern(self, r: RegEx) -> RegEx:
         """The term of r; r itself when it is a term of this table."""
         return r if id(r) in self.classes else super().intern(r)
-
-    def makers(self) -> tuple:
-        leaf, star, option, _, union = super().makers()
-        return leaf, star, option, lambda left, right: self.cat(self.term(left), self.term(right)), union
 
     def make(self, cls: type, *kids: RegEx) -> RegEx:
         node = super().make(cls, *kids)

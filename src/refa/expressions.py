@@ -48,7 +48,6 @@ __all__ = [
     "tokenize_word",
     "measures",
     "nullable",
-    "symbols_of",
     "mark",
     "unmark",
     "ssnf",
@@ -475,11 +474,6 @@ def nullable(r: RegEx) -> bool:
             left, right = node.left._nullable, node.right._nullable
             _set(node, "_nullable", left or right if isinstance(node, Union) else left and right)
     return r._nullable
-
-
-def symbols_of(r: RegEx) -> frozenset[str]:
-    """All symbol names occurring in the expression."""
-    return frozenset(node.name for node in _postorder(r) if isinstance(node, Sym))
 
 
 # ---------------------------------------------------------------------------

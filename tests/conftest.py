@@ -102,8 +102,12 @@ from refa.expressions import (
     nullable,
     random_expr,
     render,
-    symbols_of,
 )
+
+
+def letters_of(r: RegEx) -> frozenset[str]:
+    """The names of the symbols in r."""
+    return frozenset(node.name for node in _postorder(r) if type(node) is Sym)
 
 
 def lang(r: RegEx, maxlen: int) -> frozenset:
@@ -393,7 +397,7 @@ def follow_quotient(r: RegEx) -> Automaton:
     transitions = {(rep[p], a, rep[q]) for p, a, q in pos_aut.transitions}
     states = {rep[i] for i in follow0}
     finals = {rep[i] for i in final0}
-    return Automaton.make(states, symbols_of(r), rep[0], finals, transitions)
+    return Automaton.make(states, letters_of(r), rep[0], finals, transitions)
 
 
 # -- reference derivative automaton ------------------------------------------
@@ -526,7 +530,7 @@ def reference_derivative(r, a, memo=None):
 def reference_brzozowski(r: RegEx) -> Automaton:
     """The derivative DFA with states compared structurally, numbered in BFS
     order, successors by letter."""
-    letters = sorted(symbols_of(r))
+    letters = sorted(letters_of(r))
     memo: dict = {}
     start = reference_aci(r, memo)
     ids = {start: 0}
@@ -704,7 +708,7 @@ def reference_construct_pd(r: RegEx) -> Automaton:
 
     states, transitions = _explore(terms.intern(r), moves, id)
     finals = {i for i, term in enumerate(states) if nullable(term)}
-    return Automaton.make(range(len(states)), symbols_of(r), 0, finals, transitions)
+    return Automaton.make(range(len(states)), letters_of(r), 0, finals, transitions)
 
 
 def pd_term_orders(terms: _Terms, r: RegEx) -> tuple[list, list]:

@@ -54,7 +54,6 @@ from refa.expressions import (
     parse,
     random_expr,
     render,
-    symbols_of,
 )
 from refa.families import buffer_regex, options_regex, row1_regex, row2_regex, row3_regex
 
@@ -65,6 +64,7 @@ from conftest import (
     follow_quotient,
     lambda_heavy_tree,
     lang,
+    letters_of,
     pd_term_orders,
     prefix_intern,
     rebuild,
@@ -182,9 +182,8 @@ class TestFollow:
         return fixed + corpus(200, seed=1500) + trees + families + labels + heavy
 
     def test_equals_the_reference_builder(self, builder_inputs):
-        # the builder re-points arcs in place, tests uniqueness by set size,
-        # writes a right-operand leaf's arc where it lands and contracts at a
-        # concatenation only where a λ-arc touches the middle state; not one
+        # the builder re-points arcs in place, tests uniqueness by set size
+        # and keeps the repr-least eligible λ-arc from one scan; not one
         # state id may move
         for r in builder_inputs:
             assert to_json(construct_follow(r)) == to_json(reference_construct_follow(r)), render(r)
@@ -508,7 +507,7 @@ def reference_pd_automaton(r):
     """The partial derivative automaton built from the per-letter recursion,
     with terms compared structurally: BFS order, successors by letter, then
     by text."""
-    letters = sorted(symbols_of(r))
+    letters = sorted(letters_of(r))
     ids = {r: 0}
     queue = deque([r])
     transitions = set()
@@ -689,7 +688,7 @@ class TestBrzozowski:
         # derivative takes the derivative of r's normal form
         for r in self.WIDE:
             normal = reference_aci(rebuild(r))
-            for a in sorted(symbols_of(r)) + ["z"]:
+            for a in sorted(letters_of(r)) + ["z"]:
                 d, fresh = derivative(r, a), reference_derivative(normal, a)
                 assert d == fresh and render(d) == render(fresh), (render(r), a)
 
@@ -733,7 +732,7 @@ class TestIdentityOrder:
         # not one per occurrence of ab
         for r in [options_regex(60), *shared_kid_dags()]:
             terms, calls = _AciTerms(id), Counter()
-            leaf, star, option, concat, union = terms.makers()
+            leaf, star, option, concat, union = terms.makers
 
             def counted(cls, maker):
                 def call(left, right):
@@ -742,7 +741,7 @@ class TestIdentityOrder:
 
                 return call
 
-            terms.makers = lambda: (leaf, star, option, counted(Concat, concat), counted(Union, union))
+            terms.makers = leaf, star, option, counted(Concat, concat), counted(Union, union)
             terms.intern(r)
             distinct = {id(node): type(node) for node in _postorder(r)}
             assert calls == Counter(c for c in distinct.values() if c is Union or c is Concat), render(r)

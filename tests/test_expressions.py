@@ -18,7 +18,6 @@ from refa.expressions import (
     random_expr,
     render,
     ssnf,
-    symbols_of,
     tokenize_word,
     unmark,
 )
@@ -33,7 +32,7 @@ from refa.automata import accepts, equivalent
 
 from refa.families import buffer_regex
 
-from conftest import corpus, lang, reference_parse, reference_ssnf, scatter_units
+from conftest import corpus, lang, letters_of, reference_parse, reference_ssnf, scatter_units
 
 # The message and offset of malformed inputs, recorded from the recursive
 # descent parser that the one-loop parser replaced; they must not change.
@@ -347,7 +346,7 @@ class TestRandomExpr:
             r = random_expr(1, ["a"], seed=seed)
             m = measures(r)
             assert m.awidth == 1
-            assert symbols_of(r) == {"a"}
+            assert letters_of(r) == {"a"}
 
     def test_deterministic(self):
         assert random_expr(5, ["a", "b"], seed=7) == random_expr(5, ["a", "b"], seed=7)

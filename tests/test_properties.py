@@ -41,13 +41,28 @@
   deletion recursion, deleting any one vertex lowers it by at most one and
   never raises it (the floor its search relies on), and `sccs` agrees with
   networkx where networkx is installed.
+* The CLI keeps its exit contract on mutated input, from a fixed seed: an
+  expression text with characters inserted, deleted or replaced, through
+  every `convert` route (the derivative DFA also under a small state cap)
+  and `measure`, and an automaton file with fields set, deleted, extended
+  or cut short, through `equiv`, `rank` and every `toregex` method.  The
+  exit code is 0, 1 or 2; exit 1 prints one `error: ` line and nothing
+  else; exit 0 prints no error, `convert`'s JSON loads back through `load`
+  to the same text, and `toregex`'s text denotes the file's language.
 
 Skipped where Hypothesis is not installed.
 """
 
+import contextlib
+import copy
+import functools
+import io
 import json
+import os
 import random
+import tempfile
 from itertools import combinations
+from unittest import mock
 
 import pytest
 
@@ -55,7 +70,9 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from refa.automata import Automaton, equivalent, from_dict, minimize, remove_lambda, to_dict, to_json
+import refa.constructions as constructions
+from refa.automata import Automaton, equivalent, from_dict, load, minimize, remove_lambda, to_dict, to_json
+from refa.cli import main
 from refa.constructions import (
     CONSTRUCTION_NAMES,
     _AciTerms,
@@ -69,7 +86,7 @@ from refa.constructions import (
 from refa.digraphs import Digraph, cycle_rank, sccs
 from refa.elimination import STRATEGIES, arden_solve, mcnaughton_yamada, simplify, state_elimination
 from refa.expressions import EMPTY, measures, parse, random_expr, render, ssnf
-from refa.families import random_dfa
+from refa.families import buffer_dfa, random_dfa
 
 from conftest import (
     commuted_duplicates_tree,
@@ -316,3 +333,122 @@ def test_sccs_agree_with_networkx(dg):
     graph.add_nodes_from(dg.vertices)
     graph.add_edges_from(dg.arcs)
     assert set(sccs(dg)) == set(map(frozenset, nx.strongly_connected_components(graph)))
+
+
+def run_cli(argv: list[str]) -> tuple[int, str, str]:
+    """`cli.main(argv)` in-process: its exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def check_exit_contract(code: int, out: str, err: str):
+    assert code in (0, 1, 2), code
+    if code == 0:
+        assert err == "", err
+    elif code == 1:
+        assert out == "", out
+        assert err.startswith("error: ") and err.endswith("\n") and err.count("\n") == 1, err
+
+
+SEED_TEXTS = ["(a+b)*ab", "a?b*+&", "(a1b2)*#", "((a+&)*b?)*", "a·b+c"]
+# symbols, operators, brackets, a blank and a newline, an option dash, and
+# letters and digits that are no ASCII
+TEXT_CHARS = "ab1()+*?&#· \n-é²"
+
+
+@st.composite
+def mutated_texts(draw) -> str:
+    """A seed expression text with up to four characters inserted, deleted or replaced."""
+    text = draw(st.sampled_from(SEED_TEXTS))
+    for _ in range(draw(st.integers(0, 4))):
+        i = draw(st.integers(0, len(text)))
+        edit = draw(st.sampled_from(("insert", "delete", "replace")))
+        c = "" if edit == "delete" else draw(st.sampled_from(TEXT_CHARS))
+        text = text[:i] + c + text[i + (edit != "insert") :]
+    return text
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(text=mutated_texts(), route=st.sampled_from(CONSTRUCTION_NAMES + ("measure",)), cap=st.sampled_from([10**6, 2]))
+def test_cli_keeps_its_exit_contract_on_mutated_texts(text, route, cap):
+    argv = ["measure", text] if route == "measure" else ["convert", text, "--to", route]
+    # under a cap of 2 states the derivative DFA refuses most texts
+    capped = functools.partial(construct_brzozowski, cap=cap)
+    with mock.patch.object(constructions, "construct_brzozowski", capped):
+        code, out, err = run_cli(argv)
+    check_exit_contract(code, out, err)
+    if code == 0 and route != "measure":
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "automaton.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(out)
+            assert to_json(load(path)) == out
+
+
+AUTOMATON_FILES = [
+    json.loads(to_json(aut))
+    for aut in (
+        buffer_dfa(2),
+        construct_of("(a+&)b*"),  # λ-arcs, written with the label ""
+        random_dfa(3, 2, 5),
+        Automaton.make([0, "q"], ["a", "b"], 0, ["q"], [(0, "a", "q"), ("q", "b", 0), ("q", "a", "q")]),
+    )
+]
+FIELDS = ("states", "alphabet", "initial", "finals", "transitions")
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 4) | st.just(1.5) | st.sampled_from(["a", "b", "", "q", "a²", "é"]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.sampled_from(FIELDS[:2]), inner, max_size=2),
+    max_leaves=4,
+)
+
+
+@st.composite
+def mutated_automaton_files(draw) -> str:
+    """The JSON text of a small automaton with up to three of its fields set,
+    deleted, extended or changed in one entry, one time in six cut short."""
+    data = copy.deepcopy(draw(st.sampled_from(AUTOMATON_FILES)))
+    for _ in range(draw(st.integers(0, 3))):
+        field, edit = draw(st.sampled_from(FIELDS)), draw(st.sampled_from(("set", "delete", "append", "entry")))
+        value = data.get(field)
+        if edit == "delete" and field in data:
+            del data[field]
+        elif edit == "append" and isinstance(value, list):
+            value.append(draw(JSON_VALUES))
+        elif edit == "entry" and isinstance(value, list) and value:
+            i = draw(st.integers(0, len(value) - 1))
+            if isinstance(value[i], list) and value[i]:  # one place of a transition
+                value = value[i]
+                i = draw(st.integers(0, len(value) - 1))
+            value[i] = draw(JSON_VALUES)
+        else:
+            data[field] = draw(JSON_VALUES)
+    text = json.dumps(data, indent=2)
+    cut = draw(st.sampled_from([False] * 5 + [True]))
+    return text[: draw(st.integers(0, len(text) - 1))] if cut else text
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    text=mutated_automaton_files(),
+    command=st.sampled_from(["equiv", "rank", "eliminate", "arden", "mny"]),
+    other=st.sampled_from(AUTOMATON_FILES),
+    swap=st.booleans(),
+)
+def test_cli_keeps_its_exit_contract_on_mutated_automaton_files(text, command, other, swap):
+    with tempfile.TemporaryDirectory() as tmp:
+        path, other_path = os.path.join(tmp, "mutated.json"), os.path.join(tmp, "other.json")
+        for name, content in ((path, text), (other_path, json.dumps(other))):
+            with open(name, "w", encoding="utf-8") as fh:
+                fh.write(content)
+        if command == "equiv":
+            argv = ["equiv", *((other_path, path) if swap else (path, other_path))]
+        elif command == "rank":
+            argv = ["rank", path]
+        else:
+            argv = ["toregex", path, "--method", command]
+        code, out, err = run_cli(argv)
+        check_exit_contract(code, out, err)
+        if code == 0 and argv[0] == "toregex":
+            assert equivalent(construct_follow(out.strip()), load(path)), out
