@@ -600,7 +600,9 @@ class _AciTerms(_Terms):
             partial(self._chain, _Alt),
         )
 
-    def _chain(self, cls: type, left, right) -> tuple:
+    def _chain(self, cls: type, left, right):
+        if left is right and cls is _Alt:
+            return left  # x+x is x; a DAG's shared kid would otherwise double the chain
         # a new tuple: on a tree, a shared node's chain goes to each of its parents
         head = left if type(left) is cls else (self.term(left),)
         return cls((*head, *right) if type(right) is cls else (*head, self.term(right)))

@@ -328,22 +328,25 @@ def cycles_through(dg: Digraph, v: Vertex, cap: int = 10**6) -> CycleCount:
     order, succ, _ = _index(dg)
     home = 1 << order.index(v)
     count = 0
-
-    def walk(u: int, visited: int) -> bool:
-        """Count the cycles closing from vertex bit u, successors in
-        _state_key order; True once `cap` is reached."""
-        nonlocal count
-        for w in _bits(succ[u.bit_length() - 1]):
+    # a path vertex's frame: its successors not yet tried, in _state_key order,
+    # and the path's mask; the last frame in locals, the rest on a stack, as a
+    # path can be longer than the recursion limit
+    successors, visited = _bits(succ[home.bit_length() - 1]), home
+    stack = []
+    while True:
+        for w in successors:
             if w == home:
                 count += 1
                 if count >= cap:
-                    return True
-            elif not w & visited and walk(w, visited | w):
-                return True
-        return False
-
-    saturated = walk(home, home)
-    return CycleCount(count, saturated)
+                    return CycleCount(count, True)
+            elif not w & visited:
+                stack.append((successors, visited))
+                successors, visited = _bits(succ[w.bit_length() - 1]), visited | w
+                break
+        else:
+            if not stack:
+                return CycleCount(count, False)
+            successors, visited = stack.pop()
 
 
 def star_height_bideterministic(aut: Automaton, budget: int = 18) -> int:

@@ -549,16 +549,11 @@ def ssnf(r: RegEx) -> RegEx:
 # Random generation
 
 
-def random_expr(
-    awidth: int,
-    alphabet: list[str],
-    seed: int,
-    unary_cap: int = 2,
-) -> RegEx:
+def random_expr(awidth: int, alphabet: list[str], seed: int) -> RegEx:
     """Uniform random syntax tree with exactly `awidth` symbol occurrences.
 
     At every node the production is drawn uniformly among those applicable;
-    chains of consecutive unary operators are capped at `unary_cap` so that
+    chains of consecutive unary operators are capped at two so that
     degenerate star towers do not distort size averages.
     """
     if awidth < 1:
@@ -579,7 +574,7 @@ def random_expr(
             out = cls(out, part)
         return out
 
-    def gen(w: int, unary_left: int) -> RegEx:
+    def gen(w: int, unary_left: int = 2) -> RegEx:
         if w == 1:
             prods = ["sym"]
         else:
@@ -594,8 +589,8 @@ def random_expr(
         if p == "option":
             return Option(gen(w, unary_left - 1))
         k = rng.randint(1, w - 1)
-        left = gen(k, unary_cap)
-        right = gen(w - k, unary_cap)
+        left = gen(k)
+        right = gen(w - k)
         return join(Union if p == "union" else Concat, left, right)
 
-    return gen(awidth, unary_cap)
+    return gen(awidth)

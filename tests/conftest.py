@@ -5,7 +5,8 @@
 split, memoized only on the vertex set within one call;
 `reference_cycle_rank` and `reference_cycle_rank_upper` are the bitmask
 searches before dominated deletions were skipped and components split
-forward-backward; `follow_quotient` rebuilds the follow
+forward-backward, and `reference_cycles_through` is the recursive cycle
+count; `follow_quotient` rebuilds the follow
 automaton as the position-automaton quotient that merges states with equal
 follow sets and equal finality; `path_pairs` is Warshall's transitive closure;
 `rebuild` copies a tree into new nodes that hold no stored value;
@@ -370,6 +371,28 @@ def reference_cycle_rank_upper(dg):
         stack += [(comp ^ min(_reference_bits(comp), key=lambda b: degree_key(b, comp)), depth + 1)
                   for comp in _reference_components(mask, succ, pred) if _reference_cyclic(comp, succ)]
     return best
+
+
+def reference_cycles_through(dg, v, cap=10**6):
+    """`cycles_through` as `(count, saturated)`, one recursive call per path
+    vertex, as it was before its walk went onto an explicit stack."""
+    order, succ, _ = _reference_index(dg)
+    home = 1 << order.index(v)
+    count = 0
+
+    def walk(u, visited):
+        nonlocal count
+        for w in _reference_bits(succ[u.bit_length() - 1]):
+            if w == home:
+                count += 1
+                if count >= cap:
+                    return True
+            elif not w & visited and walk(w, visited | w):
+                return True
+        return False
+
+    saturated = walk(home, home)
+    return count, saturated
 
 
 # -- independent follow-automaton oracle -------------------------------------

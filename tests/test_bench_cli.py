@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import importlib
 import json
 import os
@@ -20,7 +21,7 @@ from refa.bench import (
 )
 from refa.cli import _build_parser, _read_direct, main
 from refa.constructions import CONSTRUCTION_NAMES
-from refa.elimination import STRATEGIES
+from refa.elimination import STRATEGIES, state_elimination
 from refa.expressions import measures, parse
 from refa.families import buffer_dfa, hypercube_dfa, torus_dfa
 
@@ -60,16 +61,13 @@ class TestBenchOrderings:
         assert {m for m, _ in summary} == {"id", "greedy", "dm", "cycles", "indep", "bridge"}
 
     def test_explicit_automata_and_orders(self):
-        records = bench_orderings(
-            automata={"buffer6": buffer_dfa(6)},
-            strategies=(),
-            fixed_orders={
-                "order1": [6, 5, 4, 3, 2, 1, 0],
-                "order2": [0, 2, 4, 6, 1, 5, 3],
-            },
-        )
-        heights = {r.method: r.height for r in records}
-        assert heights == {"order1": 6, "order2": 2}
+        # the order decides the star height of the label: 6 peeling the
+        # buffer from its far end, 2 taking every other state first
+        heights = [
+            measures(state_elimination(buffer_dfa(6), order)).height
+            for order in ([6, 5, 4, 3, 2, 1, 0], [0, 2, 4, 6, 1, 5, 3])
+        ]
+        assert heights == [6, 2]
 
     def test_dm_no_worse_than_id_on_median(self):
         records = bench_orderings(n=6, alphabet_size=2, samples=15, seed=29)
@@ -185,6 +183,28 @@ class TestCli:
         assert main(["bench", "constructions", "--families", "buffer=1,2", "-o", str(out)]) == 0
         lines = out.read_text().strip().split("\n")
         assert lines[0].startswith("family,n,method")
+
+    @pytest.mark.parametrize(
+        "argv,digest",
+        [
+            # 12 samples, so random10 and random11 come before random2
+            (
+                ["bench", "orderings", "--n", "6", "--samples", "12", "--seed", "3"],
+                "b73ad1f4140cbc1c87a8ad018907d6994b393ca1cb9998348ed4148bde05abe5",
+            ),
+            (
+                ["bench", "constructions", "--families", "buffer=1,2,4,8;options=4,8,16;row1=3;row2=2;row3=8,16"],
+                "e28e507128c37a2a1ae62a69c0ea68437dacfc89e4ddad7f6efb00d3b23d77a0",
+            ),
+        ],
+        ids=["orderings", "constructions"],
+    )
+    def test_bench_output_is_pinned(self, capsys, argv, digest):
+        # the sha256 of stdout, each line's last field (micros) cut, then stderr
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        cut = "".join(line.rsplit(",", 1)[0] + "\n" for line in captured.out.splitlines())
+        assert hashlib.sha256((cut + captured.err).encode()).hexdigest() == digest
 
     @pytest.mark.parametrize("method", ["eliminate", "arden", "mny"])
     def test_toregex_checks_the_order_for_every_method(self, tmp_path, capsys, method):

@@ -1,12 +1,14 @@
 import math
 import random
 import sys
+from dataclasses import astuple
 
 import pytest
 
 from refa.automata import minimize, subset_construction
 from refa.constructions import construct_of, construct_position
 from refa.digraphs import (
+    CycleCount,
     CycleRankBudgetError,
     Digraph,
     NotBideterministicError,
@@ -21,9 +23,16 @@ from refa.digraphs import (
     undirected_cycle_rank,
 )
 from refa.expressions import measures, parse
-from refa.families import buffer_dfa, hypercube_dfa, torus_dfa
+from refa.families import buffer_dfa, hypercube_dfa, random_dfa, torus_dfa
 
-from conftest import _kosaraju, corpus, naive_cycle_rank, reference_cycle_rank, reference_cycle_rank_upper
+from conftest import (
+    _kosaraju,
+    corpus,
+    naive_cycle_rank,
+    reference_cycle_rank,
+    reference_cycle_rank_upper,
+    reference_cycles_through,
+)
 
 
 def cycle(n):
@@ -394,6 +403,24 @@ class TestCyclesThrough:
         k5 = Digraph.make(range(5), [(u, v) for u in range(5) for v in range(5) if u != v])
         out = cycles_through(k5, 0, cap=3)
         assert out.saturated and out.count == 3
+
+    @pytest.mark.parametrize("cap", [7, 10**5])
+    def test_equals_the_recursive_reference(self, cap):
+        # the nine automata of the eliminate workload, unrelabelled, and the
+        # 4-cube, each of whose vertices lies on 23 080 cycles; the cap of 7
+        # stops most walks early
+        auts = [random_dfa(5 + j % 4, 2, 1405_5594 + 900 + j) for j in range(6)]
+        auts += [buffer_dfa(6), torus_dfa(2, 3), torus_dfa(3, 3), hypercube_dfa(3), hypercube_dfa(4)]
+        digraphs = [underlying_digraph(aut) for aut in auts]
+        digraphs += [random_digraph(n, 0.35, seed) for seed, n in enumerate([1, 3, 6, 8, 10] * 4)]
+        for dg in digraphs:
+            for v in dg.vertices:
+                assert astuple(cycles_through(dg, v, cap)) == reference_cycles_through(dg, v, cap)
+
+    def test_a_chain_longer_than_the_recursion_limit(self):
+        dg = underlying_digraph(buffer_dfa(1500))
+        assert cycles_through(dg, 0) == CycleCount(1, False)
+        assert cycles_through(dg, 700) == CycleCount(2, False)
 
 
 class TestStarHeight:

@@ -11,7 +11,7 @@ import pytest
 import refa.elimination as elimination
 from refa.automata import Automaton, _state_key, equivalent, from_dict, load, remove_lambda
 from refa.cli import main
-from refa.constructions import construct_follow
+from refa.constructions import _AciTerms, construct_brzozowski, construct_follow
 from refa.elimination import (
     SINK,
     SOURCE,
@@ -161,6 +161,24 @@ class TestLabelUnionChains:
         del b
         gc.collect()
         assert held() is not None
+
+    def test_a_node_united_with_itself_is_the_node(self, monkeypatch):
+        # x+x is x: each union of this DAG, 20 deep, hands its table's
+        # `union` two terms; collected by occurrence, the root handed 2 097 152
+        longest = [0]
+        for cls in (_AciTerms, elimination._Labels):
+
+            def counted(table, terms, union=cls.union):
+                longest[0] = max(longest[0], len(terms))
+                return union(table, terms)
+
+            monkeypatch.setattr(cls, "union", counted)
+        x = Union(Sym("a"), Sym("b"))
+        for _ in range(20):
+            x = Union(x, x)
+        assert len(construct_brzozowski(x).states) == 3
+        assert render(simplify(x)) == "a+b"
+        assert longest[0] == 2
 
 
 class TestAugment:
