@@ -1,8 +1,7 @@
 """Benchmark harness: construction sizes per family, elimination orderings.
 
 Records are plain rows, reproducible bit-for-bit from their configuration,
-and serialize to a fixed CSV layout: unavailable fields stay empty so the
-files diff cleanly.
+and serialize to a fixed CSV layout.
 """
 
 from __future__ import annotations
@@ -35,15 +34,15 @@ class BenchRecord:
     family: str
     n: int
     method: str
-    states: int | None
-    transitions: int | None
-    size: int | None
-    awidth: int | None
-    height: int | None
+    states: int
+    transitions: int
+    size: int
+    awidth: int
+    height: int
     micros: int
 
     def row(self) -> list:
-        return ["" if v is None else v for v in astuple(self)]
+        return list(astuple(self))
 
 
 def to_csv(records: list[BenchRecord]) -> str:
@@ -146,6 +145,6 @@ def summarize_orderings(records: list[BenchRecord]) -> list[tuple[str, float]]:
 
     by_method: dict[str, list[int]] = {}
     for record in records:
-        by_method.setdefault(record.method, []).append(record.awidth or 0)
+        by_method.setdefault(record.method, []).append(record.awidth)
     medians = [(method, float(statistics.median(widths))) for method, widths in by_method.items()]
     return sorted(medians, key=lambda pair: (pair[1], pair[0]))

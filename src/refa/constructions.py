@@ -27,8 +27,6 @@ from .expressions import (
     EMPTY,
     EPSILON,
     Concat,
-    Empty,
-    Epsilon,
     MarkedRegEx,
     Option,
     RegEx,
@@ -39,7 +37,7 @@ from .expressions import (
     _fold,
     _read,
     _render,
-    nullable,
+    _set,
 )
 
 __all__ = [
@@ -416,33 +414,43 @@ def construct_position(r: RegEx | str) -> Automaton:
 class _Terms:
     """The derived terms of one partial-derivative run, hash-consed: `make`
     gives one node per class and children compared by identity, so the
-    terms `intern` builds through its `makers` are one object each when
-    equal, keyed by `id` and rendered once.  `cats` and `forms` memoise `cat`
-    and the linear forms; `letters` holds the names of the symbols made.
-    The table holds every node it keys, so no `id` is reused; it lives for
-    one construction."""
+    terms `intern` builds through the `makers` are one object each when
+    equal, keyed by `id` and rendered once.  `make` stores on each union
+    and concatenation its nullability, from its kids', so every term of a
+    table carries it (atoms, stars and options carry it on their class).
+    `cats` and `forms` memoise `cat` and the linear forms; `letters` holds
+    the names of the symbols made.  The table holds every node it keys, so
+    no `id` is reused; it lives for one construction, and no attribute
+    refers back to it, so it is freed when its last reference goes."""
 
     def __init__(self):
         self.nodes: dict[tuple, RegEx] = {}
         self.cats: dict[tuple[int, int], RegEx] = {}
         self.forms: dict[int, dict[str, dict[int, RegEx]]] = {}
         self.letters: set[str] = set()
-        # the makers of a leaf, star, option, concatenation and union, in the
-        # order `_read` takes them
-        make = self.make
-        self.makers = self.leaf, partial(make, Star), partial(make, Option), partial(make, Concat), partial(make, Union)
 
-    def make(self, cls: type, *kids: RegEx) -> RegEx:
-        key = (cls, *map(id, kids))
-        if key not in self.nodes:
-            self.nodes[key] = cls(*kids)
-        return self.nodes[key]
+    def makers(self) -> tuple:
+        """The makers of a leaf, star, option, concatenation and union, in
+        the order `_read` takes them."""
+        make = self.make
+        return self.leaf, partial(make, Star), partial(make, Option), partial(make, Concat), partial(make, Union)
+
+    def make(self, cls: type, left: RegEx, right: RegEx | None = None) -> RegEx:
+        """The node cls(left), or cls(left, right) with its nullability."""
+        key = (cls, id(left), id(right))
+        node = self.nodes.get(key)
+        if node is None:
+            node = self.nodes[key] = cls(left) if right is None else cls(left, right)
+            if right is not None:
+                a, b = left._nullable, right._nullable
+                _set(node, "_nullable", a or b if cls is Union else a and b)
+        return node
 
     def intern(self, r: RegEx | str) -> RegEx:
         """The term of r: the value the makers give, kids first, made a term
         by `term`.  A text is read straight into the makers; on a tree
         they take each distinct node once."""
-        leaf, *makers = self.makers
+        leaf, *makers = self.makers()
         if isinstance(r, str):
             return self.term(_read(r, leaf, *makers, _ATOMS.copy()))
         return self.term(_fold(r, lambda node: _ATOMS.get(node._text) or leaf(node.name, node), *makers, {}))
@@ -466,18 +474,19 @@ class _Terms:
     def cat(self, left: RegEx, right: RegEx) -> RegEx:
         """Right-associated concatenation of terms with λ-units dropped and ∅
         annihilating, memoised."""
-        if isinstance(left, Empty) or isinstance(right, Empty):
+        if left is EMPTY or right is EMPTY:
             return EMPTY
-        if isinstance(left, Epsilon):
+        if left is EPSILON:
             return right
-        if isinstance(right, Epsilon):
+        if right is EPSILON:
             return left
-        if not isinstance(left, Concat):
+        if type(left) is not Concat:
             return self.make(Concat, left, right)
         key = (id(left), id(right))
-        if key not in self.cats:
-            self.cats[key] = self.cat(left.left, self.cat(left.right, right))
-        return self.cats[key]
+        out = self.cats.get(key)
+        if out is None:
+            out = self.cats[key] = self.cat(left.left, self.cat(left.right, right))
+        return out
 
     def form(self, r: RegEx) -> dict[str, dict[int, RegEx]]:
         """Antimirov's partial derivatives of the term r for every letter,
@@ -489,26 +498,29 @@ class _Terms:
         terms in the same order (forms distribute over union, and `cat` is
         associative), with no prefix of the chain extended on its own.
         """
-        if id(r) in self.forms:
-            return self.forms[id(r)]
-        if isinstance(r, (Empty, Epsilon)):
-            out = {}
-        elif isinstance(r, Sym):
-            out = {r.name: {id(EPSILON): EPSILON}}
-        elif isinstance(r, Union):
+        out = self.forms.get(id(r))
+        if out is not None:
+            return out
+        cls = type(r)
+        if cls is Concat:
+            if type(r.left) is Concat:
+                out = self.form(self.cat(r.left, r.right))
+            else:
+                out = {a: self._extend(terms, r.right) for a, terms in self.form(r.left).items()}
+                if r.left._nullable:
+                    out = _union_forms(out, self.form(r.right))
+                if any(id(EMPTY) in terms for terms in out.values()):
+                    out = {a: {k: t for k, t in terms.items() if t is not EMPTY} for a, terms in out.items()}
+        elif cls is Union:
             out = _union_forms(self.form(r.left), self.form(r.right))
-        elif isinstance(r, Option):
-            out = self.form(r.inner)
-        elif isinstance(r, Star):
+        elif cls is Sym:
+            out = {r.name: {id(EPSILON): EPSILON}}
+        elif cls is Star:
             out = {a: self._extend(terms, r) for a, terms in self.form(r.inner).items()}
-        elif isinstance(r.left, Concat):
-            out = self.form(self.cat(r.left, r.right))
-        else:
-            out = {a: self._extend(terms, r.right) for a, terms in self.form(r.left).items()}
-            if nullable(r.left):
-                out = _union_forms(out, self.form(r.right))
-            if any(id(EMPTY) in terms for terms in out.values()):
-                out = {a: {k: t for k, t in terms.items() if t is not EMPTY} for a, terms in out.items()}
+        elif cls is Option:
+            out = self.form(r.inner)
+        else:  # ∅ or λ
+            out = {}
         self.forms[id(r)] = out
         return out
 
@@ -553,7 +565,7 @@ def construct_pd(r: RegEx | str) -> Automaton:
         return pairs
 
     states, transitions = _explore(terms.intern(r), moves, id)
-    finals = {i for i, term in enumerate(states) if nullable(term)}
+    finals = {i for i, term in enumerate(states) if term._nullable}
     return Automaton.make(range(len(states)), terms.letters, 0, finals, transitions)
 
 
@@ -590,9 +602,11 @@ class _AciTerms(_Terms):
         self.branch_key = branch_key or _render
         self.unions: dict[int, dict[int, RegEx]] = {}
         self.tables: dict[int, dict[str, RegEx]] = {}
+
+    def makers(self) -> tuple:
         # a maker's value may be a chain, which the star and option makers fold first
         term, make, star = self.term, self.make, self.star
-        self.makers = (
+        return (
             self.leaf,
             lambda inner: star(term(inner)),
             lambda inner: make(Option, term(inner)),
@@ -650,24 +664,25 @@ class _AciTerms(_Terms):
         out = self.tables.get(id(r))
         if out is None:
             out = {}
-            if isinstance(r, Sym):
-                out[r.name] = EPSILON
-            elif isinstance(r, Union):
+            cls = type(r)
+            if cls is Concat:
+                for a, d in self.table(r.left).items():
+                    out[a] = self.cat(d, r.right)
+                if r.left._nullable:
+                    for a, d in self.table(r.right).items():
+                        out[a] = self.union([out[a], d]) if a in out else d
+            elif cls is Union:
                 for b in self.unions[id(r)].values():
                     for a, d in self.table(b).items():
                         out.setdefault(a, []).append(d)
                 for a, ds in out.items():
                     out[a] = ds[0] if len(ds) < 2 else self.union(ds)
-            elif isinstance(r, Concat):
-                for a, d in self.table(r.left).items():
-                    out[a] = self.cat(d, r.right)
-                if nullable(r.left):
-                    for a, d in self.table(r.right).items():
-                        out[a] = self.union([out[a], d]) if a in out else d
-            elif isinstance(r, Star):
+            elif cls is Sym:
+                out[r.name] = EPSILON
+            elif cls is Star:
                 for a, d in self.table(r.inner).items():
                     out[a] = self.cat(d, r)
-            elif isinstance(r, Option):
+            elif cls is Option:
                 out = self.table(r.inner)
             self.tables[id(r)] = out
         return out
@@ -723,5 +738,5 @@ def construct_brzozowski(r: RegEx | str, cap: int = 10**6) -> Automaton:
         return [(a, t.get(a, EMPTY)) for a in letters]
 
     states, transitions = _explore(start, moves, id)
-    finals = {i for i, term in enumerate(states) if nullable(term)}
+    finals = {i for i, term in enumerate(states) if term._nullable}
     return Automaton.make(range(len(states)), letters, 0, finals, transitions)

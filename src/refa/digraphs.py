@@ -326,12 +326,18 @@ def cycles_through(dg: Digraph, v: Vertex, cap: int = 10**6) -> CycleCount:
     if v not in dg.vertices:
         raise ValueError(f"{v!r} is not a vertex")
     order, succ, _ = _index(dg)
-    home = 1 << order.index(v)
+    return _cycles_at(succ, order.index(v), cap)
+
+
+def _cycles_at(succ: list[int], i: int, cap: int) -> CycleCount:
+    """`cycles_through` at vertex i of an index's successor masks, so that
+    one index serves the counts at every vertex."""
+    home = 1 << i
     count = 0
     # a path vertex's frame: its successors not yet tried, in _state_key order,
     # and the path's mask; the last frame in locals, the rest on a stack, as a
     # path can be longer than the recursion limit
-    successors, visited = _bits(succ[home.bit_length() - 1]), home
+    successors, visited = _bits(succ[i]), home
     stack = []
     while True:
         for w in successors:

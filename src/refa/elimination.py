@@ -25,7 +25,7 @@ from typing import Sequence
 
 from .automata import Automaton, State, _reach, _sorted_triples, _state_key
 from .constructions import _AciTerms
-from .digraphs import cycles_through, independent_set, underlying_digraph
+from .digraphs import _cycles_at, _index, independent_set, underlying_digraph
 from .expressions import EMPTY, EPSILON, Concat, Empty, RegEx, Star, Sym, Union, measures
 
 __all__ = [
@@ -74,8 +74,11 @@ class _Labels(_AciTerms):
         self.numbers: dict = {}  # class key -> class number
         self.classes: dict[int, int] = {id(EMPTY): self._number("#"), id(EPSILON): self._number("&")}
         self.symbols: list[Sym] = []  # those classed by `_class`, held so that no filed id is reused
-        leaf, star, option, _, union = self.makers
-        self.makers = leaf, star, option, lambda left, right: self.cat(self.term(left), self.term(right)), union
+
+    def makers(self) -> tuple:
+        leaf, star, option, _, union = super().makers()
+        cat, term = self.cat, self.term
+        return leaf, star, option, lambda left, right: cat(term(left), term(right)), union
 
     def _number(self, key) -> int:
         return self.numbers.setdefault(key, len(self.numbers))
@@ -91,10 +94,11 @@ class _Labels(_AciTerms):
         """The term of r; r itself when it is a term of this table."""
         return r if id(r) in self.classes else super().intern(r)
 
-    def make(self, cls: type, *kids: RegEx) -> RegEx:
-        node = super().make(cls, *kids)
+    def make(self, cls: type, left: RegEx, right: RegEx | None = None) -> RegEx:
+        node = super().make(cls, left, right)
         if cls is not Union and id(node) not in self.classes:
-            self.classes[id(node)] = self._number((cls, *map(self._class, kids)))
+            kids = self._class(left), None if right is None else self._class(right)
+            self.classes[id(node)] = self._number((cls, *kids))
         return node
 
     def union(self, terms: list[RegEx]) -> RegEx:
@@ -334,8 +338,8 @@ def _plan(aut: Automaton, order: str | Sequence[State]) -> tuple[list, object, l
     if order == "dm":
         return [], _dm_score, []
     if order == "cycles":
-        dg = underlying_digraph(aut)
-        counts = {q: cycles_through(dg, q, cap=10**5).count for q in aut.states}
+        vertices, succ, _ = _index(underlying_digraph(aut))
+        counts = {q: _cycles_at(succ, i, 10**5).count for i, q in enumerate(vertices)}
         return sorted(aut.states, key=lambda q: (counts[q], _state_key(q))), None, []
     if order == "indep":
         return sorted(independent_set(underlying_digraph(aut)), key=_state_key), _greedy_score, []

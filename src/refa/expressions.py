@@ -16,7 +16,9 @@ each rule is written once.  Without a memo `_fold` calls them on each
 occurrence of a node (marking, building an automaton); with one it calls
 them once on each distinct node of a shared expression (the term
 tables), as a walk that stores a value on each node does (`measures`,
-`nullable`, rendering).  The walks on one term at a time (the linear
+`nullable`, rendering).  The term tables set a union's or concatenation's
+nullability from its kids' when they make it, so none of their terms needs
+the `nullable` walk.  The walks on one term at a time (the linear
 forms and derivatives) recurse: they are memoised and hot, and on them
 CPython's recursion is cheaper than any explicit stack.
 """
@@ -63,7 +65,8 @@ class RegEx:
     class default None means "not computed yet".  They die with the node,
     and stay out of ``==``, ``repr``, the dataclass fields, copies and pickles.
     What one run of an algorithm finds about a node, such as its simplified
-    form or its derivatives, stays in that run's term table instead.
+    form or its derivatives, stays in that run's term table instead.  A term
+    table sets `_nullable` on each node it makes, from its kids' values.
     """
 
     __slots__ = ()
@@ -468,7 +471,8 @@ def _option_measures(a: MeasureReport) -> MeasureReport:
 
 def nullable(r: RegEx) -> bool:
     """True iff the empty word belongs to the denoted language; kept on
-    each union and concatenation it is found for."""
+    each union and concatenation it is found for.  A term table sets it on
+    each one it makes (`constructions._Terms.make`)."""
     if r._nullable is None:
         for node in _postorder(r, attrgetter("_nullable")):
             left, right = node.left._nullable, node.right._nullable

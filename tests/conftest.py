@@ -32,7 +32,9 @@ normal form of one `_AciTerms` table, which only the memo tests ask for;
 `prefix_intern` interns into such a table as `_AciTerms.intern` did before
 it took a concatenation chain whole, one left-nested prefix at a time, and
 `shared_kid_dags` are expressions in which two parents share a kid, whose
-value a table must take twice unchanged.
+value a table must take twice unchanged; `reference_nullable` finds a
+term's nullability by a walk, for the value the tables store on each term,
+and `eliminate_automata` are the automata the eliminate workload converts.
 `reference_simplify` rewrites a tree as `simplify` did before the label
 table, finding duplicate branches by their text with union branches
 sorted; `reference_state_elimination`, `reference_arden_solve` and
@@ -104,6 +106,7 @@ from refa.expressions import (
     random_expr,
     render,
 )
+from refa.families import buffer_dfa, random_dfa, torus_dfa
 
 
 def letters_of(r: RegEx) -> frozenset[str]:
@@ -429,6 +432,27 @@ def follow_quotient(r: RegEx) -> Automaton:
 def _aci(r: RegEx) -> RegEx:
     """The normal form of r, from a term table of its own."""
     return _AciTerms().intern(r)
+
+
+def reference_nullable(r: RegEx, memo: dict | None = None) -> bool:
+    """Whether r holds the empty word, from a walk over its structure that
+    reads no value stored on a node; `memo` keeps each node's answer by id,
+    so a DAG's shared kids are walked once."""
+    memo = {} if memo is None else memo
+    for node in _postorder(r, lambda node: memo.get(id(node))):
+        if isinstance(node, Union):
+            memo[id(node)] = memo[id(node.left)] or memo[id(node.right)]
+        elif isinstance(node, Concat):
+            memo[id(node)] = memo[id(node.left)] and memo[id(node.right)]
+        else:
+            memo[id(node)] = isinstance(node, (Star, Option, Epsilon))
+    return memo[id(r)]
+
+
+def eliminate_automata() -> list[Automaton]:
+    """The nine automata of the perfbench eliminate workload, unrelabelled."""
+    auts = [random_dfa(5 + j % 4, 2, 1405_5594 + 900 + j) for j in range(6)]
+    return auts + [buffer_dfa(6), torus_dfa(2, 3), torus_dfa(3, 3)]
 
 
 def shared_kid_dags() -> list[RegEx]:

@@ -1,8 +1,10 @@
 import contextlib
+import gc
 import importlib
 import io
 import random
 import sys
+import weakref
 from collections import Counter, deque
 from pathlib import Path
 
@@ -36,6 +38,7 @@ from refa.constructions import (
     partial_derivatives,
     position_sets,
 )
+from refa.elimination import STRATEGIES, arden_solve, mcnaughton_yamada, simplify, state_elimination
 from refa.expressions import (
     EMPTY,
     EPSILON,
@@ -55,12 +58,13 @@ from refa.expressions import (
     random_expr,
     render,
 )
-from refa.families import buffer_regex, options_regex, row1_regex, row2_regex, row3_regex
+from refa.families import buffer_regex, options_regex, row1_regex, row2_regex, row3_regex, torus_dfa
 
 from conftest import (
     ReferenceTerms,
     canonical,
     corpus,
+    eliminate_automata,
     follow_quotient,
     lambda_heavy_tree,
     lang,
@@ -76,12 +80,31 @@ from conftest import (
     reference_construct_pd,
     reference_construct_position,
     reference_derivative,
+    reference_nullable,
     reference_parse,
     reference_position_sets,
     shared_kid_dags,
     words_upto,
 )
 from test_expressions import SYNTAX_ERRORS
+
+
+@pytest.fixture
+def round_trip_texts(tmp_path, monkeypatch):
+    """The 75 labels that perfbench's seed-1 eliminate workload converts
+    back with `convert --to follow`, up to 2 539 symbols wide."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    monkeypatch.chdir(tmp_path)
+    workload = importlib.import_module("workloads").build("eliminate", 1, refa, tmp_path / "eliminate", tmp_path)
+    texts = []
+    for first, *round_trip in workload.units:
+        if round_trip:
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert main(first.argv) == 0
+            texts.append(out.getvalue().strip())
+    assert len(texts) == 75
+    return texts
 
 
 class TestOttFeinstein:
@@ -269,23 +292,6 @@ class TestTextRoute:
     makers: the automaton or report, or the syntax error, is the one the
     reference builders (for `of` and `follow`) or the same function give on
     the reference parser's tree."""
-
-    @pytest.fixture
-    def round_trip_texts(self, tmp_path, monkeypatch):
-        """The 75 labels that perfbench's seed-1 eliminate workload converts
-        back with `convert --to follow`, up to 2 539 symbols wide."""
-        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
-        monkeypatch.chdir(tmp_path)
-        workload = importlib.import_module("workloads").build("eliminate", 1, refa, tmp_path / "eliminate", tmp_path)
-        texts = []
-        for first, *round_trip in workload.units:
-            if round_trip:
-                out = io.StringIO()
-                with contextlib.redirect_stdout(out):
-                    assert main(first.argv) == 0
-                texts.append(out.getvalue().strip())
-        assert len(texts) == 75
-        return texts
 
     def test_equals_the_reference_on_the_parsed_tree(self, round_trip_texts):
         def outcome(read, text):
@@ -732,7 +738,7 @@ class TestIdentityOrder:
         # not one per occurrence of ab
         for r in [options_regex(60), *shared_kid_dags()]:
             terms, calls = _AciTerms(id), Counter()
-            leaf, star, option, concat, union = terms.makers
+            leaf, star, option, concat, union = terms.makers()
 
             def counted(cls, maker):
                 def call(left, right):
@@ -741,7 +747,7 @@ class TestIdentityOrder:
 
                 return call
 
-            terms.makers = leaf, star, option, counted(Concat, concat), counted(Union, union)
+            terms.makers = lambda: (leaf, star, option, counted(Concat, concat), counted(Union, union))
             terms.intern(r)
             distinct = {id(node): type(node) for node in _postorder(r)}
             assert calls == Counter(c for c in distinct.values() if c is Union or c is Concat), render(r)
@@ -794,3 +800,76 @@ class TestAllConstructionsAgree:
             ]
             canons = [canonical(a, sigma) for a in auts]
             assert all(c == canons[0] for c in canons), render(r)
+
+
+def record_tables(monkeypatch, keep) -> list:
+    """A list that gets keep(table) for each term table made from now on:
+    `_AciTerms` and `_Labels` tables start in `_Terms.__init__` too."""
+    made = []
+    init = _Terms.__init__
+
+    def init_and_record(self, *args):
+        init(self, *args)
+        made.append(keep(self))
+
+    monkeypatch.setattr(_Terms, "__init__", init_and_record)
+    return made
+
+
+class TestTermFacts:
+    """The pd, derivative and label tables store each term's nullability
+    when they make it, and free themselves when their run returns."""
+
+    def test_every_term_carries_its_nullability(self, monkeypatch, round_trip_texts):
+        tables = record_tables(monkeypatch, lambda table: table)
+        corpus_texts = [
+            render(random_expr(1 + i % 10, ["a", "b"] if i // 10 % 2 == 0 else ["a", "b", "c", "d"], 1405_5594 + i))
+            for i in range(120)
+        ]
+        draws = [random_expr(1 + seed % 12, ["a", "b", "c"][: 1 + seed % 3], seed=9100 + seed) for seed in range(600)]
+        labels = [parse(text) for text in round_trip_texts]
+        inputs = [*corpus_texts, *draws, *shared_kid_dags(), *labels]
+        for r in inputs:
+            construct_pd(r)
+            construct_brzozowski(r)
+            simplify(parse(r) if isinstance(r, str) else r)
+        auts = eliminate_automata()
+        for aut in auts:
+            mcnaughton_yamada(aut)
+            for order in STRATEGIES:
+                state_elimination(aut, order)
+        checked = Counter()
+        for table in tables:
+            memo: dict = {}
+            for term in table.nodes.values():
+                assert term._nullable is reference_nullable(term, memo), render(term)
+            checked[type(table).__name__] += 1
+        assert checked["_Terms"] == len(inputs)
+        assert checked["_AciTerms"] == len(inputs)
+        # `augment` starts a table of its own too
+        assert checked["_Labels"] >= len(inputs) + len(auts) * (1 + len(STRATEGIES))
+
+    def test_tables_are_freed_without_the_collector(self, monkeypatch):
+        # no table refers back to itself, so each dies with its last reference
+        refs = record_tables(monkeypatch, weakref.ref)
+        text = render(options_regex(8))
+        runs = [
+            lambda: construct_pd(text),
+            lambda: construct_pd(parse(text)),
+            lambda: construct_brzozowski(text),
+            lambda: construct_brzozowski(parse(text)),
+            lambda: simplify(parse(text)),
+            lambda: arden_solve(torus_dfa(3, 3)),
+            lambda: mcnaughton_yamada(torus_dfa(2, 3)),
+        ]
+        runs += [lambda order=order: state_elimination(torus_dfa(3, 3), order) for order in STRATEGIES]
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            for run in runs:
+                refs.clear()
+                run()
+                assert refs and all(ref() is None for ref in refs)
+        finally:
+            if enabled:
+                gc.enable()

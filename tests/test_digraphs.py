@@ -23,11 +23,12 @@ from refa.digraphs import (
     undirected_cycle_rank,
 )
 from refa.expressions import measures, parse
-from refa.families import buffer_dfa, hypercube_dfa, random_dfa, torus_dfa
+from refa.families import buffer_dfa, hypercube_dfa, torus_dfa
 
 from conftest import (
     _kosaraju,
     corpus,
+    eliminate_automata,
     naive_cycle_rank,
     reference_cycle_rank,
     reference_cycle_rank_upper,
@@ -409,8 +410,7 @@ class TestCyclesThrough:
         # the nine automata of the eliminate workload, unrelabelled, and the
         # 4-cube, each of whose vertices lies on 23 080 cycles; the cap of 7
         # stops most walks early
-        auts = [random_dfa(5 + j % 4, 2, 1405_5594 + 900 + j) for j in range(6)]
-        auts += [buffer_dfa(6), torus_dfa(2, 3), torus_dfa(3, 3), hypercube_dfa(3), hypercube_dfa(4)]
+        auts = [*eliminate_automata(), hypercube_dfa(3), hypercube_dfa(4)]
         digraphs = [underlying_digraph(aut) for aut in auts]
         digraphs += [random_digraph(n, 0.35, seed) for seed, n in enumerate([1, 3, 6, 8, 10] * 4)]
         for dg in digraphs:

@@ -4,6 +4,7 @@ import io
 import json
 import random
 import weakref
+from dataclasses import astuple
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,7 @@ import refa.elimination as elimination
 from refa.automata import Automaton, _state_key, equivalent, from_dict, load, remove_lambda
 from refa.cli import main
 from refa.constructions import _AciTerms, construct_brzozowski, construct_follow
+from refa.digraphs import _cycles_at, _index, underlying_digraph
 from refa.elimination import (
     SINK,
     SOURCE,
@@ -31,11 +33,13 @@ from refa.families import buffer_dfa, hypercube_dfa, random_dfa, torus_dfa
 from conftest import (
     commuted_duplicates_tree,
     corpus,
+    eliminate_automata,
     full_mny_matrix,
     lambda_heavy_tree,
     lang,
     path_pairs,
     reference_arden_solve,
+    reference_cycles_through,
     reference_labels_union,
     reference_mcnaughton_yamada,
     reference_simplify,
@@ -312,6 +316,16 @@ class TestOrderings:
     def test_dag_cycles_falls_back_to_id(self):
         dag = Automaton.make([0, 1, 2], {"a"}, 0, {2}, [(0, "a", 1), (1, "a", 2)])
         assert make_ordering(dag, "cycles") == [0, 1, 2]
+
+    def test_cycles_counts_every_state_from_one_index(self):
+        # and a chain of 301 states
+        for aut in [*eliminate_automata(), buffer_dfa(300)]:
+            dg = underlying_digraph(aut)
+            vertices, succ, _ = _index(dg)
+            counts = {q: reference_cycles_through(dg, q, 10**5) for q in aut.states}
+            for i, q in enumerate(vertices):
+                assert astuple(_cycles_at(succ, i, 10**5)) == counts[q]
+            assert make_ordering(aut, "cycles") == sorted(aut.states, key=lambda q: (counts[q][0], _state_key(q)))
 
     def test_unknown_strategy(self):
         with pytest.raises(ValueError):
