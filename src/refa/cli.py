@@ -13,7 +13,7 @@ import os
 import sys
 
 from . import automata, bench, digraphs, elimination, expressions, families
-from .constructions import CONSTRUCTION_NAMES, ConstructionError, construct
+from .constructions import CONSTRUCTION_NAMES, construct
 
 # the largest `toregex` output printed, by `measures(...).size`: about 5·10⁷
 # characters, far above the tests' and benchmark cases' largest, 1.3·10⁶
@@ -204,7 +204,7 @@ def _cmd_gen(args) -> int:
             raise ValueError("family random takes 2 parameter(s)")
         n, k = args.params
         aut = families.random_dfa(n, k, args.seed)
-        artifact = families.FamilyArtifact("random", (n, k), None, aut)
+        artifact = families.FamilyArtifact(None, aut)
     else:
         artifact = families.gen_family(args.family, *args.params)
     if args.regex:
@@ -289,9 +289,9 @@ def main(argv=None) -> int:
         if getattr(args, "seed", 0) is None:  # a --seed option left unset
             args.seed = seed
         return _COMMANDS[args.command](args)
-    except (ValueError, OSError, KeyError, RecursionError, ConstructionError) as exc:
-        # RecursionError: the per-term walks recurse, so nesting deeper than
-        # the recursion limit is a domain error too, as is passing a state cap
+    except (ValueError, OSError, KeyError, RecursionError) as exc:
+        # a refusal over a limit is a ValueError; RecursionError: the per-term
+        # walks recurse, so nesting deeper than the recursion limit is one too
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -56,8 +56,8 @@ __all__ = [
 ]
 
 
-class ConstructionError(RuntimeError):
-    pass
+class ConstructionError(ValueError):
+    """A construction was refused because its result exceeds a state cap."""
 
 
 def _walk(r: RegEx | str, leaf, star, option, concat, union):

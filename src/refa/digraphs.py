@@ -271,11 +271,9 @@ def undirected_cycle_rank(dg: Digraph, budget: int = 18) -> int:
     return cycle_rank(symmetrize(dg), budget)
 
 
-def independent_set(dg: Digraph, exact: bool = False) -> frozenset:
-    """An independent set of the symmetrized graph.
-
-    Greedy minimum-degree by default; exhaustive search on request for up
-    to 20 vertices.  Vertices with self-loops are never eligible.
+def independent_set(dg: Digraph) -> frozenset:
+    """A maximal independent set of the symmetrized graph, chosen greedily
+    by minimum degree.  Vertices with self-loops are never eligible.
     """
     neigh = {v: set() for v in dg.vertices}
     looped = set()
@@ -286,26 +284,6 @@ def independent_set(dg: Digraph, exact: bool = False) -> frozenset:
             neigh[u].add(v)
             neigh[v].add(u)
     candidates = set(dg.vertices) - looped
-
-    if exact:
-        if len(dg.vertices) > 20:
-            raise ValueError("exact independent set limited to 20 vertices")
-        best: set = set()
-
-        def search(chosen: set, rest: list):
-            nonlocal best
-            if len(chosen) + len(rest) <= len(best):
-                return
-            if not rest:
-                if len(chosen) > len(best):
-                    best = set(chosen)
-                return
-            v = rest[0]
-            search(chosen | {v}, [w for w in rest[1:] if w not in neigh[v]])
-            search(chosen, rest[1:])
-
-        search(set(), sorted(candidates, key=_state_key))
-        return frozenset(best)
 
     chosen = set()
     while candidates:

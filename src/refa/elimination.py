@@ -2,7 +2,7 @@
 
 Three classical routes are provided, by two algorithms; both maintain
 regex-labelled data and, unless asked for raw labels, build it simplified
-in one label table per run (see `_Labels`):
+in one label table that the run makes (see `_Labels`):
 
 * state elimination over an extended automaton with a fresh source and
   sink, with pluggable elimination orderings;
@@ -18,7 +18,7 @@ in one label table per run (see `_Labels`):
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
 from types import SimpleNamespace
 from typing import Sequence
@@ -191,14 +191,12 @@ class ExtendedAutomaton:
     `out[p]` maps each target of p to the label of the arc p -> q, and
     `into[q]` maps each source of q to the same label; a missing entry is
     the ∅ label.  No arc enters the source and none leaves the sink.
-    `terms` is the table that simplified labels are built in, handed on
-    from each carrier to the next, so one elimination run has one.
+    It holds no label table: a run that simplifies its labels makes one.
     """
 
     states: frozenset
     out: dict
     into: dict
-    terms: _Labels = field(default_factory=_Labels, compare=False, repr=False)
 
     @property
     def labels(self):
@@ -239,8 +237,8 @@ def eliminate_state(ext: ExtendedAutomaton, q, simplify_labels: bool = True) -> 
     """Remove q, routing every path through it into the remaining labels.
 
     Only the rows of q's neighbours are copied and rewritten; `ext` itself
-    is left as it was.  Simplified labels are built in the carrier's table,
-    raw ones as written.
+    is left as it was.  Simplified labels are built in a table of the step's
+    own, which re-interns the old labels it reads; raw ones as written.
     """
     if isinstance(q, _Endpoint):
         raise ValueError("source and sink cannot be eliminated")
@@ -251,8 +249,8 @@ def eliminate_state(ext: ExtendedAutomaton, q, simplify_labels: bool = True) -> 
         out[p] = dict(out[p])
     for k in ext.out[q]:
         into[k] = dict(into[k])
-    _step(out, into, q, ext.terms if simplify_labels else _RAW)
-    return ExtendedAutomaton(ext.states - {q}, out, into, ext.terms)
+    _step(out, into, q, _Labels() if simplify_labels else _RAW)
+    return ExtendedAutomaton(ext.states - {q}, out, into)
 
 
 def _step(out: dict, into: dict, q, terms) -> None:
@@ -353,9 +351,10 @@ def _eliminate(
 ) -> tuple[list, ExtendedAutomaton]:
     """Eliminate `prefix`, then the rest by `score`, then `suffix`, on one
     carrier stepped in place (its `states` is set at the end: the scores
-    read only its rows); return the order taken and the final carrier."""
+    read only its rows); return the order taken and the final carrier.
+    Simplified labels are built in one `_Labels` table made for the run."""
     ext = augment(aut)
-    terms = ext.terms if simplify_labels else _RAW
+    terms = _Labels() if simplify_labels else _RAW
     order = []
 
     def step(q):
@@ -381,7 +380,7 @@ def _eliminate(
                 heapq.heappush(heap, (scores[s], _state_key(s), s))
     for q in suffix:
         step(q)
-    return order, ExtendedAutomaton(frozenset(ext.out), ext.out, ext.into, ext.terms)
+    return order, ExtendedAutomaton(frozenset(ext.out), ext.out, ext.into)
 
 
 def make_ordering(aut: Automaton, strategy: str) -> list[State]:
@@ -451,10 +450,10 @@ def arden_solve(aut: Automaton, simplify_steps: bool = True) -> RegEx:
 def _mny_matrix(aut: Automaton, ranking: Sequence[State], terms, rows, cols) -> dict:
     """The expression matrix after one round per state of `ranking`, its
     entries built by the constructors of `terms` (a `_Labels` table, or
-    `_RAW` for raw entries).  Only the entries in `rows` and `cols` are
-    wanted at the end, so each round builds only those and the rows and
-    columns of the pivots still to come, the only entries that later
-    rounds read."""
+    `_RAW` for raw entries).  Only the entries (j, k) with j in `rows` and
+    k in `cols` are wanted at the end, so each round builds only those and
+    the rows and columns of the pivots still to come, the only entries
+    that later rounds read."""
     states = sorted(aut.states, key=_state_key)
     ext = augment(aut)
     matrix: dict[tuple, RegEx] = {(p, q): terms.intern(ext.label(p, q)) for p in states for q in states}

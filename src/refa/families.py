@@ -36,8 +36,6 @@ __all__ = [
 
 @dataclass(frozen=True)
 class FamilyArtifact:
-    kind: str
-    params: tuple
     regex: RegEx | None
     automaton: Automaton | None
 
@@ -203,8 +201,6 @@ def gen_family(kind: str, *params: int) -> FamilyArtifact:
     counts = " or ".join(map(str, family.arity))
     _check(len(params) in family.arity, f"family {kind} takes {counts} parameter(s)")
     return FamilyArtifact(
-        kind,
-        params,
         family.regex(*params) if family.regex else None,
         family.automaton(*params) if family.automaton else None,
     )

@@ -846,8 +846,8 @@ class TestTermFacts:
             checked[type(table).__name__] += 1
         assert checked["_Terms"] == len(inputs)
         assert checked["_AciTerms"] == len(inputs)
-        # `augment` starts a table of its own too
-        assert checked["_Labels"] >= len(inputs) + len(auts) * (1 + len(STRATEGIES))
+        # one label table per simplify and per simplified run; `augment` makes none
+        assert checked["_Labels"] == len(inputs) + len(auts) * (1 + len(STRATEGIES))
 
     def test_tables_are_freed_without_the_collector(self, monkeypatch):
         # no table refers back to itself, so each dies with its last reference

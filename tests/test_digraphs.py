@@ -370,16 +370,18 @@ class TestIndependentSet:
         dg = Digraph.make(range(5), [])
         assert independent_set(dg) == frozenset(range(5))
 
-    def test_exact_beats_or_ties_greedy(self):
+    def test_independent_and_maximal(self):
         for i in range(12):
             dg = random_digraph(8, 0.3, seed=600 + i)
-            greedy = independent_set(dg)
-            exact = independent_set(dg, exact=True)
-            assert len(exact) >= len(greedy)
+            chosen = independent_set(dg)
             sym = symmetrize(dg)
-            for v in exact:
-                for w in exact:
+            looped = {u for u, v in dg.arcs if u == v}
+            assert not chosen & looped
+            for v in chosen:
+                for w in chosen:
                     assert v == w or (v, w) not in sym.arcs
+            for v in set(dg.vertices) - chosen - looped:
+                assert any((v, w) in sym.arcs for w in chosen), (i, v)
 
     def test_self_loops_excluded(self):
         dg = Digraph.make([0, 1], [(0, 0)])

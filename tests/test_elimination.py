@@ -244,6 +244,42 @@ class TestEliminateState:
                     ext = eliminate_state(ext, q, simplify_labels)
 
 
+class TestLabelTables:
+    """A `_Labels` table belongs to the run that fills it: a run with
+    simplified labels makes one, a raw run and a bare carrier none."""
+
+    def test_only_simplified_runs_make_a_table(self, monkeypatch):
+        made = [0]
+        init = elimination._Labels.__init__
+
+        def counted(self):
+            init(self)
+            made[0] += 1
+
+        def tables(run, *args):
+            made[0] = 0
+            run(*args)
+            return made[0]
+
+        monkeypatch.setattr(elimination._Labels, "__init__", counted)
+        for aut in eliminate_automata():
+            assert tables(augment, aut) == 0
+            assert tables(bridge_states, aut) == 0
+            for simplify_labels in (True, False):
+                ext = augment(aut)
+                for q in sorted(aut.states, key=_state_key):
+                    assert tables(eliminate_state, ext, q, simplify_labels) == simplify_labels
+                    ext = eliminate_state(ext, q, simplify_labels)
+                assert tables(arden_solve, aut, simplify_labels) == simplify_labels
+                assert tables(mcnaughton_yamada, aut, None, simplify_labels) == simplify_labels
+            fixed = sorted(aut.states, key=_state_key, reverse=True)
+            for order in (*STRATEGIES, fixed):
+                # a raw run of a dynamic order takes it from a simplified pass
+                dynamic = order in ("greedy", "dm", "indep", "bridge")
+                assert tables(state_elimination, aut, order) == 1, order
+                assert tables(state_elimination, aut, order, False) == dynamic, order
+
+
 class TestStateElimination:
     def test_buffer6_descending_order(self):
         got = state_elimination(buffer_dfa(6), [6, 5, 4, 3, 2, 1, 0])
